@@ -12,8 +12,8 @@ import numpy as np
 from videosum import (
     SynthSpec,
     TrainConfig,
-    embed_description,
     embed_frames,
+    ffn_forward,
     finite_diff_check,
     init_subnet,
     sample_pairs,
@@ -37,7 +37,7 @@ def pair_distances(v, d):
     pos, neg = [], []
     for ex in dataset:
         x = embed_frames(v, ex.segment)
-        y = embed_description(d, ex.desc)
+        y = ffn_forward(d, ex.desc)
         (pos if ex.label else neg).append(float((x - y) @ (x - y)))
     return np.mean(pos), np.mean(neg)
 

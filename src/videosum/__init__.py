@@ -16,10 +16,8 @@ from .model import (
     LstmParams,
     LstmState,
     Subnet,
-    embed_description,
     embed_frames,
     ffn_forward,
-    init_desc_subnet,
     init_lstm,
     init_scorer,
     init_subnet,
@@ -65,6 +63,7 @@ from .io import (
     write_intervals,
     write_matrix,
     write_pair_labels,
+    write_selection,
     write_summary,
 )
 from .cli import cli_dispatch

@@ -149,14 +149,7 @@ def _cmd_fastforward(args) -> int:
         scores, args.speedup, args.max_skip, args.lambda_speed, args.lambda_sem
     )
     achieved = scores.size / len(selected)
-    doc = {
-        "selected": selected,
-        "desired_speedup": args.speedup,
-        "achieved_speedup": achieved,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    vio.write_selection(args.out, selected, args.speedup, achieved)
     _emit({"kept": len(selected), "achieved_speedup": achieved})
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "read_intervals",
     "write_intervals",
     "write_summary",
+    "write_selection",
     "read_pair_labels",
     "write_pair_labels",
     "save_checkpoint",
@@ -75,8 +76,11 @@ def read_matrix(path, expected_magic) -> np.ndarray:
             f"{path}: payload has {len(payload)} bytes, needs {needed} "
             f"for a {rows} x {cols} matrix"
         )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return values.reshape(rows, cols)
+    values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}: non-finite value {values[row, col]} at row {row}, column {col}")
+    return values
 
 
 def write_matrix(path, matrix: np.ndarray, magic) -> None:
@@ -125,6 +129,18 @@ def write_summary(path, segments: Sequence[Segment], k: int, seg_len: int) -> No
         "intervals": [[seg.start, seg.end] for seg in segments],
         "k": k,
         "seg_len": seg_len,
+    }
+    _dump_json(path, doc)
+
+
+def write_selection(
+    path, selected: Sequence[int], desired_speedup: float, achieved_speedup: float
+) -> None:
+    """Write a fast-forward selection: kept frame indices and both speed-ups."""
+    doc = {
+        "selected": [int(i) for i in selected],
+        "desired_speedup": desired_speedup,
+        "achieved_speedup": achieved_speedup,
     }
     _dump_json(path, doc)
 

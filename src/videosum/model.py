@@ -27,10 +27,8 @@ __all__ = [
     "score_importance",
     "ffn_forward",
     "embed_frames",
-    "embed_description",
     "init_lstm",
     "init_subnet",
-    "init_desc_subnet",
     "init_scorer",
 ]
 
@@ -43,8 +41,10 @@ DEFAULT_DESC_DIM = 4800
 
 
 def sigmoid(z):
-    """Numerically plain logistic function; fine for the bounded activations here."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+    """Logistic function; large negative z saturates to exactly 0.0 without a warning."""
+    # exp(-z) -> inf is the right limit; a rearranged form would move outputs by an ulp.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 @dataclass
@@ -200,12 +200,18 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     return sigmoid(both @ scorer.readout_w + scorer.readout_b)
 
 
+def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden and output activations (z1, z2) for one input row or a batch of rows."""
+    z1 = np.tanh(x @ net.w1.T + net.b1)
+    return z1, np.tanh(z1 @ net.w2.T + net.b2)
+
+
 def ffn_forward(net: Subnet, x: np.ndarray) -> np.ndarray:
     """tanh(W2 tanh(W1 x + b1) + b2); every output component lies in (-1, 1)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    return np.tanh(net.w2 @ np.tanh(net.w1 @ x + net.b1) + net.b2)
+    return _forward(net, x)[1]
 
 
 def embed_frames(net: Subnet, segment: np.ndarray) -> np.ndarray:
@@ -223,14 +229,7 @@ def embed_frames(net: Subnet, segment: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"segment has {segment.shape[1]} columns, net expects {net.input_dim}"
         )
-    hidden = np.tanh(segment @ net.w1.T + net.b1)
-    out = np.tanh(hidden @ net.w2.T + net.b2)
-    return out.mean(axis=0)
-
-
-def embed_description(net: Subnet, v: np.ndarray) -> np.ndarray:
-    """Project one precomputed description vector into the shared space."""
-    return ffn_forward(net, v)
+    return _forward(net, segment)[1].mean(axis=0)
 
 
 def _check_dims(*dims: int) -> None:
@@ -244,10 +243,8 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_lstm(seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM) -> LstmParams:
-    """Seeded uniform init; each gate entry lies in [-1/sqrt(D+H), 1/sqrt(D+H)]."""
-    _check_dims(input_dim, hidden_dim)
-    rng = np.random.default_rng(seed)
+def _lstm_cell(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LstmParams:
+    """Draw the four gates from `rng` in the order i, f, o, c."""
     fan_in = input_dim + hidden_dim
     shape = (hidden_dim, fan_in)
     return LstmParams(
@@ -256,6 +253,12 @@ def init_lstm(seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM) -
         w_o=_uniform(rng, shape, fan_in),
         w_c=_uniform(rng, shape, fan_in),
     )
+
+
+def init_lstm(seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM) -> LstmParams:
+    """Seeded uniform init; each gate entry lies in [-1/sqrt(D+H), 1/sqrt(D+H)]."""
+    _check_dims(input_dim, hidden_dim)
+    return _lstm_cell(np.random.default_rng(seed), input_dim, hidden_dim)
 
 
 def init_subnet(
@@ -275,35 +278,14 @@ def init_subnet(
     )
 
 
-def init_desc_subnet(
-    seed: int,
-    desc_dim: int = DEFAULT_DESC_DIM,
-    hidden_dim: int = DEFAULT_HIDDEN_DIM,
-    embed_dim: int = DEFAULT_EMBED_DIM,
-) -> Subnet:
-    """Description-side net; input defaults to the 4800-dim sentence vectors."""
-    return init_subnet(seed, desc_dim, hidden_dim, embed_dim)
-
-
 def init_scorer(
     seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM
 ) -> ImportanceScorer:
     """Seeded bidirectional scorer; readout fan-in is the 2H concatenation."""
     _check_dims(input_dim, hidden_dim)
     rng = np.random.default_rng(seed)
-    fan_in = input_dim + hidden_dim
-    gate_shape = (hidden_dim, fan_in)
-
-    def cell() -> LstmParams:
-        return LstmParams(
-            w_i=_uniform(rng, gate_shape, fan_in),
-            w_f=_uniform(rng, gate_shape, fan_in),
-            w_o=_uniform(rng, gate_shape, fan_in),
-            w_c=_uniform(rng, gate_shape, fan_in),
-        )
-
-    fwd = cell()
-    bwd = cell()
+    fwd = _lstm_cell(rng, input_dim, hidden_dim)
+    bwd = _lstm_cell(rng, input_dim, hidden_dim)
     readout_w = _uniform(rng, 2 * hidden_dim, 2 * hidden_dim)
     readout_b = float(_uniform(rng, (), 2 * hidden_dim))
     return ImportanceScorer(forward=fwd, backward=bwd, readout_w=readout_w, readout_b=readout_b)

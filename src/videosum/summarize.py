@@ -109,6 +109,9 @@ def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"points must form a 2-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        point, col = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"point {point} has a non-finite coordinate at column {col}")
     return arr
 
 
@@ -241,6 +244,12 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return ranges
 
 
+def _check_finite_scores(scores: np.ndarray) -> None:
+    if not np.isfinite(scores).all():
+        frame = np.flatnonzero(~np.isfinite(scores))[0]
+        raise ValueError(f"scores contain a non-finite value at frame {frame}")
+
+
 def semantic_threshold_split(
     scores: np.ndarray,
 ) -> tuple[float, list[tuple[int, int]], list[tuple[int, int]]]:
@@ -255,6 +264,7 @@ def semantic_threshold_split(
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.size == 0:
         raise ValueError("scores must contain at least one frame")
+    _check_finite_scores(scores)
     mu = scores.mean()
     sd = scores.std()
     inlier = np.abs(scores - mu) <= 2.0 * sd
@@ -305,6 +315,10 @@ def speedup_frame_selection(
         raise ValueError("need at least 2 frames")
     if max_skip < 1:
         raise ValueError("max_skip must be at least 1")
+    _check_finite_scores(scores)
+    for name, value in (("rho", rho), ("lambda_speed", lambda_speed), ("lambda_sem", lambda_sem)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if rho < 1:
         raise ValueError("speed-up rho must be at least 1")
 
@@ -322,6 +336,8 @@ def speedup_frame_selection(
 
     path = [t - 1]
     while path[-1] != 0:
+        if prev[path[-1]] < 0:
+            raise ValueError(f"no finite-cost path reaches frame {path[-1]}")
         path.append(int(prev[path[-1]]))
     path.reverse()
     return path

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Subnet, embed_description, embed_frames
+from .model import Subnet, _forward
 
 __all__ = [
     "PairExample",
@@ -80,68 +80,51 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
     return max(0.0, margin - d)
 
 
-def _pair_loss(vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float) -> float:
-    x = embed_frames(vnet, ex.segment)
-    y = embed_description(dnet, ex.desc)
-    return contrastive_loss(x, y, ex.label, margin)
+def _backward(
+    net: Subnet, x: np.ndarray, z1: np.ndarray, z2: np.ndarray, g_z2: np.ndarray
+) -> Subnet:
+    """Parameter gradients of the two-layer forward over the rows of x, given dL/dz2."""
+    g_a2 = g_z2 * (1.0 - z2**2)
+    g_a1 = (g_a2 @ net.w2) * (1.0 - z1**2)
+    return Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
 
 
 def loss_gradients(
     vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float = 1.0
-) -> tuple[Subnet, Subnet]:
-    """Exact gradient of the pair loss w.r.t. every weight and bias.
+) -> tuple[float, Subnet, Subnet]:
+    """Pair loss and its exact gradient w.r.t. every weight and bias.
 
-    Returns two Subnet containers holding the gradients of the video and
-    description nets respectively (same shapes as the parameters).  At the
+    Returns (loss, grad_v, grad_d): the contrastive loss of the pair's
+    embeddings, then two Subnet containers holding the gradients of the
+    video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
     """
     seg = ex.segment
     n = seg.shape[0]
 
     # Forward with caches.  Video side processes all frames at once.
-    a1v = seg @ vnet.w1.T + vnet.b1
-    z1v = np.tanh(a1v)
-    a2v = z1v @ vnet.w2.T + vnet.b2
-    z2v = np.tanh(a2v)
+    z1v, z2v = _forward(vnet, seg)
     x = z2v.mean(axis=0)
+    z1d, y = _forward(dnet, ex.desc)
 
-    z1d = np.tanh(dnet.w1 @ ex.desc + dnet.b1)
-    y = np.tanh(dnet.w2 @ z1d + dnet.b2)
-
-    diff = x - y
-    d = float(diff @ diff)
+    loss = contrastive_loss(x, y, ex.label, margin)
 
     # dL/dd: 1 for positive pairs, -1 inside the hinge, 0 outside (and at d == margin).
     if ex.label:
         g_d = 1.0
-    elif d < margin:
+    elif loss > 0.0:
         g_d = -1.0
     else:
         g_d = 0.0
 
-    g_x = 2.0 * g_d * diff
-    g_y = -g_x
+    g_x = 2.0 * g_d * (x - y)
 
-    # Video net: the mean pooling spreads g_x equally over the frame rows.
-    g_z2v = np.tile(g_x / n, (n, 1))
-    g_a2v = g_z2v * (1.0 - z2v**2)
-    g_w2v = g_a2v.T @ z1v
-    g_b2v = g_a2v.sum(axis=0)
-    g_a1v = (g_a2v @ vnet.w2) * (1.0 - z1v**2)
-    g_w1v = g_a1v.T @ seg
-    g_b1v = g_a1v.sum(axis=0)
-
-    # Description net: single vector, plain backprop.
-    g_a2d = g_y * (1.0 - y**2)
-    g_w2d = np.outer(g_a2d, z1d)
-    g_b2d = g_a2d
-    g_a1d = (dnet.w2.T @ g_a2d) * (1.0 - z1d**2)
-    g_w1d = np.outer(g_a1d, ex.desc)
-    g_b1d = g_a1d
-
+    # The mean pooling spreads g_x equally over the video frame rows; the
+    # description is one row whose output gradient is -g_x.
     return (
-        Subnet(w1=g_w1v, b1=g_b1v, w2=g_w2v, b2=g_b2v),
-        Subnet(w1=g_w1d, b1=g_b1d, w2=g_w2d, b2=g_b2d),
+        loss,
+        _backward(vnet, seg, z1v, z2v, np.tile(g_x / n, (n, 1))),
+        _backward(dnet, ex.desc[None, :], z1d[None, :], y[None, :], -g_x[None, :]),
     )
 
 
@@ -155,7 +138,7 @@ def finite_diff_check(
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
+    _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
     worst = 0.0
     for net, grads in ((vnet, grad_v), (dnet, grad_d)):
         for name in _PARAM_FIELDS:
@@ -164,9 +147,9 @@ def finite_diff_check(
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + h
-                up = _pair_loss(vnet, dnet, ex, margin)
+                up = loss_gradients(vnet, dnet, ex, margin)[0]
                 theta[idx] = orig - h
-                down = _pair_loss(vnet, dnet, ex, margin)
+                down = loss_gradients(vnet, dnet, ex, margin)[0]
                 theta[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 a = analytic[idx]
@@ -203,8 +186,8 @@ def sgd_train(
         total = 0.0
         for idx in order:
             ex = dataset[idx]
-            total += _pair_loss(vnet, dnet, ex, cfg.margin)
-            grad_v, grad_d = loss_gradients(vnet, dnet, ex, cfg.margin)
+            loss, grad_v, grad_d = loss_gradients(vnet, dnet, ex, cfg.margin)
+            total += loss
             for net, grads in ((vnet, grad_v), (dnet, grad_d)):
                 for name in _PARAM_FIELDS:
                     getattr(net, name)[...] -= cfg.learning_rate * getattr(grads, name)

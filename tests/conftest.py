@@ -1,0 +1,18 @@
+"""Shared fixtures."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+import videosum
+
+
+@pytest.fixture
+def child_env(tmp_path):
+    """Environment for a child Python that imports videosum from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(videosum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(tmp_path)
+    return env

@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, file plumbing, and the full synthetic pipeline."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,37 @@ class TestPipeline:
         )
         assert code == 1
         assert "one column" in err
+
+    @pytest.mark.parametrize(
+        "score, speedup, needle",
+        [
+            (np.nan, "4", "non-finite value nan at row 3, column 0"),
+            (0.5, "nan", "rho must be finite"),
+        ],
+        ids=["nan-score", "nan-speedup"],
+    )
+    def test_fastforward_non_finite_exits_one(self, tmp_path, child_env, score, speedup, needle):
+        """Runs in a subprocess with a timeout so a hang fails instead of stalling."""
+        scores_path = tmp_path / "scores.vsf"
+        column = np.linspace(0, 1, 9)[:, None]
+        column[3, 0] = score
+        write_matrix(scores_path, column, MAGIC_FEATURES)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "videosum", "fastforward",
+                "--scores", str(scores_path),
+                "--speedup", speedup,
+                "--max-skip", "4",
+                "--out", str(tmp_path / "ff.json"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=child_env,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert needle in proc.stderr
+        assert not (tmp_path / "ff.json").exists()
 
     def test_gradcheck_passes_and_fails_by_tolerance(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--trials", "2", "--seed", "0")

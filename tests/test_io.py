@@ -1,6 +1,7 @@
 """Unit tests for file formats, checkpoints, and the synthetic generator."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -17,10 +18,11 @@ from videosum.io import (
     write_intervals,
     write_matrix,
     write_pair_labels,
+    write_selection,
     write_summary,
 )
 from videosum.metrics import normalize_intervals
-from videosum.model import embed_frames, init_desc_subnet, init_subnet
+from videosum.model import DEFAULT_DESC_DIM, embed_frames, init_subnet
 from videosum.summarize import Segment
 from videosum.synth import SynthSpec, synth_generate
 
@@ -77,6 +79,15 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="overflow"):
             read_matrix(path, MAGIC_FEATURES)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_payload_names_row_and_column(self, tmp_path, bad):
+        path = tmp_path / "n.vsf"
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = bad
+        write_matrix(path, matrix, MAGIC_FEATURES)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r": non-finite value .* at row 2, column 1"):
+            read_matrix(path, MAGIC_FEATURES)
+
     def test_non_2d_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "x.vsf", np.zeros(3), MAGIC_FEATURES)
@@ -102,6 +113,14 @@ class TestIntervalDocuments:
         assert read_intervals(path) == [(0, 4), (8, 12), (20, 24)]
         doc = json.loads(path.read_text())
         assert doc["k"] == 3 and doc["seg_len"] == 4
+
+    def test_selection_document_format(self, tmp_path):
+        path = tmp_path / "ff.json"
+        write_selection(path, [0, 4, 8], 4.0, 3.0)
+        assert path.read_text(encoding="utf-8") == (
+            '{\n  "achieved_speedup": 3.0,\n  "desired_speedup": 4.0,\n'
+            '  "selected": [\n    0,\n    4,\n    8\n  ]\n}\n'
+        )
 
     def test_fps_field_tolerated(self, tmp_path):
         path = tmp_path / "iv.json"
@@ -171,7 +190,7 @@ class TestCheckpoint:
         """Checkpoint with the default 4800-dim description input loads and runs."""
         path = tmp_path / "ckpt.json"
         vnet = init_subnet(0, 6, 4, 3)
-        dnet = init_desc_subnet(1, hidden_dim=4, embed_dim=3)
+        dnet = init_subnet(1, DEFAULT_DESC_DIM, hidden_dim=4, embed_dim=3)
         save_checkpoint(path, vnet, dnet)
         _, d2 = load_checkpoint(path)
         assert d2.input_dim == 4800

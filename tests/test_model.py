@@ -1,6 +1,7 @@
 """Unit tests for the numeric kernels: LSTM cell, scorer, embedding subnets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,18 +14,26 @@ from videosum.model import (
     LstmParams,
     LstmState,
     Subnet,
-    embed_description,
     embed_frames,
     ffn_forward,
-    init_desc_subnet,
     init_lstm,
     init_scorer,
     init_subnet,
     lstm_scan,
     lstm_step,
     score_importance,
+    sigmoid,
     zero_state,
 )
+
+
+class TestSigmoid:
+    def test_saturation_is_silent(self):
+        """exp(1000) overflows to inf; the limit 0.0 comes back with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(-1000.0) == 0.0
+            np.testing.assert_array_equal(sigmoid(np.array([-1000.0, 0.0, 1000.0])), [0.0, 0.5, 1.0])
 
 
 def scalar_lstm_step(w_i, w_f, w_o, w_c, h_prev, c_prev, x):
@@ -195,6 +204,18 @@ class TestScoreImportance:
         rev = score_importance(swapped, frames[::-1])
         np.testing.assert_allclose(rev, fwd[::-1], rtol=1e-12)
 
+    def test_pinned_seeded_scores(self):
+        """Scores of a seeded scorer, recorded before the LSTM init was shared."""
+        scorer = init_scorer(3, 6, 4)
+        scores = score_importance(scorer, np.random.default_rng(8).normal(size=(10, 6)))
+        expected = [
+            0.4511808239568684, 0.4289018744833479, 0.42497122392149067,
+            0.4436217781192675, 0.44254879657522617, 0.44793422943907546,
+            0.4142560748090893, 0.45752499374481737, 0.43538253557296897,
+            0.39936035986651636,
+        ]
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
     def test_scores_in_open_unit_interval(self):
         for seed in range(5):
             scorer = init_scorer(seed, 3, 4)
@@ -270,18 +291,18 @@ class TestEmbedDescription:
         net = init_subnet(0, 6, 4, 3)
         for name in ("w1", "b1", "w2", "b2"):
             getattr(net, name)[:] = 0.0
-        np.testing.assert_array_equal(embed_description(net, np.ones(6)), 0.0)
+        np.testing.assert_array_equal(ffn_forward(net, np.ones(6)), 0.0)
 
     def test_scalar_toy_matches_ffn(self):
         net = Subnet(w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1))
         np.testing.assert_allclose(
-            embed_description(net, np.array([1.0])), [0.6420149920119997], rtol=1e-15
+            ffn_forward(net, np.array([1.0])), [0.6420149920119997], rtol=1e-15
         )
 
     def test_range(self):
         net = init_subnet(9, 8, 4, 3)
         v = np.random.default_rng(9).normal(scale=5, size=8)
-        out = embed_description(net, v)
+        out = ffn_forward(net, v)
         assert np.all(np.abs(out) < 1)
 
 
@@ -295,6 +316,13 @@ class TestInit:
         q = init_lstm(42, 5, 4)
         for name in ("w_i", "w_f", "w_o", "w_c"):
             np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+
+    def test_scorer_forward_cell_is_init_lstm(self):
+        """Both initialisers draw the i, f, o, c gates from a fresh generator first."""
+        scorer = init_scorer(7, 5, 4)
+        cell = init_lstm(7, 5, 4)
+        for name in ("w_i", "w_f", "w_o", "w_c"):
+            np.testing.assert_array_equal(getattr(scorer.forward, name), getattr(cell, name))
 
     def test_different_seeds_differ(self):
         a = init_subnet(0, 5, 4, 3)
@@ -330,6 +358,6 @@ class TestInit:
         assert (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN_DIM, DEFAULT_DESC_DIM) == (300, 256, 4800)
         net = init_subnet(0, 10)
         assert net.hidden_dim == 256 and net.embed_dim == 300
-        desc = init_desc_subnet(0, hidden_dim=4, embed_dim=3)
+        desc = init_subnet(0, DEFAULT_DESC_DIM, hidden_dim=4, embed_dim=3)
         assert desc.input_dim == 4800
         assert init_lstm(0, 10).hidden_dim == 256

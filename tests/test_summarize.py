@@ -135,6 +135,20 @@ class TestClusteringCost:
             )
             assert np.isclose(clustering_cost(pts, medoids), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pts: clustering_cost(pts, [0]),
+            lambda pts: kmedoids(pts, 2),
+            lambda pts: next(pam_iterations(pts, 2)),
+        ],
+        ids=["clustering_cost", "kmedoids", "pam_iterations"],
+    )
+    def test_non_finite_point_rejected(self, call):
+        points = [[0.0, 1.0], [2.0, np.nan], [3.0, 3.0]]
+        with pytest.raises(ValueError, match="point 1 has a non-finite coordinate at column 1"):
+            call(points)
+
     def test_empty_medoids_rejected(self):
         with pytest.raises(ValueError):
             clustering_cost(np.zeros((3, 2)), [])
@@ -308,6 +322,10 @@ class TestSemanticThresholdSplit:
         with pytest.raises(ValueError):
             semantic_threshold_split(np.array([]))
 
+    def test_non_finite_score_names_frame(self):
+        with pytest.raises(ValueError, match="non-finite value at frame 2"):
+            semantic_threshold_split(np.array([0.1, 0.5, np.nan, 0.3]))
+
 
 class TestSegmentSpeedups:
     def test_uniform_speedup(self):
@@ -386,6 +404,29 @@ class TestSpeedupFrameSelection:
         scores = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         sel = speedup_frame_selection(scores, 2.0, 4, 0.01, 10.0)
         assert sel == [0, 2, 4]
+
+    @pytest.mark.parametrize(
+        "kwargs, needle",
+        [
+            ({"scores": np.array([0.2, 0.4, np.nan, 0.1, 0.3])}, "non-finite value at frame 2"),
+            ({"scores": np.array([0.2, -np.inf, 0.1])}, "non-finite value at frame 1"),
+            ({"rho": np.nan}, "rho must be finite"),
+            ({"rho": np.inf}, "rho must be finite"),
+            ({"lambda_speed": np.inf}, "lambda_speed must be finite"),
+            ({"lambda_sem": np.inf}, "lambda_sem must be finite"),
+            ({"lambda_sem": np.nan}, "lambda_sem must be finite"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, kwargs, needle):
+        args = {"scores": np.linspace(0, 1, 8), "rho": 2.0, "max_skip": 3}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=needle):
+            speedup_frame_selection(**args)
+
+    def test_overflowing_edge_costs_raise(self):
+        """Finite inputs whose every edge cost overflows leave no predecessor."""
+        with pytest.raises(ValueError, match="no finite-cost path reaches frame"):
+            speedup_frame_selection(np.ones(5), 4.0, 2, lambda_speed=1e308)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from videosum.model import Subnet, embed_description, embed_frames, init_subnet
+from videosum.model import Subnet, embed_frames, ffn_forward, init_subnet
+from videosum.summarize import segment_features, uniform_segments
 from videosum.train import (
     PairExample,
     TrainConfig,
@@ -79,9 +82,9 @@ class TestLossGradients:
         """Negative pair with d >= margin: every gradient is exactly zero."""
         vnet, dnet, ex = random_case(3, label=0)
         x = embed_frames(vnet, ex.segment)
-        y = embed_description(dnet, ex.desc)
+        y = ffn_forward(dnet, ex.desc)
         d = float((x - y) @ (x - y))
-        grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin=d / 2.0)
+        _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin=d / 2.0)
         for grads in (grad_v, grad_d):
             for name in PARAM_NAMES:
                 np.testing.assert_array_equal(getattr(grads, name), 0.0)
@@ -92,7 +95,7 @@ class TestLossGradients:
         twin = Subnet(w1=net.w1.copy(), b1=net.b1.copy(), w2=net.w2.copy(), b2=net.b2.copy())
         v = np.random.default_rng(5).normal(size=4)
         ex = PairExample(segment=v[None, :], desc=v, label=1)
-        grad_v, grad_d = loss_gradients(net, twin, ex, margin=1.0)
+        _, grad_v, grad_d = loss_gradients(net, twin, ex, margin=1.0)
         for grads in (grad_v, grad_d):
             for name in PARAM_NAMES:
                 np.testing.assert_allclose(getattr(grads, name), 0.0, atol=1e-15)
@@ -102,6 +105,23 @@ class TestLossGradients:
         for seed in (11, 12, 13):
             vnet, dnet, ex = random_case(seed, label=label)
             assert finite_diff_check(vnet, dnet, ex, margin=1.0, h=1e-5) <= 1e-4
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 5),
+        label=st.integers(0, 1),
+        margin=st.floats(0.0, 4.0),
+    )
+    def test_loss_is_contrastive_loss_of_public_embeddings(self, seed, frames, label, margin):
+        rng = np.random.default_rng(seed)
+        vnet = init_subnet(seed, 7, 5, 3)
+        dnet = init_subnet(seed ^ 1, 4, 5, 3)
+        ex = PairExample(segment=rng.normal(size=(frames, 7)), desc=rng.normal(size=4), label=label)
+        x = embed_frames(vnet, ex.segment)
+        y = ffn_forward(dnet, ex.desc)
+        assert loss_gradients(vnet, dnet, ex, margin)[0] == contrastive_loss(x, y, label, margin)
 
 
 class TestFiniteDiffCheck:
@@ -180,14 +200,12 @@ class TestSgdTrain:
 
     def test_small_step_never_increases_example_loss(self):
         """One tiny SGD step on a single example cannot raise that loss."""
-        from videosum.train import _pair_loss
-
         for seed in range(10):
             vnet, dnet, ex = random_case(seed)
-            before = _pair_loss(vnet, dnet, ex, 1.0)
+            before = loss_gradients(vnet, dnet, ex, 1.0)[0]
             cfg = TrainConfig(epochs=1, learning_rate=1e-6, seed=0, shuffle=False)
             v2, d2, _ = sgd_train(vnet, dnet, [ex], cfg)
-            after = _pair_loss(v2, d2, ex, 1.0)
+            after = loss_gradients(v2, d2, ex, 1.0)[0]
             assert after <= before + 1e-12
 
     def test_two_cluster_separation(self):
@@ -200,7 +218,7 @@ class TestSgdTrain:
         pos, neg = [], []
         for ex in dataset:
             x = embed_frames(v2, ex.segment)
-            y = embed_description(d2, ex.desc)
+            y = ffn_forward(d2, ex.desc)
             (pos if ex.label else neg).append(float((x - y) @ (x - y)))
         assert np.mean(pos) < np.mean(neg)
         assert history[-1] < history[0]
@@ -215,6 +233,47 @@ class TestSgdTrain:
             TrainConfig(margin=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+
+def pinned_run(seed):
+    """Seeded SGD on a 12-pair dataset at small dims (D=6, desc 5, H=5, E=4)."""
+    rng = np.random.default_rng(100 + seed)
+    segments = [rng.normal(size=(3, 6)) for _ in range(4)]
+    descs = rng.normal(size=(3, 5))
+    labels = [(i, j, int(i % 3 == j)) for i in range(4) for j in range(3)]
+    dataset = sample_pairs(segments, descs, labels)
+    vnet = init_subnet(seed, 6, 5, 4)
+    dnet = init_subnet(seed + 1, 5, 5, 4)
+    return sgd_train(vnet, dnet, dataset, TrainConfig(epochs=4, learning_rate=0.1, seed=seed))
+
+
+class TestPinnedTraining:
+    """Outputs recorded before the forward pass was shared by loss and gradients."""
+
+    HISTORIES = {
+        0: [0.7754656409631139, 0.458786718573166, 0.3466229778201817, 0.2504913386495978],
+        1: [0.5008407500151784, 0.6182977296756927, 0.40887511292180445, 0.18660419550255825],
+        2: [0.8068090597900013, 0.37227965736604934, 0.24216539303439497, 0.22039058464371256],
+    }
+    FEATURES = [
+        [-0.17449280116854418, -0.1476404704917445, -0.32378309693689344, -0.3231429531825132],
+        [-0.03320929763678091, 0.23602726673206256, -0.17070065458269146, -0.12745584778026176],
+        [-0.018297254614919396, -0.19175910145330557, -0.43480900457259014, -0.44889319381345727],
+        [-0.1159231490903898, -0.0690039382910697, -0.24995610611708474, -0.26480808641814185],
+    ]
+
+    @pytest.mark.parametrize("seed", sorted(HISTORIES))
+    def test_loss_history(self, seed):
+        _, _, history = pinned_run(seed)
+        np.testing.assert_allclose(history, self.HISTORIES[seed], rtol=1e-12, atol=0)
+
+    def test_trained_segment_features(self):
+        vnet, _, _ = pinned_run(0)
+        frames = np.random.default_rng(7).normal(size=(12, 6))
+        feats = segment_features(vnet, frames, uniform_segments(12, 3))
+        np.testing.assert_allclose(
+            [sf.feature for sf in feats], self.FEATURES, rtol=1e-12, atol=0
+        )
 
 
 class TestSamplePairs:
