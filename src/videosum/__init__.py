@@ -59,6 +59,7 @@ from .io import (
     read_intervals,
     read_matrix,
     read_pair_labels,
+    read_rois,
     save_checkpoint,
     write_intervals,
     write_matrix,

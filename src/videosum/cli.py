@@ -24,7 +24,6 @@ from .model import (
     score_importance,
 )
 from .summarize import (
-    Roi,
     generate_summary,
     segment_features,
     semantic_score,
@@ -114,25 +113,8 @@ def _cmd_score_lstm(args) -> int:
 
 
 def _cmd_score_semantic(args) -> int:
-    with open(args.rois, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    frame_w = doc["frame_w"]
-    frame_h = doc["frame_h"]
-    sigma = doc.get("sigma")
-    scores = []
-    for rec_no, frame_rois in enumerate(doc["frames"]):
-        try:
-            rois = [
-                Roi(
-                    confidence=r["confidence"],
-                    center=(r["cx"], r["cy"]),
-                    area=r["area"],
-                )
-                for r in frame_rois
-            ]
-        except (KeyError, TypeError):
-            raise ValueError(f"{args.rois}: malformed ROI record in frame {rec_no}") from None
-        scores.append(semantic_score(rois, frame_w, frame_h, sigma))
+    frame_w, frame_h, sigma, frames = vio.read_rois(args.rois)
+    scores = [semantic_score(rois, frame_w, frame_h, sigma) for rois in frames]
     vio.write_matrix(args.out, np.asarray(scores)[:, None], vio.MAGIC_FEATURES)
     _emit({"frames": len(scores)})
     return 0

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Subnet
-from .summarize import Segment
+from .summarize import Roi, Segment
 
 __all__ = [
     "MAGIC_FEATURES",
@@ -26,6 +26,7 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "read_intervals",
+    "read_rois",
     "write_intervals",
     "write_summary",
     "write_selection",
@@ -101,14 +102,31 @@ def _dump_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _read_json(path):
+    """Parse a JSON document; text that is not JSON raises a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _fields(path, doc, *keys) -> list:
+    """The values of `keys` in a JSON object; a missing one raises a ValueError naming the file."""
+    if not isinstance(doc, dict):
+        names = ", ".join(repr(key) for key in keys)
+        raise ValueError(f"{path}: expected a JSON object with the fields {names}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    return [doc[key] for key in keys]
+
+
 def read_intervals(path) -> list[tuple[int, int]]:
     """Read an interval document: {"intervals": [[start, end], ...], "fps"?}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "intervals" not in doc:
-        raise ValueError(f"{path}: expected an object with an 'intervals' field")
+    (records,) = _fields(path, _read_json(path), "intervals")
     out = []
-    for rec_no, pair in enumerate(doc["intervals"]):
+    for rec_no, pair in enumerate(records):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{path}: interval record {rec_no} is not a [start, end] pair")
         start, end = pair
@@ -116,6 +134,22 @@ def read_intervals(path) -> list[tuple[int, int]]:
             raise ValueError(f"{path}: interval record {rec_no}: start {start} >= end {end}")
         out.append((start, end))
     return out
+
+
+def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
+    """Read an ROI document: (frame_w, frame_h, sigma or None, each frame's ROIs)."""
+    doc = _read_json(path)
+    frame_w, frame_h, frame_docs = _fields(path, doc, "frame_w", "frame_h", "frames")
+    frames = []
+    for rec_no, frame_rois in enumerate(frame_docs):
+        try:
+            frames.append(
+                [Roi(confidence=r["confidence"], center=(r["cx"], r["cy"]), area=r["area"])
+                 for r in frame_rois]
+            )
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: malformed ROI record in frame {rec_no}") from None
+    return frame_w, frame_h, doc.get("sigma"), frames
 
 
 def write_intervals(path, intervals: Sequence[tuple[int, int]]) -> None:
@@ -182,13 +216,9 @@ def _net_doc(net: Subnet) -> dict:
     }
 
 
-def _net_from_doc(doc: dict) -> Subnet:
-    return Subnet(
-        w1=np.asarray(doc["w1"], dtype=float),
-        b1=np.asarray(doc["b1"], dtype=float),
-        w2=np.asarray(doc["w2"], dtype=float),
-        b2=np.asarray(doc["b2"], dtype=float),
-    )
+def _net_from_doc(path, doc) -> Subnet:
+    values = _fields(path, doc, "w1", "b1", "w2", "b2")
+    return Subnet(*(np.asarray(v, dtype=float) for v in values))
 
 
 def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
@@ -221,24 +251,27 @@ def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
 
 def load_checkpoint(path) -> tuple[Subnet, Subnet]:
     """Load a checkpoint, validating version and declared dimensions."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
+    doc = _read_json(path)
+    version, dims, video, description = _fields(
+        path, doc, "format_version", "dims", "video", "description"
+    )
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"{path}: unsupported checkpoint version {version!r}, "
             f"expected {CHECKPOINT_VERSION}"
         )
-    dims = doc["dims"]
-    vnet = _net_from_doc(doc["video"])
-    dnet = _net_from_doc(doc["description"])
+    input_dim, hidden, embed_dim, desc_dim = _fields(
+        path, dims, "input_dim", "hidden", "embed_dim", "desc_dim"
+    )
+    vnet = _net_from_doc(path, video)
+    dnet = _net_from_doc(path, description)
     declared = {
-        "video input_dim": (vnet.input_dim, dims["input_dim"]),
-        "video hidden": (vnet.hidden_dim, dims["hidden"]),
-        "video embed_dim": (vnet.embed_dim, dims["embed_dim"]),
-        "description input_dim": (dnet.input_dim, dims["desc_dim"]),
-        "description hidden": (dnet.hidden_dim, dims["hidden"]),
-        "description embed_dim": (dnet.embed_dim, dims["embed_dim"]),
+        "video input_dim": (vnet.input_dim, input_dim),
+        "video hidden": (vnet.hidden_dim, hidden),
+        "video embed_dim": (vnet.embed_dim, embed_dim),
+        "description input_dim": (dnet.input_dim, desc_dim),
+        "description hidden": (dnet.hidden_dim, hidden),
+        "description embed_dim": (dnet.embed_dim, embed_dim),
     }
     for what, (actual, expected) in declared.items():
         if actual != expected:

@@ -51,22 +51,26 @@ def sigmoid(z):
 class LstmParams:
     """Gate weights of a single LSTM cell, bias-free.
 
-    Each matrix has shape (hidden_dim, input_dim + hidden_dim) and acts on
-    the concatenation [x_t ; h_prev].
+    `w` stacks the four gate matrices in the row order i, f, o, c, so it has
+    shape (4 * hidden_dim, input_dim + hidden_dim) and acts on [x_t ; h_prev].
     """
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        w = self.w = np.asarray(self.w, dtype=float)
+        if w.ndim != 2 or w.shape[0] % 4 or not 0 < w.shape[0] // 4 < w.shape[1]:
+            raise ValueError(
+                f"LSTM gate matrix has shape {w.shape}, expected (4H, D+H) with H, D >= 1"
+            )
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_i.shape[1] - self.w_i.shape[0]
+        return self.w.shape[1] - self.hidden_dim
 
 
 @dataclass
@@ -119,20 +123,19 @@ class ImportanceScorer:
     readout_b: float
 
 
-def _check_lstm_shapes(params: LstmParams) -> None:
-    shape = params.w_i.shape
-    for name in ("w_f", "w_o", "w_c"):
-        if getattr(params, name).shape != shape:
-            raise ValueError(
-                f"LSTM gate matrix {name} has shape {getattr(params, name).shape}, "
-                f"expected {shape}"
-            )
-
-
 def zero_state(params: LstmParams) -> LstmState:
     """All-zero initial state matching the cell's hidden width."""
     h = np.zeros(params.hidden_dim)
     return LstmState(h=h, c=h.copy())
+
+
+def _cell(w: np.ndarray, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One unchecked step: a single matvec gives all four gate pre-activations."""
+    h_dim = h.shape[0]
+    z = w @ np.concatenate([x, h])
+    ifo = sigmoid(z[: 3 * h_dim])
+    c = ifo[:h_dim] * np.tanh(z[3 * h_dim :]) + ifo[h_dim : 2 * h_dim] * c
+    return ifo[2 * h_dim :] * np.tanh(c), c
 
 
 def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
@@ -141,7 +144,6 @@ def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
     i, f, o are sigmoids of the three gate products on [x ; h_prev];
     c_new = i * tanh(W_c [x ; h_prev]) + f * c_prev and h_new = o * tanh(c_new).
     """
-    _check_lstm_shapes(params)
     x = np.asarray(x, dtype=float)
     h_dim = params.hidden_dim
     if x.shape != (params.input_dim,):
@@ -150,13 +152,7 @@ def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
         raise ValueError(
             f"state has shapes h={state.h.shape} c={state.c.shape}, expected ({h_dim},)"
         )
-
-    xh = np.concatenate([x, state.h])
-    i = sigmoid(params.w_i @ xh)
-    f = sigmoid(params.w_f @ xh)
-    o = sigmoid(params.w_o @ xh)
-    c = i * np.tanh(params.w_c @ xh) + f * state.c
-    h = o * np.tanh(c)
+    h, c = _cell(params.w, x, state.h, state.c)
     return LstmState(h=h, c=c)
 
 
@@ -174,11 +170,11 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
             f"frames have {frames.shape[1]} columns, cell expects {params.input_dim}"
         )
 
-    state = zero_state(params)
+    h = c = np.zeros(params.hidden_dim)
     hidden = np.empty((frames.shape[0], params.hidden_dim))
     for t in range(frames.shape[0]):
-        state = lstm_step(params, state, frames[t])
-        hidden[t] = state.h
+        h, c = _cell(params.w, frames[t], h, c)
+        hidden[t] = h
     return hidden
 
 
@@ -189,14 +185,13 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     reversed sequence and its outputs are re-reversed so that both hidden
     states at index t describe frame t.  score_t = sigmoid(w . [h_f ; h_b] + b).
     """
+    width = scorer.forward.hidden_dim + scorer.backward.hidden_dim
+    if scorer.readout_w.shape != (width,):
+        raise ValueError(f"readout has shape {scorer.readout_w.shape}, expected ({width},)")
     frames = np.asarray(frames, dtype=float)
     h_fwd = lstm_scan(scorer.forward, frames)
     h_bwd = lstm_scan(scorer.backward, frames[::-1])[::-1]
     both = np.hstack([h_fwd, h_bwd])
-    if scorer.readout_w.shape != (both.shape[1],):
-        raise ValueError(
-            f"readout has shape {scorer.readout_w.shape}, expected ({both.shape[1]},)"
-        )
     return sigmoid(both @ scorer.readout_w + scorer.readout_b)
 
 
@@ -244,15 +239,9 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def _lstm_cell(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LstmParams:
-    """Draw the four gates from `rng` in the order i, f, o, c."""
+    """Draw the stacked gates from `rng`; row blocks i, f, o, c come out in that order."""
     fan_in = input_dim + hidden_dim
-    shape = (hidden_dim, fan_in)
-    return LstmParams(
-        w_i=_uniform(rng, shape, fan_in),
-        w_f=_uniform(rng, shape, fan_in),
-        w_o=_uniform(rng, shape, fan_in),
-        w_c=_uniform(rng, shape, fan_in),
-    )
+    return LstmParams(w=_uniform(rng, (4 * hidden_dim, fan_in), fan_in))
 
 
 def init_lstm(seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM) -> LstmParams:

@@ -145,43 +145,42 @@ def pam_iterations(
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
 
-    d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):
+        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+    if not np.isfinite(d2).all():
+        raise ValueError("squared distances between points overflow float64")
+
+    # (a-b)**2 == (b-a)**2 exactly, so d2 is symmetric and row c of np.minimum(v, d2)
+    # sums to the same float as column c: one row-sum per candidate scores them all.
 
     # Build: nearest[i] = distance from i to its closest chosen medoid.
     medoids: list[int] = []
     nearest = np.full(n, np.inf)
     for _ in range(k):
-        best_idx, best_cost = -1, np.inf
-        for cand in range(n):
-            if cand in medoids:
-                continue
-            cost = float(np.minimum(nearest, d2[:, cand]).sum())
-            if cost < best_cost:
-                best_idx, best_cost = cand, cost
-        medoids.append(best_idx)
-        nearest = np.minimum(nearest, d2[:, best_idx])
+        costs = np.minimum(nearest, d2).sum(axis=1)
+        costs[medoids] = np.inf
+        best = int(np.argmin(costs))
+        medoids.append(best)
+        nearest = np.minimum(nearest, d2[best])
     medoids.sort()
     cost = float(nearest.sum())
     yield list(medoids), cost
 
     # Swap: scan in ascending (medoid, candidate) order, keep the best strict
-    # improvement; first encountered wins among equals.
+    # improvement; first encountered wins among equals (argmin takes the first).
     for _ in range(max_iters):
         best_swap, best_cost = None, cost
         for m in medoids:
-            others = [x for x in medoids if x != m]
-            for cand in range(n):
-                if cand in medoids:
-                    continue
-                trial = others + [cand]
-                trial_cost = float(d2[:, trial].min(axis=1).sum())
-                if trial_cost < best_cost:
-                    best_swap, best_cost = (m, cand), trial_cost
+            rest = d2[[x for x in medoids if x != m]].min(axis=0, initial=np.inf)
+            trial = np.minimum(rest, d2).sum(axis=1)
+            trial[medoids] = np.inf
+            cand = int(np.argmin(trial))
+            if trial[cand] < best_cost:
+                best_swap, best_cost = (m, cand), float(trial[cand])
         if best_swap is None:
             return
         out, inn = best_swap
-        medoids = sorted(x for x in medoids if x != out) + [inn]
-        medoids.sort()
+        medoids = sorted([x for x in medoids if x != out] + [inn])
         cost = best_cost
         yield list(medoids), cost
 
@@ -322,22 +321,33 @@ def speedup_frame_selection(
     if rho < 1:
         raise ValueError("speed-up rho must be at least 1")
 
+    # speed[skip] is the speed term of every edge that advances `skip` frames.  A float
+    # square that overflows raises OverflowError, and then every edge's term overflows.
+    overflow = f"edge costs overflow float64 with rho={rho}, lambda_speed={lambda_speed}"
+    try:
+        speed = [lambda_speed * (skip - rho) ** 2 for skip in range(min(max_skip, t - 1) + 1)]
+    except OverflowError:
+        raise ValueError(overflow) from None
     s_max = scores.max()
     dist = np.full(t, np.inf)
     dist[0] = 0.0
     prev = np.full(t, -1, dtype=int)
-    for j in range(1, t):
-        node_cost = lambda_sem * (s_max - scores[j])
-        for i in range(max(0, j - max_skip), j):
-            cand = dist[i] + lambda_speed * ((j - i) - rho) ** 2 + node_cost
-            if cand < dist[j]:
-                dist[j] = cand
-                prev[j] = i
+    with np.errstate(over="ignore"):  # an overflowing path cost is inf, never a predecessor
+        for j in range(1, t):
+            node_cost = lambda_sem * (s_max - scores[j])
+            for i in range(max(0, j - max_skip), j):
+                cand = dist[i] + speed[j - i] + node_cost
+                if cand < dist[j]:
+                    dist[j] = cand
+                    prev[j] = i
 
     path = [t - 1]
     while path[-1] != 0:
         if prev[path[-1]] < 0:
-            raise ValueError(f"no finite-cost path reaches frame {path[-1]}")
+            raise ValueError(
+                f"no finite-cost path reaches frame {path[-1]}: "
+                f"{overflow}, lambda_sem={lambda_sem}"
+            )
         path.append(int(prev[path[-1]]))
     path.reverse()
     return path

@@ -56,7 +56,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.margin < 0:
@@ -182,9 +181,8 @@ def sgd_train(
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(dataset)) if cfg.shuffle else np.arange(len(dataset))
         total = 0.0
-        for idx in order:
+        for idx in rng.permutation(len(dataset)):
             ex = dataset[idx]
             loss, grad_v, grad_d = loss_gradients(vnet, dnet, ex, cfg.margin)
             total += loss

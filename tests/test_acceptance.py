@@ -58,7 +58,7 @@ def test_a2_lstm_oracle():
         rng = np.random.default_rng(seed)
         w = rng.uniform(-2, 2, size=(4, 2))
         h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
-        params = LstmParams(*(np.array([row]) for row in w))
+        params = LstmParams(w)
         state = lstm_step(
             params, LstmState(h=np.array([h_prev]), c=np.array([c_prev])), np.array([x])
         )
@@ -74,13 +74,13 @@ def test_a2_lstm_oracle():
         d, h_dim = 12, 9
         bound = 1.0 / math.sqrt(d + h_dim)
         params = LstmParams(
-            *(rng.uniform(-bound, bound, size=(h_dim, d + h_dim)) for _ in range(4))
+            np.vstack([rng.uniform(-bound, bound, size=(h_dim, d + h_dim)) for _ in range(4)])
         )
         state = LstmState(h=np.zeros(h_dim), c=np.zeros(h_dim))
         for _ in range(4):
             x = rng.normal(size=d)
             xh = np.concatenate([x, state.h])
-            for w in (params.w_i, params.w_f, params.w_o):
+            for w in np.split(params.w, 4)[:3]:
                 gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                 ranges_ok &= bool(np.all(gate > 0) and np.all(gate < 1))
             state = lstm_step(params, state, x)

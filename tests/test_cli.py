@@ -251,6 +251,48 @@ class TestPipeline:
         assert needle in proc.stderr
         assert not (tmp_path / "ff.json").exists()
 
+    def test_fastforward_overflowing_speedup_exits_one(self, tmp_path, capsys):
+        scores_path = tmp_path / "scores.vsf"
+        write_matrix(scores_path, np.linspace(0, 1, 9)[:, None], MAGIC_FEATURES)
+        code, _, err = run(
+            capsys,
+            "fastforward",
+            "--scores", str(scores_path),
+            "--speedup", "1e200",
+            "--max-skip", "4",
+            "--out", str(tmp_path / "ff.json"),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            "error: edge costs overflow float64 with rho=1e+200, lambda_speed=1.0"
+        ]
+        assert not (tmp_path / "ff.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, needle",
+        [
+            ("score-semantic", '{"frame_h": 10, "frames": []}', "missing field 'frame_w'"),
+            ("summarize", '{"format_version": 1, "video": {}, "description": {}}',
+             "missing field 'dims'"),
+            ("eval", '{"intervals": [[0, 2]],}', "invalid JSON: Expecting property name"),
+        ],
+        ids=["roi-missing-frame-w", "checkpoint-missing-dims", "eval-malformed-json"],
+    )
+    def test_json_input_errors_name_the_file(self, tmp_path, capsys, command, text, needle):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        features = tmp_path / "f.vsf"
+        write_matrix(features, np.zeros((8, 2)), MAGIC_FEATURES)
+        argv = {
+            "score-semantic": ["--rois", str(doc), "--out", str(tmp_path / "o.vsf")],
+            "summarize": ["--features", str(features), "--model", str(doc), "--seg-len", "4",
+                          "--k", "1", "--out", str(tmp_path / "s.json")],
+            "eval": ["--summary", str(doc), "--truth", str(doc)],
+        }[command]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 1
+        assert err.startswith(f"error: {doc}: {needle}")
+
     def test_gradcheck_passes_and_fails_by_tolerance(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--trials", "2", "--seed", "0")
         assert code == 0

@@ -133,6 +133,12 @@ class TestIntervalDocuments:
         with pytest.raises(ValueError, match="record 1"):
             read_intervals(path)
 
+    def test_invalid_json_names_file(self, tmp_path):
+        path = tmp_path / "iv.json"
+        path.write_text('{"intervals": [[0, 2]')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON"):
+            read_intervals(path)
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "iv.json"
         path.write_text(json.dumps([1, 2, 3]))
@@ -205,6 +211,20 @@ class TestCheckpoint:
         doc["dims"]["embed_dim"] = 17
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="dimension mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", [("dims",), ("dims", "hidden"), ("video", "w2")])
+    def test_missing_field_names_file(self, tmp_path, drop):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        path.write_text(json.dumps(doc))
+        needle = f"^{re.escape(str(path))}: missing field '{drop[-1]}'"
+        with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
 
     def test_version_mismatch_detected(self, tmp_path):

@@ -52,20 +52,14 @@ def scalar_lstm_step(w_i, w_f, w_o, w_c, h_prev, c_prev, x):
 
 
 def make_1d_params(w_i, w_f, w_o, w_c):
-    return LstmParams(
-        w_i=np.array([w_i], dtype=float),
-        w_f=np.array([w_f], dtype=float),
-        w_o=np.array([w_o], dtype=float),
-        w_c=np.array([w_c], dtype=float),
-    )
+    return LstmParams(w=np.array([w_i, w_f, w_o, w_c], dtype=float))
 
 
 class TestLstmStep:
     def test_zero_weights_zero_state(self):
         """All-zero weights force every gate to 0.5 and leave c' = h' = 0."""
         params = init_lstm(0, 3, 2)
-        for name in ("w_i", "w_f", "w_o", "w_c"):
-            getattr(params, name)[:] = 0.0
+        params.w[:] = 0.0
         state = lstm_step(params, zero_state(params), np.ones(3))
         np.testing.assert_array_equal(state.c, 0.0)
         np.testing.assert_array_equal(state.h, 0.0)
@@ -111,7 +105,7 @@ class TestLstmStep:
             for _ in range(5):
                 x = rng.normal(size=6)
                 xh = np.concatenate([x, state.h])
-                for w in (params.w_i, params.w_f, params.w_o):
+                for w in np.split(params.w, 4)[:3]:
                     gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                     assert np.all(gate > 0) and np.all(gate < 1)
                 state = lstm_step(params, state, x)
@@ -124,11 +118,12 @@ class TestLstmStep:
         bad_state = LstmState(h=np.zeros(3), c=np.zeros(3))
         with pytest.raises(ValueError):
             lstm_step(params, bad_state, np.ones(3))
-        lopsided = LstmParams(
-            w_i=np.zeros((2, 5)), w_f=np.zeros((2, 4)), w_o=np.zeros((2, 5)), w_c=np.zeros((2, 5))
-        )
-        with pytest.raises(ValueError):
-            lstm_step(lopsided, LstmState(h=np.zeros(2), c=np.zeros(2)), np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(7, 5), (8, 2), (0, 3), (8,), (2, 8, 5)])
+    def test_non_stacked_gate_matrix_rejected(self, shape):
+        """Only a (4H, D+H) matrix with H, D >= 1 is a valid stack of four gates."""
+        with pytest.raises(ValueError, match=r"expected \(4H, D\+H\)"):
+            LstmParams(w=np.zeros(shape))
 
 
 class TestLstmScan:
@@ -139,8 +134,7 @@ class TestLstmScan:
 
     def test_zero_weights_all_zero_rows(self):
         params = init_lstm(0, 3, 2)
-        for name in ("w_i", "w_f", "w_o", "w_c"):
-            getattr(params, name)[:] = 0.0
+        params.w[:] = 0.0
         out = lstm_scan(params, np.random.default_rng(1).normal(size=(5, 3)))
         np.testing.assert_array_equal(out, 0.0)
 
@@ -174,8 +168,7 @@ class TestScoreImportance:
     def test_zero_everything_gives_half(self):
         scorer = init_scorer(0, 4, 3)
         for cell in (scorer.forward, scorer.backward):
-            for name in ("w_i", "w_f", "w_o", "w_c"):
-                getattr(cell, name)[:] = 0.0
+            cell.w[:] = 0.0
         scorer.readout_w[:] = 0.0
         scorer.readout_b = 0.0
         scores = score_importance(scorer, np.random.default_rng(0).normal(size=(6, 4)))
@@ -215,6 +208,14 @@ class TestScoreImportance:
             0.39936035986651636,
         ]
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+    def test_readout_shape_checked_before_the_scans(self):
+        """A wrong readout is named even when the frames would also fail the scan."""
+        scorer = init_scorer(0, 4, 3)
+        scorer.readout_w = np.zeros(5)
+        for frames in (np.zeros((6, 4)), np.zeros((6, 9))):
+            with pytest.raises(ValueError, match=r"readout has shape \(5,\), expected \(6,\)"):
+                score_importance(scorer, frames)
 
     def test_scores_in_open_unit_interval(self):
         for seed in range(5):
@@ -312,17 +313,21 @@ class TestInit:
         b = init_subnet(42, 5, 4, 3)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        p = init_lstm(42, 5, 4)
-        q = init_lstm(42, 5, 4)
-        for name in ("w_i", "w_f", "w_o", "w_c"):
-            np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+        np.testing.assert_array_equal(init_lstm(42, 5, 4).w, init_lstm(42, 5, 4).w)
+
+    def test_stacked_gates_equal_four_consecutive_draws(self):
+        """The one (4H, D+H) draw holds the values four (H, D+H) gate draws gave, in order."""
+        for seed, (d, h) in enumerate([(5, 4), (3, 7), (1, 1)]):
+            bound = 1.0 / np.sqrt(d + h)
+            rng = np.random.default_rng(seed)
+            gates = [rng.uniform(-bound, bound, size=(h, d + h)) for _ in range(4)]
+            np.testing.assert_array_equal(init_lstm(seed, d, h).w, np.vstack(gates))
 
     def test_scorer_forward_cell_is_init_lstm(self):
         """Both initialisers draw the i, f, o, c gates from a fresh generator first."""
         scorer = init_scorer(7, 5, 4)
         cell = init_lstm(7, 5, 4)
-        for name in ("w_i", "w_f", "w_o", "w_c"):
-            np.testing.assert_array_equal(getattr(scorer.forward, name), getattr(cell, name))
+        np.testing.assert_array_equal(scorer.forward.w, cell.w)
 
     def test_different_seeds_differ(self):
         a = init_subnet(0, 5, 4, 3)
@@ -338,8 +343,8 @@ class TestInit:
             assert np.all(np.abs(net.w2) <= 1 / np.sqrt(5))
             assert np.all(np.abs(net.b2) <= 1 / np.sqrt(5))
             params = init_lstm(seed, 7, 5)
-            for name in ("w_i", "w_f", "w_o", "w_c"):
-                assert np.all(np.abs(getattr(params, name)) <= 1 / np.sqrt(12))
+            assert params.w.shape == (20, 12)
+            assert np.all(np.abs(params.w) <= 1 / np.sqrt(12))
             scorer = init_scorer(seed, 7, 5)
             assert np.all(np.abs(scorer.readout_w) <= 1 / np.sqrt(10))
 

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videosum.model import embed_frames, init_subnet
 from videosum.summarize import (
@@ -52,6 +55,45 @@ def brute_force_path_cost(scores, rho, max_skip, lambda_speed, lambda_sem):
             if all(1 <= b - a <= max_skip for a, b in zip(path, path[1:])):
                 best = min(best, cost(path))
     return best
+
+
+def reference_pam_iterations(points, k, max_iters=100):
+    """The per-candidate PAM loop that pam_iterations replaced, kept as its oracle."""
+    arr = np.asarray(points, dtype=float)
+    n = arr.shape[0]
+    d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+    medoids = []
+    nearest = np.full(n, np.inf)
+    for _ in range(k):
+        best_idx, best_cost = -1, np.inf
+        for cand in range(n):
+            if cand in medoids:
+                continue
+            cost = float(np.minimum(nearest, d2[:, cand]).sum())
+            if cost < best_cost:
+                best_idx, best_cost = cand, cost
+        medoids.append(best_idx)
+        nearest = np.minimum(nearest, d2[:, best_idx])
+    medoids.sort()
+    cost = float(nearest.sum())
+    yield list(medoids), cost
+    for _ in range(max_iters):
+        best_swap, best_cost = None, cost
+        for m in medoids:
+            others = [x for x in medoids if x != m]
+            for cand in range(n):
+                if cand in medoids:
+                    continue
+                trial_cost = float(d2[:, others + [cand]].min(axis=1).sum())
+                if trial_cost < best_cost:
+                    best_swap, best_cost = (m, cand), trial_cost
+        if best_swap is None:
+            return
+        out, inn = best_swap
+        medoids = sorted(x for x in medoids if x != out) + [inn]
+        medoids.sort()
+        cost = best_cost
+        yield list(medoids), cost
 
 
 def path_cost(scores, path, rho, max_skip, lambda_speed, lambda_sem):
@@ -187,6 +229,28 @@ class TestKmedoids:
                 for cand in set(range(n)) - set(final):
                     trial = [x for x in final if x != out] + [cand]
                     assert clustering_cost(pts, trial) >= final_cost - 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_loop_on_grid_points(self, data):
+        """Same (medoids, cost) sequence, floats compared with ==; grid points repeat."""
+        n = data.draw(st.integers(1, 14))
+        dim = data.draw(st.integers(1, 3))
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=n * dim, max_size=n * dim))
+        k = data.draw(st.integers(1, n))
+        pts = np.array(coords, dtype=float).reshape(n, dim)
+        assert list(pam_iterations(pts, k)) == list(reference_pam_iterations(pts, k))
+
+    @pytest.mark.parametrize("n, k, dim", [(129, 5, 3), (257, 7, 2), (700, 4, 3)])
+    def test_matches_reference_loop_across_summation_blocks(self, n, k, dim):
+        """n past numpy's 128-element pairwise-summation block keeps row-sums bitwise equal."""
+        pts = np.random.default_rng(n).normal(size=(n, dim))
+        assert list(pam_iterations(pts, k)) == list(reference_pam_iterations(pts, k))
+
+    def test_overflowing_distances_rejected(self):
+        pts = np.array([[0.0], [1e200], [2e200]])
+        with pytest.raises(ValueError, match="overflow"):
+            kmedoids(pts, 1)
 
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -388,6 +452,25 @@ class TestSpeedupFrameSelection:
             want = brute_force_path_cost(scores, rho, max_skip, ls, lm)
             assert np.isclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=9),
+        max_skip=st.integers(1, 3),
+        rho=st.floats(1.0, 5.0),
+        lambda_speed=st.floats(0.0, 2.0),
+        lambda_sem=st.floats(0.0, 2.0),
+    )
+    def test_optimal_against_enumerated_paths(
+        self, scores, max_skip, rho, lambda_speed, lambda_sem
+    ):
+        """A valid skip-bounded 0 -> T-1 path whose cost is the enumerated minimum."""
+        sel = speedup_frame_selection(scores, rho, max_skip, lambda_speed, lambda_sem)
+        assert sel[0] == 0 and sel[-1] == len(scores) - 1
+        assert all(1 <= b - a <= max_skip for a, b in zip(sel, sel[1:]))
+        got = path_cost(scores, sel, rho, max_skip, lambda_speed, lambda_sem)
+        want = brute_force_path_cost(scores, rho, max_skip, lambda_speed, lambda_sem)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
     def test_structural_constraints(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -427,6 +510,16 @@ class TestSpeedupFrameSelection:
         """Finite inputs whose every edge cost overflows leave no predecessor."""
         with pytest.raises(ValueError, match="no finite-cost path reaches frame"):
             speedup_frame_selection(np.ones(5), 4.0, 2, lambda_speed=1e308)
+
+    @pytest.mark.parametrize(
+        "rho, lambda_speed",
+        [(1e200, 1.0), (4.0, 1e308)],
+        ids=["square-overflows", "product-overflows"],
+    )
+    def test_overflow_names_rho_and_lambda_speed(self, rho, lambda_speed):
+        needle = f"overflow float64 with rho={rho}, lambda_speed={lambda_speed}"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            speedup_frame_selection(np.ones(5), rho, 2, lambda_speed=lambda_speed)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError):

@@ -203,7 +203,7 @@ class TestSgdTrain:
         for seed in range(10):
             vnet, dnet, ex = random_case(seed)
             before = loss_gradients(vnet, dnet, ex, 1.0)[0]
-            cfg = TrainConfig(epochs=1, learning_rate=1e-6, seed=0, shuffle=False)
+            cfg = TrainConfig(epochs=1, learning_rate=1e-6, seed=0)
             v2, d2, _ = sgd_train(vnet, dnet, [ex], cfg)
             after = loss_gradients(v2, d2, ex, 1.0)[0]
             assert after <= before + 1e-12
