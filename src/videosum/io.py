@@ -12,7 +12,9 @@ content always produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -45,16 +47,14 @@ _MAX_CELLS = 2**32  # header dims are u32; anything larger is a corrupt file
 CHECKPOINT_VERSION = 1
 
 
-def _as_magic(magic) -> bytes:
-    raw = magic.encode("ascii") if isinstance(magic, str) else bytes(magic)
-    if len(raw) != 4:
-        raise ValueError(f"magic must be 4 bytes, got {raw!r}")
-    return raw
+def _check_magic(magic) -> None:
+    if not (isinstance(magic, bytes) and magic in (MAGIC_FEATURES, MAGIC_DESCS)):
+        raise ValueError(f"magic must be MAGIC_FEATURES or MAGIC_DESCS, got {magic!r}")
 
 
-def read_matrix(path, expected_magic) -> np.ndarray:
+def read_matrix(path, expected_magic: bytes) -> np.ndarray:
     """Read a binary matrix file, returning a float64 (rows, cols) array."""
-    expected = _as_magic(expected_magic)
+    _check_magic(expected_magic)
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -63,8 +63,8 @@ def read_matrix(path, expected_magic) -> np.ndarray:
                 f"need {_HEADER.size}"
             )
         magic, rows, cols = _HEADER.unpack(header)
-        if magic != expected:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {expected!r}")
+        if magic != expected_magic:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {expected_magic!r}")
         if rows * cols > _MAX_CELLS:
             raise ValueError(
                 f"{path}: dimension overflow, {rows} x {cols} cells exceeds "
@@ -84,15 +84,15 @@ def read_matrix(path, expected_magic) -> np.ndarray:
     return values
 
 
-def write_matrix(path, matrix: np.ndarray, magic) -> None:
+def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
     """Write a matrix in the binary layout; values narrow to 32-bit floats."""
-    raw = _as_magic(magic)
+    _check_magic(magic)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(raw, rows, cols))
+        fh.write(_HEADER.pack(magic, rows, cols))
         fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
 
 
@@ -111,6 +111,13 @@ def _read_json(path):
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number other than a boolean, NaN or an infinity."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
 def _fields(path, doc, *keys) -> list:
     """The values of `keys` in a JSON object; a missing one raises a ValueError naming the file."""
     if not isinstance(doc, dict):
@@ -125,11 +132,18 @@ def _fields(path, doc, *keys) -> list:
 def read_intervals(path) -> list[tuple[int, int]]:
     """Read an interval document: {"intervals": [[start, end], ...], "fps"?}."""
     (records,) = _fields(path, _read_json(path), "intervals")
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: intervals must be a list of [start, end] pairs")
     out = []
     for rec_no, pair in enumerate(records):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{path}: interval record {rec_no} is not a [start, end] pair")
         start, end = pair
+        if not all(_is_finite_number(v) for v in pair):
+            raise ValueError(
+                f"{path}: interval record {rec_no}: start and end must be finite numbers, "
+                f"got {pair!r}"
+            )
         if start >= end:
             raise ValueError(f"{path}: interval record {rec_no}: start {start} >= end {end}")
         out.append((start, end))
@@ -140,16 +154,32 @@ def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
     """Read an ROI document: (frame_w, frame_h, sigma or None, each frame's ROIs)."""
     doc = _read_json(path)
     frame_w, frame_h, frame_docs = _fields(path, doc, "frame_w", "frame_h", "frames")
+    sigma = doc.get("sigma")
+    sizes = [("frame_w", frame_w), ("frame_h", frame_h)]
+    if sigma is not None:
+        sizes.append(("sigma", sigma))
+    for name, value in sizes:
+        if not (_is_finite_number(value) and value > 0):
+            raise ValueError(f"{path}: {name} must be a positive number, got {value!r}")
+    if not isinstance(frame_docs, list):
+        raise ValueError(f"{path}: frames must be a list of per-frame ROI lists")
     frames = []
     for rec_no, frame_rois in enumerate(frame_docs):
-        try:
-            frames.append(
-                [Roi(confidence=r["confidence"], center=(r["cx"], r["cy"]), area=r["area"])
-                 for r in frame_rois]
-            )
-        except (KeyError, TypeError):
-            raise ValueError(f"{path}: malformed ROI record in frame {rec_no}") from None
-    return frame_w, frame_h, doc.get("sigma"), frames
+        where = f"{path}: frame {rec_no}"
+        if not isinstance(frame_rois, list):
+            raise ValueError(f"{where}: expected a list of ROI records")
+        rois = []
+        for record in frame_rois:
+            values = _fields(where, record, "confidence", "cx", "cy", "area")
+            if not all(map(_is_finite_number, values)):
+                raise ValueError(f"{where}: ROI fields must be finite numbers, got {record!r}")
+            confidence, cx, cy, area = values
+            try:
+                rois.append(Roi(confidence=confidence, center=(cx, cy), area=area))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        frames.append(rois)
+    return frame_w, frame_h, sigma, frames
 
 
 def write_intervals(path, intervals: Sequence[tuple[int, int]]) -> None:
@@ -182,7 +212,9 @@ def write_selection(
 def read_pair_labels(path) -> list[tuple[int, int, int]]:
     """Read pair labels: one 'segment_index desc_index tn' record per line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 becomes a lone surrogate, which no integer field accepts,
+    # so it is reported with its line like any other bad field.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -208,17 +240,33 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
 
 
 def _net_doc(net: Subnet) -> dict:
-    return {
-        "w1": net.w1.tolist(),
-        "b1": net.b1.tolist(),
-        "w2": net.w2.tolist(),
-        "b2": net.b2.tolist(),
-    }
+    return {f.name: getattr(net, f.name).tolist() for f in fields(Subnet)}
 
 
-def _net_from_doc(path, doc) -> Subnet:
-    values = _fields(path, doc, "w1", "b1", "w2", "b2")
-    return Subnet(*(np.asarray(v, dtype=float) for v in values))
+def _net_from_doc(path, which: str, doc) -> Subnet:
+    """One net's fields as finite arrays: 2-D, 1-D, 2-D and 1-D, with consistent shapes."""
+    names = [f.name for f in fields(Subnet)]
+    arrays = []
+    for name, value, ndim in zip(names, _fields(path, doc, *names), (2, 1, 2, 1)):
+        where = f"{path}: {which} net field {name!r}"
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where} is not a numeric array: {exc}") from None
+        if arr.ndim != ndim:
+            raise ValueError(f"{where} is {arr.ndim}-D, expected {ndim}-D")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{where} holds a non-finite value")
+        arrays.append(arr)
+    net = Subnet(*arrays)
+    hidden, embed = net.hidden_dim, net.embed_dim
+    expected = ((hidden, net.input_dim), (hidden,), (embed, hidden), (embed,))
+    for name, arr, shape in zip(names, arrays, expected):
+        if arr.shape != shape:
+            raise ValueError(
+                f"{path}: {which} net field {name!r} has shape {arr.shape}, expected {shape}"
+            )
+    return net
 
 
 def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
@@ -263,8 +311,8 @@ def load_checkpoint(path) -> tuple[Subnet, Subnet]:
     input_dim, hidden, embed_dim, desc_dim = _fields(
         path, dims, "input_dim", "hidden", "embed_dim", "desc_dim"
     )
-    vnet = _net_from_doc(path, video)
-    dnet = _net_from_doc(path, description)
+    vnet = _net_from_doc(path, "video", video)
+    dnet = _net_from_doc(path, "description", description)
     declared = {
         "video input_dim": (vnet.input_dim, input_dim),
         "video hidden": (vnet.hidden_dim, hidden),

@@ -33,6 +33,8 @@ __all__ = [
     "speedup_frame_selection",
 ]
 
+_MAX_SWAPS = 100  # PAM swap rounds before pam_iterations stops
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -124,31 +126,33 @@ def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> flo
     for m in idx:
         if not 0 <= m < arr.shape[0]:
             raise ValueError(f"medoid index {m} out of range for {arr.shape[0]} points")
-    d2 = ((arr[:, None, :] - arr[None, idx, :]) ** 2).sum(axis=2)
-    return float(d2.min(axis=1).sum())
+    return float(_sq_dists(arr, idx).min(axis=1).sum())
 
 
-def pam_iterations(
-    points: Sequence[np.ndarray], k: int, max_iters: int = 100
-) -> Iterator[tuple[list[int], float]]:
+def _sq_dists(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Squared distances from every point to the points `cols`, one point's row at a time:
+    the same pairwise sums over D as an n x m x D broadcast, without that temporary."""
+    targets = arr[cols]
+    with np.errstate(over="ignore"):
+        d2 = np.array([((p - targets) ** 2).sum(axis=1) for p in arr])
+    if not np.isfinite(d2).all():
+        raise ValueError("squared distances between points overflow float64")
+    return d2
+
+
+def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[int], float]]:
     """Yield (medoids, cost) after the build phase and after every swap.
 
     Build greedily adds the point whose inclusion minimizes the cost; swap
     repeatedly performs the best strictly-improving medoid/non-medoid
-    exchange.  All ties break toward the lowest point index, so the sequence
-    is fully deterministic and the cost never increases.
+    exchange, at most _MAX_SWAPS times.  All ties break toward the lowest point
+    index, so the sequence is fully deterministic and the cost never increases.
     """
     arr = _as_points(points)
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
-
-    with np.errstate(over="ignore"):
-        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-    if not np.isfinite(d2).all():
-        raise ValueError("squared distances between points overflow float64")
+    d2 = _sq_dists(arr, range(n))
 
     # (a-b)**2 == (b-a)**2 exactly, so d2 is symmetric and row c of np.minimum(v, d2)
     # sums to the same float as column c: one row-sum per candidate scores them all.
@@ -168,7 +172,7 @@ def pam_iterations(
 
     # Swap: scan in ascending (medoid, candidate) order, keep the best strict
     # improvement; first encountered wins among equals (argmin takes the first).
-    for _ in range(max_iters):
+    for _ in range(_MAX_SWAPS):
         best_swap, best_cost = None, cost
         for m in medoids:
             rest = d2[[x for x in medoids if x != m]].min(axis=0, initial=np.inf)
@@ -185,10 +189,10 @@ def pam_iterations(
         yield list(medoids), cost
 
 
-def kmedoids(points: Sequence[np.ndarray], k: int, max_iters: int = 100) -> list[int]:
+def kmedoids(points: Sequence[np.ndarray], k: int) -> list[int]:
     """PAM medoid indices (ascending); medoids are always input points."""
     result: list[int] = []
-    for medoids, _ in pam_iterations(points, k, max_iters):
+    for medoids, _ in pam_iterations(points, k):
         result = medoids
     return result
 
@@ -307,6 +311,7 @@ def speedup_frame_selection(
     lambda_speed * ((j - i) - rho)^2 + lambda_sem * (max_score - score_j).
     Forward dynamic programming from frame 0 to frame T-1; among equal-cost
     predecessors the smallest index wins.  Both endpoints are always kept.
+    Both weights must be non-negative.
     """
     scores = np.asarray(scores, dtype=float).reshape(-1)
     t = scores.size
@@ -320,6 +325,9 @@ def speedup_frame_selection(
             raise ValueError(f"{name} must be finite, got {value}")
     if rho < 1:
         raise ValueError("speed-up rho must be at least 1")
+    for name, value in (("lambda_speed", lambda_speed), ("lambda_sem", lambda_sem)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
     # speed[skip] is the speed term of every edge that advances `skip` frames.  A float
     # square that overflows raises OverflowError, and then every edge's term overflows.

@@ -13,7 +13,7 @@ the independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +29,6 @@ __all__ = [
     "sgd_train",
     "sample_pairs",
 ]
-
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2")
-
 
 @dataclass
 class PairExample:
@@ -140,9 +137,9 @@ def finite_diff_check(
     _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
     worst = 0.0
     for net, grads in ((vnet, grad_v), (dnet, grad_d)):
-        for name in _PARAM_FIELDS:
-            theta = getattr(net, name)
-            analytic = getattr(grads, name)
+        for f in fields(Subnet):
+            theta = getattr(net, f.name)
+            analytic = getattr(grads, f.name)
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + h
@@ -158,7 +155,7 @@ def finite_diff_check(
 
 
 def _copy_net(net: Subnet) -> Subnet:
-    return Subnet(**{name: getattr(net, name).copy() for name in _PARAM_FIELDS})
+    return Subnet(*(getattr(net, f.name).copy() for f in fields(Subnet)))
 
 
 def sgd_train(
@@ -187,8 +184,8 @@ def sgd_train(
             loss, grad_v, grad_d = loss_gradients(vnet, dnet, ex, cfg.margin)
             total += loss
             for net, grads in ((vnet, grad_v), (dnet, grad_d)):
-                for name in _PARAM_FIELDS:
-                    getattr(net, name)[...] -= cfg.learning_rate * getattr(grads, name)
+                for f in fields(Subnet):
+                    getattr(net, f.name)[...] -= cfg.learning_rate * getattr(grads, f.name)
         history.append(total / len(dataset))
     return vnet, dnet, history
 

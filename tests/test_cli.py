@@ -188,6 +188,36 @@ class TestPipeline:
         assert code == 1
         assert "frame 0" in err
 
+    @pytest.mark.parametrize(
+        "changes, needle",
+        [
+            ({"frames": [[], [{"confidence": 2.0, "cx": 1, "cy": 1, "area": 1}]]},
+             "frame 1: confidence must lie in [0, 1], got 2.0"),
+            ({"frames": [[{"confidence": 0.5, "cx": 1, "cy": 1, "area": -3}]]},
+             "frame 0: area must be non-negative, got -3"),
+            ({"frames": [[{"confidence": 0.5, "cx": "a", "cy": 1, "area": 1}]]},
+             "frame 0: ROI fields must be finite numbers"),
+            ({"frame_w": 0}, "frame_w must be a positive number, got 0"),
+            ({"frame_h": -2.5}, "frame_h must be a positive number, got -2.5"),
+            ({"sigma": 0}, "sigma must be a positive number, got 0"),
+            ({"frames": 5}, "frames must be a list of per-frame ROI lists"),
+            ({"frames": [5]}, "frame 0: expected a list of ROI records"),
+        ],
+        ids=["confidence", "area", "non-numeric-center", "frame-w", "frame-h", "sigma",
+             "frames-not-a-list", "frame-not-a-list"],
+    )
+    def test_score_semantic_bad_document_names_file(self, tmp_path, capsys, changes, needle):
+        doc = {"frame_w": 10, "frame_h": 10, "frames": [[]]}
+        doc.update(changes)
+        rois = tmp_path / "rois.json"
+        rois.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "score-semantic", "--rois", str(rois), "--out", str(tmp_path / "o.vsf")
+        )
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {rois}: {needle}")
+
     def test_fastforward(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.vsf"
         write_matrix(scores_path, np.ones((9, 1)), MAGIC_FEATURES)
@@ -266,6 +296,24 @@ class TestPipeline:
         assert err.splitlines() == [
             "error: edge costs overflow float64 with rho=1e+200, lambda_speed=1.0"
         ]
+        assert not (tmp_path / "ff.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda-speed", "--lambda-sem"])
+    def test_fastforward_negative_weight_exits_one(self, tmp_path, capsys, flag):
+        scores_path = tmp_path / "scores.vsf"
+        write_matrix(scores_path, np.linspace(0, 1, 8)[:, None], MAGIC_FEATURES)
+        code, _, err = run(
+            capsys,
+            "fastforward",
+            "--scores", str(scores_path),
+            "--speedup", "2",
+            "--max-skip", "3",
+            flag, "-1",
+            "--out", str(tmp_path / "ff.json"),
+        )
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert err.splitlines() == [f"error: {name} must be non-negative, got -1.0"]
         assert not (tmp_path / "ff.json").exists()
 
     @pytest.mark.parametrize(

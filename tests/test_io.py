@@ -1,11 +1,14 @@
 """Unit tests for file formats, checkpoints, and the synthetic generator."""
 
+import hashlib
 import json
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videosum.io import (
     MAGIC_DESCS,
@@ -14,6 +17,7 @@ from videosum.io import (
     read_intervals,
     read_matrix,
     read_pair_labels,
+    read_rois,
     save_checkpoint,
     write_intervals,
     write_matrix,
@@ -88,6 +92,15 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match=re.escape(str(path)) + r": non-finite value .* at row 2, column 1"):
             read_matrix(path, MAGIC_FEATURES)
 
+    @pytest.mark.parametrize("magic", ["VSF1", bytearray(b"VSF1"), b"VSX1"])
+    def test_only_the_two_magic_constants_accepted(self, tmp_path, magic):
+        path = tmp_path / "m.vsf"
+        write_matrix(path, np.ones((1, 1)), MAGIC_FEATURES)
+        with pytest.raises(ValueError, match="magic must be MAGIC_FEATURES or MAGIC_DESCS"):
+            read_matrix(path, magic)
+        with pytest.raises(ValueError, match="magic must be MAGIC_FEATURES or MAGIC_DESCS"):
+            write_matrix(tmp_path / "w.vsf", np.ones((1, 1)), magic)
+
     def test_non_2d_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "x.vsf", np.zeros(3), MAGIC_FEATURES)
@@ -145,6 +158,21 @@ class TestIntervalDocuments:
         with pytest.raises(ValueError, match="intervals"):
             read_intervals(path)
 
+    @pytest.mark.parametrize(
+        "intervals, needle",
+        [
+            ([[0, 2], ["a", 2]], "interval record 1: start and end must be finite numbers"),
+            ([[0, 2], [1, True]], "interval record 1: start and end must be finite numbers"),
+            (5, "intervals must be a list"),
+        ],
+        ids=["string-start", "boolean-end", "not-a-list"],
+    )
+    def test_non_numeric_record_names_file_and_record(self, tmp_path, intervals, needle):
+        path = tmp_path / "iv.json"
+        path.write_text(json.dumps({"intervals": intervals}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {needle}"):
+            read_intervals(path)
+
 
 class TestPairLabelFile:
     def test_round_trip(self, tmp_path):
@@ -168,6 +196,13 @@ class TestPairLabelFile:
         path = tmp_path / "pairs.txt"
         path.write_text("0 0\n")
         with pytest.raises(ValueError, match="expected"):
+            read_pair_labels(path)
+
+    @pytest.mark.parametrize("line", [b"1 \xff 0\n", b"\xff\n", b"1 2 3\xff\n"])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"0 0 1\n" + line)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             read_pair_labels(path)
 
 
@@ -224,6 +259,47 @@ class TestCheckpoint:
         del parent[drop[-1]]
         path.write_text(json.dumps(doc))
         needle = f"^{re.escape(str(path))}: missing field '{drop[-1]}'"
+        with pytest.raises(ValueError, match=needle):
+            load_checkpoint(path)
+
+    def test_seeded_checkpoint_bytes_pinned(self, tmp_path):
+        """Keys are sorted, so the bytes do not depend on how the writer lists the fields."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "911da104206a24bc44664471e1e190b8b98b5b241dee44d9c9cb384a6d52a946"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [
+            ("b1", [0.1, 0.2], r"'b1' has shape \(2,\), expected \(5,\)"),
+            ("w2", [[0.1] * 3] * 4, r"'w2' has shape \(4, 3\), expected \(4, 5\)"),
+            ("b1", [[0.1] * 5], "'b1' is 2-D, expected 1-D"),
+            ("w1", [0.1] * 6, "'w1' is 1-D, expected 2-D"),
+            ("b2", ["x", 0.1, 0.2, 0.3], "'b2' is not a numeric array: could not convert"),
+            ("b2", [[0.1], [0.2, 0.3]], "'b2' is not a numeric array"),
+            ("b2", {"a": 1}, "'b2' is not a numeric array"),
+        ],
+        ids=["short-b1", "narrow-w2", "2d-b1", "1d-w1", "string-entry", "ragged", "object"],
+    )
+    def test_malformed_array_names_file_and_field(self, tmp_path, field, value, needle):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
+        doc = json.loads(path.read_text())
+        doc["video"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video net field {needle}"):
+            load_checkpoint(path)
+
+    def test_overflowing_literal_names_file_and_field(self, tmp_path):
+        """JSON reads 1e999 as inf, which a checkpoint never holds."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
+        doc = json.loads(path.read_text())
+        doc["description"]["b1"][2] = "INF"
+        path.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+        needle = f"^{re.escape(str(path))}: description net field 'b1' holds a non-finite value"
         with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
 
@@ -291,3 +367,50 @@ class TestSynthGenerate:
             SynthSpec(seed=0, n_events=0)
         with pytest.raises(ValueError):
             SynthSpec(seed=0, noise_sigma=-0.1)
+
+
+def write_valid_file(kind, path):
+    """A small well-formed input for the reader named `kind`."""
+    if kind == "matrix":
+        write_matrix(path, np.arange(6.0).reshape(2, 3), MAGIC_FEATURES)
+    elif kind == "pairs":
+        write_pair_labels(path, [(0, 0, 1), (1, 2, 0), (12, 3, 1)])
+    elif kind == "intervals":
+        write_intervals(path, [(0, 5), (9, 12)])
+    elif kind == "rois":
+        path.write_text(json.dumps({
+            "frame_w": 100, "frame_h": 80, "sigma": 25.0,
+            "frames": [[], [{"confidence": 0.8, "cx": 50.0, "cy": 40.0, "area": 2000.0}]],
+        }))
+    else:
+        save_checkpoint(path, init_subnet(0, 3, 2, 2), init_subnet(1, 2, 2, 2))
+
+
+READERS = {
+    "matrix": lambda path: read_matrix(path, MAGIC_FEATURES),
+    "pairs": read_pair_labels,
+    "intervals": read_intervals,
+    "rois": read_rois,
+    "checkpoint": load_checkpoint,
+}
+
+
+class TestReaderFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(sorted(READERS)), truncate=st.booleans(), data=st.data())
+    def test_corrupted_file_reads_or_names_the_file(self, tmp_path_factory, kind, truncate, data):
+        """A truncated file, or one with a flipped byte, is read or rejected by path."""
+        path = tmp_path_factory.mktemp("fuzz") / f"input.{kind}"
+        write_valid_file(kind, path)
+        raw = path.read_bytes()
+        offset = data.draw(st.integers(0, len(raw) - 1))
+        if truncate:
+            raw = raw[:offset]
+        else:
+            flipped = raw[offset] ^ data.draw(st.integers(1, 255))
+            raw = raw[:offset] + bytes([flipped]) + raw[offset + 1 :]
+        path.write_bytes(raw)
+        try:
+            READERS[kind](path)
+        except ValueError as exc:
+            assert str(path) in str(exc)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videosum.metrics import (
     jitter_amount,
@@ -89,6 +91,22 @@ class TestKeyshotPr:
                 assert abs(f1 - expected_f1) <= 1e-9
             else:
                 assert f1 == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_counting_oracle_property(self, data):
+        """On a 12-frame horizon the drawn intervals often overlap, touch or repeat."""
+        interval = st.tuples(st.integers(0, 11), st.integers(1, 4)).map(
+            lambda p: (p[0], min(p[0] + p[1], 12))
+        )
+        a = data.draw(st.lists(interval, min_size=1, max_size=6))
+        b = data.draw(st.lists(interval, min_size=1, max_size=6))
+        p, r, f1 = keyshot_pr(a, b)
+        mem_a, mem_b = membership(a, 12), membership(b, 12)
+        overlap = int((mem_a & mem_b).sum())
+        assert abs(p - overlap / mem_a.sum()) <= 1e-9
+        assert abs(r - overlap / mem_b.sum()) <= 1e-9
+        assert abs(f1 - 2 * overlap / (mem_a.sum() + mem_b.sum())) <= 1e-9
 
     def test_precision_recall_duality(self):
         for seed in range(100):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from videosum.model import embed_frames, init_subnet
 from videosum.summarize import (
+    _sq_dists,
     Roi,
     Segment,
     SegmentFeature,
@@ -94,6 +96,19 @@ def reference_pam_iterations(points, k, max_iters=100):
         medoids.sort()
         cost = best_cost
         yield list(medoids), cost
+
+
+def broadcast_sq_dists(arr, cols):
+    """The n x m x D broadcast that clustering_cost and pam_iterations used, kept as the oracle."""
+    return ((arr[:, None, :] - arr[None, cols, :]) ** 2).sum(axis=2)
+
+
+float_points = arrays(
+    float, st.tuples(st.integers(1, 12), st.integers(1, 20)), elements=st.floats(-1e6, 1e6)
+)
+grid_points = arrays(
+    float, st.tuples(st.integers(1, 14), st.integers(1, 3)), elements=st.integers(-3, 3).map(float)
+)
 
 
 def path_cost(scores, path, rho, max_skip, lambda_speed, lambda_sem):
@@ -194,6 +209,34 @@ class TestClusteringCost:
     def test_empty_medoids_rejected(self):
         with pytest.raises(ValueError):
             clustering_cost(np.zeros((3, 2)), [])
+
+    def test_overflowing_distances_rejected(self):
+        with pytest.raises(ValueError, match="squared distances between points overflow float64"):
+            clustering_cost([[0.0], [1e200]], [0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=st.one_of(float_points, grid_points), data=st.data())
+    def test_equals_every_cost_pam_yields(self, pts, data):
+        k = data.draw(st.integers(1, len(pts)))
+        for medoids, cost in pam_iterations(pts, k):
+            assert clustering_cost(pts, medoids) == cost
+
+
+class TestSqDists:
+    @settings(max_examples=300, deadline=None)
+    @given(pts=st.one_of(float_points, grid_points), data=st.data())
+    def test_bitwise_equal_to_broadcast(self, pts, data):
+        cols = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)))
+        assert np.array_equal(_sq_dists(pts, cols), broadcast_sq_dists(pts, cols))
+
+    @pytest.mark.parametrize("dim", [1, 300, 1000])
+    @pytest.mark.parametrize("n", [129, 257, 700])
+    def test_bitwise_equal_to_broadcast_at_scale(self, n, dim):
+        """D past numpy's 128-element pairwise-summation block; eight columns bound memory."""
+        rng = np.random.default_rng(n * dim)
+        pts = rng.normal(size=(n, dim))
+        cols = sorted(rng.choice(n, size=8, replace=False))
+        assert np.array_equal(_sq_dists(pts, cols), broadcast_sq_dists(pts, cols))
 
 
 class TestKmedoids:
@@ -520,6 +563,11 @@ class TestSpeedupFrameSelection:
         needle = f"overflow float64 with rho={rho}, lambda_speed={lambda_speed}"
         with pytest.raises(ValueError, match=re.escape(needle)):
             speedup_frame_selection(np.ones(5), rho, 2, lambda_speed=lambda_speed)
+
+    @pytest.mark.parametrize("name", ["lambda_speed", "lambda_sem"])
+    def test_negative_weight_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got -1"):
+            speedup_frame_selection(np.linspace(0, 1, 8), 2, 3, **{name: -1})
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError):
