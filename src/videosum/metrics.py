@@ -8,6 +8,7 @@ callers convert seconds via fps.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,12 +26,14 @@ Interval = tuple[int, int]
 def normalize_intervals(intervals: Sequence[Sequence[float]]) -> list[Interval]:
     """Sort intervals and merge overlapping or adjacent ones.
 
-    The union of covered frames is preserved.  Any record with start >= end
-    is rejected with its position in the input.
+    The union of covered frames is preserved.  Any record with a non-finite
+    bound or with start >= end is rejected with its position in the input.
     """
     cleaned = []
     for rec_no, pair in enumerate(intervals):
         start, end = pair
+        if not (-math.inf < start < math.inf and -math.inf < end < math.inf):
+            raise ValueError(f"interval record {rec_no}: bounds must be finite, got {pair!r}")
         if start >= end:
             raise ValueError(f"interval record {rec_no}: start {start} >= end {end}")
         cleaned.append((start, end))
@@ -99,6 +102,10 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
         raise ValueError(f"track must be an (n, 2) array, got shape {pts.shape}")
     if pts.shape[0] < 2:
         raise ValueError("track needs at least 2 points")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        point = np.flatnonzero(~finite)[0]
+        raise ValueError(f"track point {point} is not finite: {pts[point].tolist()}")
     steps = np.diff(pts, axis=0)
     return float(np.linalg.norm(steps, axis=1).mean())
 

@@ -17,13 +17,10 @@ __all__ = [
     "DEFAULT_HIDDEN_DIM",
     "DEFAULT_DESC_DIM",
     "LstmParams",
-    "LstmState",
     "Subnet",
     "ImportanceScorer",
     "sigmoid",
-    "lstm_step",
     "lstm_scan",
-    "zero_state",
     "score_importance",
     "ffn_forward",
     "embed_frames",
@@ -74,14 +71,6 @@ class LstmParams:
 
 
 @dataclass
-class LstmState:
-    """Recurrent state: hidden output h and memory cell c, both length H."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-@dataclass
 class Subnet:
     """Two fully-connected layers with hyperbolic tangent activations.
 
@@ -123,14 +112,11 @@ class ImportanceScorer:
     readout_b: float
 
 
-def zero_state(params: LstmParams) -> LstmState:
-    """All-zero initial state matching the cell's hidden width."""
-    h = np.zeros(params.hidden_dim)
-    return LstmState(h=h, c=h.copy())
-
-
 def _cell(w: np.ndarray, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One unchecked step: a single matvec gives all four gate pre-activations."""
+    """One unchecked step to (h', c'): c' = i * tanh(W_c [x ; h]) + f * c, h' = o * tanh(c').
+
+    i, f, o are the sigmoids of the first three gate blocks of one matvec w @ [x ; h].
+    """
     h_dim = h.shape[0]
     z = w @ np.concatenate([x, h])
     ifo = sigmoid(z[: 3 * h_dim])
@@ -138,26 +124,8 @@ def _cell(w: np.ndarray, x: np.ndarray, h: np.ndarray, c: np.ndarray):
     return ifo[2 * h_dim :] * np.tanh(c), c
 
 
-def lstm_step(params: LstmParams, state: LstmState, x: np.ndarray) -> LstmState:
-    """One bias-free LSTM step.
-
-    i, f, o are sigmoids of the three gate products on [x ; h_prev];
-    c_new = i * tanh(W_c [x ; h_prev]) + f * c_prev and h_new = o * tanh(c_new).
-    """
-    x = np.asarray(x, dtype=float)
-    h_dim = params.hidden_dim
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({params.input_dim},)")
-    if state.h.shape != (h_dim,) or state.c.shape != (h_dim,):
-        raise ValueError(
-            f"state has shapes h={state.h.shape} c={state.c.shape}, expected ({h_dim},)"
-        )
-    h, c = _cell(params.w, x, state.h, state.c)
-    return LstmState(h=h, c=c)
-
-
 def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
-    """Fold lstm_step over the rows of `frames` from a zero state.
+    """Run the cell over the rows of `frames` from a zero state.
 
     Returns a (T, hidden_dim) matrix whose row t is h_t.  An empty input
     yields an empty (0, hidden_dim) output.

@@ -10,6 +10,7 @@ the retained frames by a shortest path over a skip-bounded frame graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -68,8 +69,12 @@ class Roi:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
+        if not all(-math.inf < v < math.inf for v in self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if self.area < 0:
             raise ValueError(f"area must be non-negative, got {self.area}")
+        if not self.area < math.inf:
+            raise ValueError(f"area must be finite, got {self.area}")
 
 
 def uniform_segments(n_frames: int, seg_len: int) -> list[Segment]:
@@ -216,12 +221,11 @@ def semantic_score(
     center; size is the ROI area as a fraction of the frame, clamped to [0, 1].
     When sigma is omitted it defaults to a quarter of the frame diagonal.
     """
-    if frame_w <= 0 or frame_h <= 0:
-        raise ValueError("frame dimensions must be positive")
     if sigma is None:
         sigma = 0.25 * float(np.hypot(frame_w, frame_h))
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    for name, value in (("frame_w", frame_w), ("frame_h", frame_h), ("sigma", sigma)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     cx, cy = frame_w / 2.0, frame_h / 2.0
     total = 0.0
     for roi in rois:
@@ -234,17 +238,8 @@ def semantic_score(
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Contiguous True runs of a boolean vector as [start, end) pairs."""
-    ranges: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            ranges.append((start, i))
-            start = None
-    if start is not None:
-        ranges.append((start, len(mask)))
-    return ranges
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]]))).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _check_finite_scores(scores: np.ndarray) -> None:

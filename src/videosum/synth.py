@@ -9,6 +9,7 @@ and negative pair labels tying each event block to its description.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class SynthSpec:
         for name in ("n_events", "frames_per_event", "gap_frames", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
+            )
 
 
 @dataclass

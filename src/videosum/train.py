@@ -13,6 +13,7 @@ the independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -55,10 +56,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        _check_margin(self.margin)
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+
+
+def _check_margin(margin: float) -> None:
+    if not 0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
 
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:
@@ -67,8 +76,7 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"embedding shapes differ: {x.shape} vs {y.shape}")
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    _check_margin(margin)
     diff = x - y
     d = float(diff @ diff)
     if label:

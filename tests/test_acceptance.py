@@ -13,7 +13,7 @@ import numpy as np
 from videosum.cli import cli_dispatch
 from videosum.io import MAGIC_FEATURES, load_checkpoint, read_matrix, save_checkpoint, write_matrix
 from videosum.metrics import keyshot_pr
-from videosum.model import LstmParams, LstmState, embed_frames, ffn_forward, init_subnet, lstm_step
+from videosum.model import _cell, LstmParams, embed_frames, ffn_forward, init_subnet
 from videosum.summarize import (
     SegmentFeature,
     clustering_cost,
@@ -59,14 +59,12 @@ def test_a2_lstm_oracle():
         w = rng.uniform(-2, 2, size=(4, 2))
         h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
         params = LstmParams(w)
-        state = lstm_step(
-            params, LstmState(h=np.array([h_prev]), c=np.array([c_prev])), np.array([x])
-        )
+        h, c = _cell(params.w, np.array([x]), np.array([h_prev]), np.array([c_prev]))
         zc = w[3][0] * x + w[3][1] * h_prev
         c_ref = sig(w[0][0] * x + w[0][1] * h_prev) * math.tanh(zc)
         c_ref += sig(w[1][0] * x + w[1][1] * h_prev) * c_prev
         h_ref = sig(w[2][0] * x + w[2][1] * h_prev) * math.tanh(c_ref)
-        worst = max(worst, abs(state.h[0] - h_ref), abs(state.c[0] - c_ref))
+        worst = max(worst, abs(h[0] - h_ref), abs(c[0] - c_ref))
 
     ranges_ok = True
     for seed in range(20):
@@ -76,15 +74,15 @@ def test_a2_lstm_oracle():
         params = LstmParams(
             np.vstack([rng.uniform(-bound, bound, size=(h_dim, d + h_dim)) for _ in range(4)])
         )
-        state = LstmState(h=np.zeros(h_dim), c=np.zeros(h_dim))
+        h = c = np.zeros(h_dim)
         for _ in range(4):
             x = rng.normal(size=d)
-            xh = np.concatenate([x, state.h])
+            xh = np.concatenate([x, h])
             for w in np.split(params.w, 4)[:3]:
                 gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                 ranges_ok &= bool(np.all(gate > 0) and np.all(gate < 1))
-            state = lstm_step(params, state, x)
-            ranges_ok &= bool(np.all(state.h > -1) and np.all(state.h < 1))
+            h, c = _cell(params.w, x, h, c)
+            ranges_ok &= bool(np.all(h > -1) and np.all(h < 1))
 
     ok = worst <= 1e-12 and ranges_ok
     assert report("A2 LSTM oracle", ok, f"max |diff| {worst:.2e}, ranges {ranges_ok}")

@@ -95,6 +95,52 @@ class TestPipeline:
         assert feats.shape[0] == 5 * (32 + 4)
         assert len(truth) == 5
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_gen_synth_non_finite_noise_exits_one(self, tmp_path, capsys, sigma):
+        features = tmp_path / "feat.vsf"
+        code, _, err = run(
+            capsys,
+            "gen-synth",
+            "--seed", "0",
+            "--noise-sigma", sigma,
+            "--features", str(features),
+            "--truth", str(tmp_path / "truth.json"),
+            "--descs", str(tmp_path / "desc.vsd"),
+            "--labels", str(tmp_path / "pairs.txt"),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: noise_sigma must be finite and non-negative, got {sigma}"
+        ]
+        assert not features.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lr", "nan", "learning_rate must be finite and positive, got nan"),
+            ("--margin", "nan", "margin must be finite and non-negative, got nan"),
+            ("--epochs", "-2", "epochs must be non-negative, got -2"),
+        ],
+    )
+    def test_train_bad_setting_exits_one(self, tmp_path, capsys, flag, value, message):
+        paths = gen_synth(tmp_path, capsys, seed=0, **{"n-events": 2})
+        ckpt = tmp_path / "model.json"
+        code, _, err = run(
+            capsys,
+            "train",
+            "--features", str(paths["features"]),
+            "--descs", str(paths["descs"]),
+            "--pairs", str(paths["labels"]),
+            "--seg-len", "36",
+            "--embed-dim", "3",
+            "--hidden", "4",
+            flag, value,
+            "--out", str(ckpt),
+        )
+        assert code == 1
+        assert err.splitlines() == [f"error: {message}"]
+        assert not ckpt.exists()
+
     def test_full_pipeline_reports_metrics(self, tmp_path, capsys):
         """gen-synth -> train -> summarize -> eval end to end on one seed."""
         paths = gen_synth(tmp_path, capsys, seed=1)

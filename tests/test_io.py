@@ -368,6 +368,11 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             SynthSpec(seed=0, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            SynthSpec(seed=0, noise_sigma=sigma)
+
 
 def write_valid_file(kind, path):
     """A small well-formed input for the reader named `kind`."""

@@ -62,6 +62,13 @@ class TestNormalizeIntervals:
         with pytest.raises(ValueError, match="record 1"):
             normalize_intervals([[0, 3], [7, 7]])
 
+    @pytest.mark.parametrize("pair", [(math.nan, 3), (0, math.nan), (0, math.inf), (-math.inf, 2)])
+    def test_non_finite_record_rejected(self, pair):
+        with pytest.raises(ValueError, match="interval record 1: bounds must be finite"):
+            normalize_intervals([(0, 1), pair])
+        with pytest.raises(ValueError, match="interval record 0: bounds must be finite"):
+            keyshot_pr([pair], [(0, 2)])
+
 
 class TestKeyshotPr:
     def test_identical_sets(self):
@@ -169,6 +176,11 @@ class TestJitterAmount:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             jitter_amount(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_named(self, bad):
+        with pytest.raises(ValueError, match=r"track point 2 is not finite"):
+            jitter_amount([[0, 0], [1, 1], [bad, 1], [2, 2]])
 
 
 class TestSpeedupDeviation:

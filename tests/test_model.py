@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from videosum.model import (
+    _cell,
     DEFAULT_DESC_DIM,
     DEFAULT_EMBED_DIM,
     DEFAULT_HIDDEN_DIM,
     ImportanceScorer,
     LstmParams,
-    LstmState,
     Subnet,
     embed_frames,
     ffn_forward,
@@ -20,10 +20,8 @@ from videosum.model import (
     init_scorer,
     init_subnet,
     lstm_scan,
-    lstm_step,
     score_importance,
     sigmoid,
-    zero_state,
 )
 
 
@@ -56,31 +54,32 @@ def make_1d_params(w_i, w_f, w_o, w_c):
 
 
 class TestLstmStep:
+    """One step of the private cell kernel from a chosen (h, c)."""
+
     def test_zero_weights_zero_state(self):
         """All-zero weights force every gate to 0.5 and leave c' = h' = 0."""
         params = init_lstm(0, 3, 2)
         params.w[:] = 0.0
-        state = lstm_step(params, zero_state(params), np.ones(3))
-        np.testing.assert_array_equal(state.c, 0.0)
-        np.testing.assert_array_equal(state.h, 0.0)
+        h, c = _cell(params.w, np.ones(3), np.zeros(2), np.zeros(2))
+        np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(h, 0.0)
 
     def test_zero_weights_nonzero_cell(self):
         """Gates forced to 0.5: c' = 0.5 * c_prev, h' = 0.5 * tanh(c')."""
         params = make_1d_params([0, 0], [0, 0], [0, 0], [0, 0])
-        prev = LstmState(h=np.zeros(1), c=np.ones(1))
-        state = lstm_step(params, prev, np.array([7.0]))
-        np.testing.assert_allclose(state.c, [0.5], rtol=0, atol=0)
-        np.testing.assert_allclose(state.h, [0.23105857863000487], rtol=1e-15)
+        h, c = _cell(params.w, np.array([7.0]), np.zeros(1), np.ones(1))
+        np.testing.assert_allclose(c, [0.5], rtol=0, atol=0)
+        np.testing.assert_allclose(h, [0.23105857863000487], rtol=1e-15)
 
     def test_unit_weight_scalar_case(self):
         """D=H=1 with all gate weights [1, 1], x=1, zero state."""
         params = make_1d_params([1, 1], [1, 1], [1, 1], [1, 1])
-        state = lstm_step(params, zero_state(params), np.array([1.0]))
+        h, c = _cell(params.w, np.array([1.0]), np.zeros(1), np.zeros(1))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c_expect = sig1 * math.tanh(1.0)
         h_expect = sig1 * math.tanh(c_expect)
-        np.testing.assert_allclose(state.c, [c_expect], rtol=1e-15)
-        np.testing.assert_allclose(state.h, [h_expect], rtol=1e-15)
+        np.testing.assert_allclose(c, [c_expect], rtol=1e-15)
+        np.testing.assert_allclose(h, [h_expect], rtol=1e-15)
 
     def test_matches_independent_scalar_oracle(self):
         """Seeded 1-dim cases agree with a pure-math evaluation to 1e-12."""
@@ -89,35 +88,25 @@ class TestLstmStep:
             w = rng.uniform(-2, 2, size=(4, 2))
             h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
             params = make_1d_params(*w)
-            state = lstm_step(
-                params, LstmState(h=np.array([h_prev]), c=np.array([c_prev])), np.array([x])
-            )
+            h, c = _cell(params.w, np.array([x]), np.array([h_prev]), np.array([c_prev]))
             h_ref, c_ref = scalar_lstm_step(*w, h_prev, c_prev, x)
-            assert abs(state.h[0] - h_ref) <= 1e-12
-            assert abs(state.c[0] - c_ref) <= 1e-12
+            assert abs(h[0] - h_ref) <= 1e-12
+            assert abs(c[0] - c_ref) <= 1e-12
 
     def test_gate_and_hidden_ranges(self):
         """Gates stay strictly in (0,1) and h strictly in (-1,1)."""
         for seed in range(10):
             rng = np.random.default_rng(seed)
             params = init_lstm(seed, 6, 4)
-            state = zero_state(params)
+            h = c = np.zeros(4)
             for _ in range(5):
                 x = rng.normal(size=6)
-                xh = np.concatenate([x, state.h])
+                xh = np.concatenate([x, h])
                 for w in np.split(params.w, 4)[:3]:
                     gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                     assert np.all(gate > 0) and np.all(gate < 1)
-                state = lstm_step(params, state, x)
-                assert np.all(state.h > -1) and np.all(state.h < 1)
-
-    def test_shape_errors(self):
-        params = init_lstm(0, 3, 2)
-        with pytest.raises(ValueError):
-            lstm_step(params, zero_state(params), np.ones(4))
-        bad_state = LstmState(h=np.zeros(3), c=np.zeros(3))
-        with pytest.raises(ValueError):
-            lstm_step(params, bad_state, np.ones(3))
+                h, c = _cell(params.w, x, h, c)
+                assert np.all(h > -1) and np.all(h < 1)
 
     @pytest.mark.parametrize("shape", [(7, 5), (8, 2), (0, 3), (8,), (2, 8, 5)])
     def test_non_stacked_gate_matrix_rejected(self, shape):
@@ -139,15 +128,16 @@ class TestLstmScan:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_matches_chained_steps(self):
-        """Scan rows equal explicitly chained lstm_step calls."""
-        rng = np.random.default_rng(3)
-        params = make_1d_params(*rng.uniform(-1, 1, size=(4, 2)))
-        frames = rng.normal(size=(3, 1))
-        out = lstm_scan(params, frames)
-        state = zero_state(params)
-        for t in range(3):
-            state = lstm_step(params, state, frames[t])
-            np.testing.assert_array_equal(out[t], state.h)
+        """Scan rows of a 1-dim cell are within 1e-12 of the pure-math oracle chained."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            w = rng.uniform(-2, 2, size=(4, 2))
+            frames = rng.normal(size=(6, 1))
+            out = lstm_scan(make_1d_params(*w), frames)
+            h = c = 0.0
+            for t in range(6):
+                h, c = scalar_lstm_step(*w, h, c, frames[t, 0])
+                assert abs(out[t, 0] - h) <= 1e-12
 
     def test_causality(self):
         """Truncating the input after t leaves rows 0..t bitwise unchanged."""
@@ -177,8 +167,9 @@ class TestScoreImportance:
     def test_single_frame_matches_manual(self):
         scorer = init_scorer(1, 4, 3)
         frame = np.random.default_rng(2).normal(size=(1, 4))
-        h_f = lstm_step(scorer.forward, zero_state(scorer.forward), frame[0]).h
-        h_b = lstm_step(scorer.backward, zero_state(scorer.backward), frame[0]).h
+        zero = np.zeros(3)
+        h_f = _cell(scorer.forward.w, frame[0], zero, zero)[0]
+        h_b = _cell(scorer.backward.w, frame[0], zero, zero)[0]
         z = scorer.readout_w @ np.concatenate([h_f, h_b]) + scorer.readout_b
         expected = 1.0 / (1.0 + np.exp(-z))
         np.testing.assert_allclose(score_importance(scorer, frame), [expected], rtol=1e-15)

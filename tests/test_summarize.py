@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from videosum.model import embed_frames, init_subnet
 from videosum.summarize import (
+    _runs,
     _sq_dists,
     Roi,
     Segment,
@@ -109,6 +110,21 @@ float_points = arrays(
 grid_points = arrays(
     float, st.tuples(st.integers(1, 14), st.integers(1, 3)), elements=st.integers(-3, 3).map(float)
 )
+
+
+def reference_runs(mask):
+    """The per-frame loop that _runs replaced, kept as its oracle."""
+    ranges = []
+    start = None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            ranges.append((start, i))
+            start = None
+    if start is not None:
+        ranges.append((start, len(mask)))
+    return ranges
 
 
 def path_cost(scores, path, rho, max_skip, lambda_speed, lambda_sem):
@@ -395,6 +411,25 @@ class TestSemanticScore:
         with pytest.raises(ValueError):
             Roi(confidence=0.5, center=(0, 0), area=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_roi_fields_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"confidence must lie in \[0, 1\]"):
+            Roi(confidence=bad, center=(1.0, 1.0), area=1.0)
+        with pytest.raises(ValueError, match="center must be finite"):
+            Roi(confidence=0.5, center=(bad, 1.0), area=1.0)
+        with pytest.raises(ValueError, match="center must be finite"):
+            Roi(confidence=0.5, center=(1.0, bad), area=1.0)
+        if bad != -math.inf:
+            with pytest.raises(ValueError, match="area must be finite"):
+                Roi(confidence=0.5, center=(1.0, 1.0), area=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["frame_w", "frame_h", "sigma"])
+    def test_frame_size_and_sigma_must_be_finite_and_positive(self, name, bad):
+        args = {"frame_w": 10.0, "frame_h": 10.0, "sigma": 2.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
+            semantic_score([], args["frame_w"], args["frame_h"], args["sigma"])
+
 
 class TestSemanticThresholdSplit:
     def test_constant_scores_all_semantic(self):
@@ -432,6 +467,12 @@ class TestSemanticThresholdSplit:
     def test_non_finite_score_names_frame(self):
         with pytest.raises(ValueError, match="non-finite value at frame 2"):
             semantic_threshold_split(np.array([0.1, 0.5, np.nan, 0.3]))
+
+    @given(arrays(bool, st.integers(0, 40)))
+    def test_runs_match_reference_loop(self, mask):
+        runs = _runs(mask)
+        assert runs == reference_runs(mask)
+        assert all(type(v) is int for run in runs for v in run)
 
 
 class TestSegmentSpeedups:

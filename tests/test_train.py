@@ -76,6 +76,11 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             contrastive_loss(np.zeros(3), np.zeros(3), 0, margin=-0.1)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin must be finite and non-negative"):
+            contrastive_loss(np.zeros(3), np.ones(3), 0, margin=margin)
+
 
 class TestLossGradients:
     def test_inactive_hinge_gives_zero_gradients(self):
@@ -233,6 +238,20 @@ class TestSgdTrain:
             TrainConfig(margin=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("margin", float("nan"), "margin must be finite and non-negative, got nan"),
+            ("margin", float("inf"), "margin must be finite and non-negative, got inf"),
+            ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
+            ("learning_rate", float("inf"), "learning_rate must be finite and positive, got inf"),
+            ("epochs", -2, "epochs must be non-negative, got -2"),
+        ],
+    )
+    def test_non_finite_or_negative_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
 
 
 def pinned_run(seed):
