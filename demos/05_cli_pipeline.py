@@ -24,7 +24,7 @@ features = work / "features.vsf"
 truth = work / "truth.json"
 descs = work / "descs.vsd"
 labels = work / "pairs.txt"
-model = work / "model.json"
+model = work / "model.npz"
 summary = work / "summary.json"
 scores = work / "scores.vsf"
 ff = work / "fastforward.json"

@@ -5,15 +5,17 @@ columns, "VSD1" for description vectors), two little-endian u32 counts
 (rows, cols), then rows*cols little-endian 32-bit IEEE floats, row-major.
 Values are stored at 32-bit precision and widened to float64 in memory.
 
-Interval documents and checkpoints are JSON with sorted keys so identical
-content always produces identical bytes.
+Interval documents are JSON with sorted keys so identical content always
+produces identical bytes.  Checkpoints are uncompressed .npz archives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
+import zipfile
 from dataclasses import fields
 from typing import Sequence
 
@@ -43,8 +45,7 @@ MAGIC_DESCS = b"VSD1"
 
 _HEADER = struct.Struct("<4sII")
 _MAX_CELLS = 2**32  # header dims are u32; anything larger is a corrupt file
-
-CHECKPOINT_VERSION = 1
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _check_magic(magic) -> None:
@@ -90,6 +91,13 @@ def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
+    # nan fails the comparison too, so this rejects every value that is not a finite float32.
+    fits = np.abs(matrix) <= _F32_MAX
+    if not fits.all():
+        row, col = np.argwhere(~fits)[0]
+        raise ValueError(
+            f"value {matrix[row, col]} at row {row}, column {col} is not a finite 32-bit float"
+        )
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, rows, cols))
@@ -239,20 +247,43 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
             fh.write(f"{seg_idx} {desc_idx} {tn}\n")
 
 
-def _net_doc(net: Subnet) -> dict:
-    return {f.name: getattr(net, f.name).tolist() for f in fields(Subnet)}
+# The header numpy writes for a float64 array: magic, version 1.0, header length, header text.
+_NPY_HEADER = re.compile(
+    rb"(?s)\x93NUMPY\x01\x00(..)\{'descr': '<f8', 'fortran_order': (False|True), "
+    rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
+)
 
 
-def _net_from_doc(path, which: str, doc) -> Subnet:
+def _check_nets_agree(vnet: Subnet, dnet: Subnet) -> None:
+    for what in ("embed", "hidden"):
+        video, description = getattr(vnet, f"{what}_dim"), getattr(dnet, f"{what}_dim")
+        if video != description:
+            raise ValueError(f"{what} dims differ: video {video} vs description {description}")
+
+
+def _member_array(where: str, raw: bytes) -> np.ndarray:
+    """The float64 array in one .npy member, as an owned, writeable array."""
+    header = _NPY_HEADER.match(raw)
+    if header is None or int.from_bytes(header[1], "little") != header.end() - 10:
+        raise ValueError(f"{where} is not a float64 array in .npy format 1.0")
+    shape = tuple(map(int, header[3].replace(b",", b" ").split()))
+    data = raw[header.end() :]
+    # Checked before any allocation: a corrupt header may claim a huge shape.
+    if math.prod(shape) * 8 != len(data):
+        raise ValueError(f"{where} declares shape {shape} but holds {len(data)} data bytes")
+    order = "F" if header[2] == b"True" else "C"
+    return np.frombuffer(data, dtype="<f8").reshape(shape, order=order).copy()
+
+
+def _read_net(zf: zipfile.ZipFile, which: str) -> Subnet:
     """One net's fields as finite arrays: 2-D, 1-D, 2-D and 1-D, with consistent shapes."""
-    names = [f.name for f in fields(Subnet)]
     arrays = []
-    for name, value, ndim in zip(names, _fields(path, doc, *names), (2, 1, 2, 1)):
-        where = f"{path}: {which} net field {name!r}"
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where} is not a numeric array: {exc}") from None
+    for f, ndim in zip(fields(Subnet), (2, 1, 2, 1)):
+        where = f"{which} net field {f.name!r}"
+        info = zf.getinfo(f"{which}.{f.name}.npy")
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+            raise ValueError(f"{where} is compressed or encrypted")
+        arr = _member_array(where, zf.read(info))
         if arr.ndim != ndim:
             raise ValueError(f"{where} is {arr.ndim}-D, expected {ndim}-D")
         if not np.isfinite(arr).all():
@@ -261,70 +292,46 @@ def _net_from_doc(path, which: str, doc) -> Subnet:
     net = Subnet(*arrays)
     hidden, embed = net.hidden_dim, net.embed_dim
     expected = ((hidden, net.input_dim), (hidden,), (embed, hidden), (embed,))
-    for name, arr, shape in zip(names, arrays, expected):
+    for f, arr, shape in zip(fields(Subnet), arrays, expected):
         if arr.shape != shape:
             raise ValueError(
-                f"{path}: {which} net field {name!r} has shape {arr.shape}, expected {shape}"
+                f"{which} net field {f.name!r} has shape {arr.shape}, expected {shape}"
             )
     return net
 
 
 def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
-    """Serialize both nets as JSON.
+    """Write both nets as an uncompressed .npz: float64 members "video.w1" ... "description.b2".
 
-    Floats are written in shortest round-trip decimal form, so loading
-    restores bitwise-identical float64 parameters.
+    numpy stamps every zip entry with one fixed date, so the bytes depend only on the parameters.
     """
-    if vnet.embed_dim != dnet.embed_dim:
-        raise ValueError(
-            f"embed dims differ: video {vnet.embed_dim} vs description {dnet.embed_dim}"
-        )
-    if vnet.hidden_dim != dnet.hidden_dim:
-        raise ValueError(
-            f"hidden dims differ: video {vnet.hidden_dim} vs description {dnet.hidden_dim}"
-        )
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "dims": {
-            "input_dim": vnet.input_dim,
-            "hidden": vnet.hidden_dim,
-            "embed_dim": vnet.embed_dim,
-            "desc_dim": dnet.input_dim,
-        },
-        "video": _net_doc(vnet),
-        "description": _net_doc(dnet),
+    _check_nets_agree(vnet, dnet)
+    arrays = {
+        f"{which}.{f.name}": np.asarray(getattr(net, f.name), dtype=np.float64)
+        for which, net in (("video", vnet), ("description", dnet))
+        for f in fields(Subnet)
     }
-    _dump_json(path, doc)
+    # An open handle, because given a path numpy appends ".npz" to a name without it.
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[Subnet, Subnet]:
-    """Load a checkpoint, validating version and declared dimensions."""
-    doc = _read_json(path)
-    version, dims, video, description = _fields(
-        path, doc, "format_version", "dims", "video", "description"
-    )
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported checkpoint version {version!r}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
-    input_dim, hidden, embed_dim, desc_dim = _fields(
-        path, dims, "input_dim", "hidden", "embed_dim", "desc_dim"
-    )
-    vnet = _net_from_doc(path, "video", video)
-    dnet = _net_from_doc(path, "description", description)
-    declared = {
-        "video input_dim": (vnet.input_dim, input_dim),
-        "video hidden": (vnet.hidden_dim, hidden),
-        "video embed_dim": (vnet.embed_dim, embed_dim),
-        "description input_dim": (dnet.input_dim, desc_dim),
-        "description hidden": (dnet.hidden_dim, hidden),
-        "description embed_dim": (dnet.embed_dim, embed_dim),
-    }
-    for what, (actual, expected) in declared.items():
-        if actual != expected:
-            raise ValueError(
-                f"{path}: dimension mismatch, {what} is {actual} but header "
-                f"declares {expected}"
-            )
+    """Load a checkpoint written by save_checkpoint, checking every member."""
+    expected = [f"{net}.{f.name}.npy" for net in ("video", "description") for f in fields(Subnet)]
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                names = zf.namelist()
+                for name in names + expected:
+                    if name not in expected:
+                        raise ValueError(f"unexpected member {name!r}")
+                    if name not in names:
+                        raise ValueError(f"missing member {name!r}")
+                vnet, dnet = _read_net(zf, "video"), _read_net(zf, "description")
+            _check_nets_agree(vnet, dnet)
+        except (zipfile.BadZipFile, EOFError, OSError, NotImplementedError) as exc:
+            raise ValueError(f"{path}: not a checkpoint archive: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return vnet, dnet

@@ -106,8 +106,15 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
     if not finite.all():
         point = np.flatnonzero(~finite)[0]
         raise ValueError(f"track point {point} is not finite: {pts[point].tolist()}")
-    steps = np.diff(pts, axis=0)
-    return float(np.linalg.norm(steps, axis=1).mean())
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if not np.isfinite(dists).all():
+        i = np.flatnonzero(~np.isfinite(dists))[0]
+        raise ValueError(
+            f"distance between track points {i} and {i + 1} overflows float64: "
+            f"{pts[i].tolist()}, {pts[i + 1].tolist()}"
+        )
+    return float(dists.mean())
 
 
 def speedup_deviation(desired: float, n_input: int, n_output: int) -> float:

@@ -226,13 +226,30 @@ def semantic_score(
     for name, value in (("frame_w", frame_w), ("frame_h", frame_h), ("sigma", sigma)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    # So that sigma**2 in the loop neither overflows nor divides by zero.
+    if not 0 < 2.0 * sigma * sigma < math.inf:
+        raise ValueError(
+            f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
+            "2 * sigma**2 is not a positive float64"
+        )
     cx, cy = frame_w / 2.0, frame_h / 2.0
     total = 0.0
-    for roi in rois:
-        dist2 = (roi.center[0] - cx) ** 2 + (roi.center[1] - cy) ** 2
-        centrality = float(np.exp(-dist2 / (2.0 * sigma**2)))
-        size = min(max(roi.area / (frame_w * frame_h), 0.0), 1.0)
-        total += roi.confidence * centrality * size
+    try:
+        for roi in rois:
+            dist2 = (roi.center[0] - cx) ** 2 + (roi.center[1] - cy) ** 2
+            centrality = float(np.exp(-dist2 / (2.0 * sigma**2)))
+            size = min(max(roi.area / (frame_w * frame_h), 0.0), 1.0)
+            total += roi.confidence * centrality * size
+    except OverflowError:
+        raise ValueError(
+            f"ROI center {roi.center} is too far from the frame center ({cx}, {cy}): "
+            "its squared distance overflows float64"
+        ) from None
+    except ZeroDivisionError:
+        raise ValueError(
+            f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of range: "
+            "a denominator underflows to 0"
+        ) from None
     return total
 
 

@@ -34,6 +34,12 @@ class SynthSpec:
             raise ValueError(
                 f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
             )
+        # Centers lie 10 * noise_sigma from the origin, and features are written as float32.
+        if 10.0 * self.noise_sigma > float(np.finfo(np.float32).max):
+            raise ValueError(
+                f"noise_sigma={self.noise_sigma} is too large: 10 * noise_sigma exceeds "
+                "the float32 range of feature files"
+            )
 
 
 @dataclass

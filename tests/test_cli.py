@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file plumbing, and the full synthetic pipeline."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -113,6 +114,22 @@ class TestPipeline:
             f"error: noise_sigma must be finite and non-negative, got {sigma}"
         ]
         assert not features.exists()
+
+    def test_gen_synth_noise_beyond_float32_exits_one(self, tmp_path, capsys):
+        outputs = {
+            "--features": tmp_path / "feat.vsf",
+            "--truth": tmp_path / "truth.json",
+            "--descs": tmp_path / "desc.vsd",
+            "--labels": tmp_path / "pairs.txt",
+        }
+        args = [str(v) for pair in outputs.items() for v in pair]
+        code, _, err = run(capsys, "gen-synth", "--seed", "0", "--noise-sigma", "1e308", *args)
+        assert code == 1
+        assert err.splitlines() == [
+            "error: noise_sigma=1e+308 is too large: 10 * noise_sigma exceeds "
+            "the float32 range of feature files"
+        ]
+        assert not any(path.exists() for path in outputs.values())
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -264,6 +281,21 @@ class TestPipeline:
         (line,) = err.splitlines()
         assert line.startswith(f"error: {rois}: {needle}")
 
+    def test_score_semantic_far_roi_exits_one(self, tmp_path, capsys):
+        rois = tmp_path / "rois.json"
+        rois.write_text(json.dumps({
+            "frame_w": 10, "frame_h": 10,
+            "frames": [[{"confidence": 0.5, "cx": 1e200, "cy": 1, "area": 1}]],
+        }))
+        out_path = tmp_path / "o.vsf"
+        code, _, err = run(capsys, "score-semantic", "--rois", str(rois), "--out", str(out_path))
+        assert code == 1
+        assert err.splitlines() == [
+            "error: ROI center (1e+200, 1) is too far from the frame center (5.0, 5.0): "
+            "its squared distance overflows float64"
+        ]
+        assert not out_path.exists()
+
     def test_fastforward(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.vsf"
         write_matrix(scores_path, np.ones((9, 1)), MAGIC_FEATURES)
@@ -307,9 +339,9 @@ class TestPipeline:
     def test_fastforward_non_finite_exits_one(self, tmp_path, child_env, score, speedup, needle):
         """Runs in a subprocess with a timeout so a hang fails instead of stalling."""
         scores_path = tmp_path / "scores.vsf"
-        column = np.linspace(0, 1, 9)[:, None]
-        column[3, 0] = score
-        write_matrix(scores_path, column, MAGIC_FEATURES)
+        column = np.linspace(0, 1, 9, dtype="<f4")
+        column[3] = score
+        scores_path.write_bytes(MAGIC_FEATURES + struct.pack("<II", 9, 1) + column.tobytes())
         proc = subprocess.run(
             [
                 sys.executable, "-m", "videosum", "fastforward",
@@ -367,10 +399,10 @@ class TestPipeline:
         [
             ("score-semantic", '{"frame_h": 10, "frames": []}', "missing field 'frame_w'"),
             ("summarize", '{"format_version": 1, "video": {}, "description": {}}',
-             "missing field 'dims'"),
+             "not a checkpoint archive: File is not a zip file"),
             ("eval", '{"intervals": [[0, 2]],}', "invalid JSON: Expecting property name"),
         ],
-        ids=["roi-missing-frame-w", "checkpoint-missing-dims", "eval-malformed-json"],
+        ids=["roi-missing-frame-w", "checkpoint-json", "eval-malformed-json"],
     )
     def test_json_input_errors_name_the_file(self, tmp_path, capsys, command, text, needle):
         doc = tmp_path / "doc.json"

@@ -4,6 +4,10 @@ import hashlib
 import json
 import re
 import struct
+import time
+import zipfile
+from dataclasses import fields
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from videosum.io import (
     write_summary,
 )
 from videosum.metrics import normalize_intervals
-from videosum.model import DEFAULT_DESC_DIM, embed_frames, init_subnet
+from videosum.model import DEFAULT_DESC_DIM, Subnet, embed_frames, init_subnet
 from videosum.summarize import Segment
 from videosum.synth import SynthSpec, synth_generate
 
@@ -86,11 +90,21 @@ class TestMatrixFormat:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_payload_names_row_and_column(self, tmp_path, bad):
         path = tmp_path / "n.vsf"
-        matrix = np.ones((3, 2))
+        matrix = np.ones((3, 2), dtype="<f4")
         matrix[2, 1] = bad
-        write_matrix(path, matrix, MAGIC_FEATURES)
+        path.write_bytes(MAGIC_FEATURES + struct.pack("<II", 3, 2) + matrix.tobytes())
         with pytest.raises(ValueError, match=re.escape(str(path)) + r": non-finite value .* at row 2, column 1"):
             read_matrix(path, MAGIC_FEATURES)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, -3.5e38])
+    def test_value_outside_float32_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "n.vsf"
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = bad
+        needle = f"^value {re.escape(str(bad))} at row 2, column 1 is not a finite 32-bit float"
+        with pytest.raises(ValueError, match=needle):
+            write_matrix(path, matrix, MAGIC_FEATURES)
+        assert not path.exists()
 
     @pytest.mark.parametrize("magic", ["VSF1", bytearray(b"VSF1"), b"VSX1"])
     def test_only_the_two_magic_constants_accepted(self, tmp_path, magic):
@@ -206,6 +220,34 @@ class TestPairLabelFile:
             read_pair_labels(path)
 
 
+def seeded_nets():
+    return init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4)
+
+
+def members(vnet, dnet) -> dict:
+    """Both nets' fields under their checkpoint member names."""
+    return {
+        f"{which}.{f.name}": getattr(net, f.name)
+        for which, net in (("video", vnet), ("description", dnet))
+        for f in fields(Subnet)
+    }
+
+
+def write_archive(path, arrays) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def npy_member(header: str, pad: int = 0, version: bytes = b"\x01\x00") -> bytes:
+    """A hand-made .npy member: the header text and 8 data bytes.
+
+    `pad` is added to the header length field, which numpy sets to the header's length.
+    """
+    text = header.encode("latin1") + b"\n"
+    length = (len(text) + pad).to_bytes(2, "little")
+    return b"\x93NUMPY" + version + length + text + bytes(8)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -239,77 +281,146 @@ class TestCheckpoint:
         out = d2.w2 @ np.tanh(d2.w1 @ v + d2.b1) + d2.b2
         assert np.all(np.isfinite(out))
 
-    def test_tampered_dims_detected(self, tmp_path):
+    def test_nets_disagreeing_on_embed_dim_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
-        doc = json.loads(path.read_text())
-        doc["dims"]["embed_dim"] = 17
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("drop", [("dims",), ("dims", "hidden"), ("video", "w2")])
-    def test_missing_field_names_file(self, tmp_path, drop):
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
-        doc = json.loads(path.read_text())
-        parent = doc
-        for key in drop[:-1]:
-            parent = parent[key]
-        del parent[drop[-1]]
-        path.write_text(json.dumps(doc))
-        needle = f"^{re.escape(str(path))}: missing field '{drop[-1]}'"
+        write_archive(path, members(init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 3)))
+        needle = f"^{re.escape(str(path))}: embed dims differ: video 4 vs description 3"
         with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
 
-    def test_seeded_checkpoint_bytes_pinned(self, tmp_path):
-        """Keys are sorted, so the bytes do not depend on how the writer lists the fields."""
+    @pytest.mark.parametrize(
+        "drop, add, needle",
+        [
+            ("video.w2", None, "missing member 'video.w2.npy'"),
+            (None, "format_version", "unexpected member 'format_version.npy'"),
+        ],
+        ids=["missing-video-w2", "unexpected-format-version"],
+    )
+    def test_member_set_names_file_and_member(self, tmp_path, drop, add, needle):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
+        arrays = members(*seeded_nets())
+        if drop:
+            del arrays[drop]
+        if add:
+            arrays[add] = np.array(2.0)
+        write_archive(path, arrays)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {needle}"):
+            load_checkpoint(path)
+
+    def test_seeded_checkpoint_bytes_pinned(self, tmp_path):
+        """The archive holds no clock or path, so the bytes depend only on the parameters."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, *seeded_nets())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "911da104206a24bc44664471e1e190b8b98b5b241dee44d9c9cb384a6d52a946"
+            "365898a2a86fe221618000ddf033f5294970a01f063ba3db982b17b420a2f798"
         )
+
+    def test_loaded_parameters_pinned(self, tmp_path):
+        """Recorded with the JSON checkpoint format: a format change must not move it."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, *seeded_nets())
+        digest = hashlib.sha256()
+        for net in load_checkpoint(path):
+            for f in fields(Subnet):
+                digest.update(getattr(net, f.name).tobytes())
+        assert digest.hexdigest() == (
+            "e4d7982ece94955314fb5de5476e6e286413826ae15195d1651da1478c3d08d6"
+        )
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        saved = []
+        for now in (1.7e9, 1.7e9 + 5 * 3600):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            path = tmp_path / f"ckpt{len(saved)}.json"
+            save_checkpoint(path, *seeded_nets())
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_path_is_written_as_given(self, tmp_path):
+        """Given a path, numpy would append ".npz"; the checkpoint goes where it is asked."""
+        save_checkpoint(tmp_path / "x.json", *seeded_nets())
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_fortran_ordered_w1_round_trips_bitwise(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        vnet, dnet = seeded_nets()
+        vnet.w1 = np.asfortranarray(vnet.w1)
+        save_checkpoint(path, vnet, dnet)
+        with zipfile.ZipFile(path) as zf:
+            assert b"'fortran_order': True" in zf.read("video.w1.npy")
+        v2, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(v2.w1, vnet.w1)
+        assert v2.w1.flags.writeable and v2.w1.flags.owndata
 
     @pytest.mark.parametrize(
         "field, value, needle",
         [
-            ("b1", [0.1, 0.2], r"'b1' has shape \(2,\), expected \(5,\)"),
-            ("w2", [[0.1] * 3] * 4, r"'w2' has shape \(4, 3\), expected \(4, 5\)"),
-            ("b1", [[0.1] * 5], "'b1' is 2-D, expected 1-D"),
-            ("w1", [0.1] * 6, "'w1' is 1-D, expected 2-D"),
-            ("b2", ["x", 0.1, 0.2, 0.3], "'b2' is not a numeric array: could not convert"),
-            ("b2", [[0.1], [0.2, 0.3]], "'b2' is not a numeric array"),
-            ("b2", {"a": 1}, "'b2' is not a numeric array"),
+            ("b1", np.array([0.1, 0.2]), r"'b1' has shape \(2,\), expected \(5,\)"),
+            ("w2", np.full((4, 3), 0.1), r"'w2' has shape \(4, 3\), expected \(4, 5\)"),
+            ("b1", np.full((1, 5), 0.1), "'b1' is 2-D, expected 1-D"),
+            ("w1", np.full(6, 0.1), "'w1' is 1-D, expected 2-D"),
+            ("b2", np.full(4, 0.1, dtype=np.float32), "'b2' is not a float64 array in .npy format 1.0"),
         ],
-        ids=["short-b1", "narrow-w2", "2d-b1", "1d-w1", "string-entry", "ragged", "object"],
+        ids=["short-b1", "narrow-w2", "2d-b1", "1d-w1", "float32-b2"],
     )
     def test_malformed_array_names_file_and_field(self, tmp_path, field, value, needle):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
-        doc = json.loads(path.read_text())
-        doc["video"][field] = value
-        path.write_text(json.dumps(doc))
+        arrays = members(*seeded_nets())
+        arrays[f"video.{field}"] = value
+        write_archive(path, arrays)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: video net field {needle}"):
             load_checkpoint(path)
 
-    def test_overflowing_literal_names_file_and_field(self, tmp_path):
-        """JSON reads 1e999 as inf, which a checkpoint never holds."""
+    @pytest.mark.parametrize(
+        "member, needle",
+        [
+            (npy_member("{'descr': '<f8', 'fortran_order': False, 'shape': (1000000000000,), }"),
+             r"declares shape \(1000000000000,\) but holds 8 data bytes"),
+            (npy_member("{'descr': '<f8', 'fortran_order': False, 'shape': (5L,), }"),
+             "is not a float64 array in .npy format 1.0"),
+            (npy_member("{'descr': '<f8', 'fortran_order': False, 'shape': (5,), }",
+                        version=b"\x02\x00"), "is not a float64 array in .npy format 1.0"),
+            (npy_member("{'descr': '<f8', 'fortran_order': False, 'shape': (5,), }", pad=-1),
+             "is not a float64 array in .npy format 1.0"),
+            (npy_member("{[1]: 0}"), "is not a float64 array in .npy format 1.0"),
+        ],
+        ids=["huge-shape", "python2-long", "version-2", "wrong-header-length", "not-a-header"],
+    )
+    def test_bad_member_header_names_file_and_field(self, tmp_path, member, needle):
+        """A header is checked against the data bytes before any array is allocated."""
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
-        doc = json.loads(path.read_text())
-        doc["description"]["b1"][2] = "INF"
-        path.write_text(json.dumps(doc).replace('"INF"', "1e999"))
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, value in members(*seeded_nets()).items():
+                raw = BytesIO()
+                np.lib.format.write_array(raw, value)
+                zf.writestr(f"{name}.npy", member if name == "video.b1" else raw.getvalue())
+        needle = f"^{re.escape(str(path))}: video net field 'b1' {needle}"
+        with pytest.raises(ValueError, match=needle):
+            load_checkpoint(path)
+
+    def test_compressed_member_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **members(*seeded_nets()))
+        needle = f"^{re.escape(str(path))}: video net field 'w1' is compressed or encrypted"
+        with pytest.raises(ValueError, match=needle):
+            load_checkpoint(path)
+
+    def test_non_finite_value_names_file_and_field(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        arrays = members(*seeded_nets())
+        arrays["description.b1"] = arrays["description.b1"].copy()
+        arrays["description.b1"][2] = np.inf
+        write_archive(path, arrays)
         needle = f"^{re.escape(str(path))}: description net field 'b1' holds a non-finite value"
         with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
 
-    def test_version_mismatch_detected(self, tmp_path):
+    def test_json_checkpoint_rejected(self, tmp_path):
+        """The earlier JSON checkpoint format is not read."""
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4))
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="version"):
+        path.write_text(json.dumps({"format_version": 1, "dims": {}, "video": {}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a checkpoint archive"):
             load_checkpoint(path)
 
     def test_mismatched_nets_rejected_on_save(self, tmp_path):
@@ -371,6 +482,11 @@ class TestSynthGenerate:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
     def test_non_finite_noise_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            SynthSpec(seed=0, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e308, 3.5e37])
+    def test_noise_sigma_beyond_float32_rejected(self, sigma):
+        with pytest.raises(ValueError, match=r"10 \* noise_sigma exceeds the float32 range"):
             SynthSpec(seed=0, noise_sigma=sigma)
 
 

@@ -182,6 +182,15 @@ class TestJitterAmount:
         with pytest.raises(ValueError, match=r"track point 2 is not finite"):
             jitter_amount([[0, 0], [1, 1], [bad, 1], [2, 2]])
 
+    @pytest.mark.parametrize(
+        "track, first",
+        [([[-1e308, 0], [1e308, 0]], 0), ([[0, 0], [1, 1], [1, 1e200], [2, 2]], 1)],
+        ids=["difference", "square"],
+    )
+    def test_overflowing_distance_names_the_points(self, track, first):
+        needle = f"^distance between track points {first} and {first + 1} overflows float64: "
+        with pytest.raises(ValueError, match=needle):
+            jitter_amount(track)
 
 class TestSpeedupDeviation:
     def test_exact_hit(self):

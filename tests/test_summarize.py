@@ -430,6 +430,25 @@ class TestSemanticScore:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
             semantic_score([], args["frame_w"], args["frame_h"], args["sigma"])
 
+    @pytest.mark.parametrize(
+        "center, frame_w, sigma, needle",
+        [
+            ((1e200, 1.0), 10.0, 2.0,
+             r"ROI center \(1e\+200, 1.0\) is too far from the frame center \(5.0, 5.0\)"),
+            ((5.0, 5.0), 10.0, 1e200, r"sigma=1e\+200 for a 10.0 x 10.0 frame is out of range"),
+            ((5.0, 5.0), 10.0, 1e-200, r"sigma=1e-200 for a 10.0 x 10.0 frame is out of range"),
+            ((5.0, 5.0), 1e300, None, r"sigma=3.5\d*e\+299 for a 1e\+300 x 1e\+300 frame"),
+            ((5.0, 5.0), 1e300, 2.0, r"ROI center \(5.0, 5.0\) is too far from the frame center"),
+            ((0.0, 0.0), 1e-200, 1.0, r"frame size 1e-200 x 1e-200 with sigma=1.0 is out of range"),
+        ],
+        ids=["far-center", "huge-sigma", "tiny-sigma", "huge-frame", "huge-frame-sigma",
+             "tiny-frame"],
+    )
+    def test_out_of_range_arithmetic_names_the_input(self, center, frame_w, sigma, needle):
+        roi = Roi(confidence=1.0, center=center, area=1.0)
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            semantic_score([roi], frame_w, frame_w, sigma)
+
 
 class TestSemanticThresholdSplit:
     def test_constant_scores_all_semantic(self):
