@@ -8,7 +8,7 @@ scan: truncating the future never changes past hidden states.
 
 import numpy as np
 
-from videosum import init_scorer, init_lstm, lstm_scan, score_importance
+from videosum import init_scorer, lstm_scan, score_importance
 
 rng = np.random.default_rng(0)
 
@@ -34,7 +34,7 @@ for t in range(0, 60, 5):
     print(f"  t={t:2d} {scores[t]:.3f} {bar}")
 
 # Causality: the forward hidden state at time t ignores frames after t.
-cell = init_lstm(seed=3, input_dim=12, hidden_dim=8)
+cell = init_scorer(seed=3, input_dim=12, hidden_dim=8).forward
 full = lstm_scan(cell, frames)
 truncated = lstm_scan(cell, frames[:30])
 print("\ncausality check: rows 0..29 of the full scan equal the truncated scan:",

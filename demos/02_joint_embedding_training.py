@@ -13,7 +13,6 @@ from videosum import (
     SynthSpec,
     TrainConfig,
     embed_frames,
-    ffn_forward,
     finite_diff_check,
     init_subnet,
     sample_pairs,
@@ -37,7 +36,7 @@ def pair_distances(v, d):
     pos, neg = [], []
     for ex in dataset:
         x = embed_frames(v, ex.segment)
-        y = ffn_forward(d, ex.desc)
+        y = embed_frames(d, ex.desc[None, :])
         (pos if ex.label else neg).append(float((x - y) @ (x - y)))
     return np.mean(pos), np.mean(neg)
 

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import struct
+import sys
 import zipfile
 from dataclasses import fields
 from typing import Sequence
@@ -120,10 +121,10 @@ def _read_json(path):
 
 
 def _is_finite_number(value) -> bool:
-    """A JSON number other than a boolean, NaN or an infinity."""
-    if isinstance(value, bool):
+    """A JSON number other than a boolean that float64 holds: no NaN, infinity or huge int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return abs(value) <= sys.float_info.max  # Python compares an int with a float exactly
 
 
 def _fields(path, doc, *keys) -> list:

@@ -9,6 +9,7 @@ callers convert seconds via fps.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -26,13 +27,16 @@ Interval = tuple[int, int]
 def normalize_intervals(intervals: Sequence[Sequence[float]]) -> list[Interval]:
     """Sort intervals and merge overlapping or adjacent ones.
 
-    The union of covered frames is preserved.  Any record with a non-finite
-    bound or with start >= end is rejected with its position in the input.
+    The union of covered frames is preserved.  Any record with a bound that
+    is not a finite float64 value (NaN, an infinity or an int beyond the
+    float64 range) or with start >= end is rejected with its position in the
+    input.
     """
     cleaned = []
     for rec_no, pair in enumerate(intervals):
         start, end = pair
-        if not (-math.inf < start < math.inf and -math.inf < end < math.inf):
+        # Python compares an int with a float exactly.
+        if not (abs(start) <= sys.float_info.max and abs(end) <= sys.float_info.max):
             raise ValueError(f"interval record {rec_no}: bounds must be finite, got {pair!r}")
         if start >= end:
             raise ValueError(f"interval record {rec_no}: start {start} >= end {end}")
@@ -107,20 +111,26 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
         point = np.flatnonzero(~finite)[0]
         raise ValueError(f"track point {point} is not finite: {pts[point].tolist()}")
     with np.errstate(over="ignore"):
-        dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        steps = np.diff(pts, axis=0)
+        dists = np.hypot(steps[:, 0], steps[:, 1])
+        mean = float(dists.mean())
     if not np.isfinite(dists).all():
         i = np.flatnonzero(~np.isfinite(dists))[0]
         raise ValueError(
             f"distance between track points {i} and {i + 1} overflows float64: "
             f"{pts[i].tolist()}, {pts[i + 1].tolist()}"
         )
-    return float(dists.mean())
+    if not math.isfinite(mean):
+        raise ValueError("the sum of the distances between track points overflows float64")
+    return mean
 
 
 def speedup_deviation(desired: float, n_input: int, n_output: int) -> float:
     """|desired - n_input / n_output|, the gap to the achieved speed-up."""
+    if not 1 <= desired < math.inf:
+        raise ValueError(f"desired speed-up must be finite and at least 1, got {desired}")
+    if not 0 <= n_input < math.inf:
+        raise ValueError(f"n_input must be finite and non-negative, got {n_input}")
     if n_output < 1:
         raise ValueError("n_output must be at least 1")
-    if desired < 1:
-        raise ValueError("desired speed-up must be at least 1")
     return abs(desired - n_input / n_output)

@@ -22,9 +22,7 @@ __all__ = [
     "sigmoid",
     "lstm_scan",
     "score_importance",
-    "ffn_forward",
     "embed_frames",
-    "init_lstm",
     "init_subnet",
     "init_scorer",
 ]
@@ -164,35 +162,25 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
 
 
 def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden and output activations (z1, z2) for one input row or a batch of rows."""
+    """Hidden and output activations (z1, z2), one row per input row of x."""
     z1 = np.tanh(x @ net.w1.T + net.b1)
     return z1, np.tanh(z1 @ net.w2.T + net.b2)
 
 
-def ffn_forward(net: Subnet, x: np.ndarray) -> np.ndarray:
-    """tanh(W2 tanh(W1 x + b1) + b2); every output component lies in (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    return _forward(net, x)[1]
+def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:
+    """Mean over the rows of tanh(W2 tanh(W1 x + b1) + b2); each component lies in (-1, 1).
 
-
-def embed_frames(net: Subnet, segment: np.ndarray) -> np.ndarray:
-    """Embed a segment: mean over frames of the per-frame two-layer forward.
-
-    The mean pooling makes the result invariant to frame order within the
-    segment.  Raises on an empty segment.
+    A segment's rows are its frames; a description vector `v` is embedded as the
+    one-row segment `v[None, :]`.  Row order does not matter; no rows raise.
     """
-    segment = np.asarray(segment, dtype=float)
-    if segment.ndim != 2:
-        raise ValueError(f"segment must be 2-D, got shape {segment.shape}")
-    if segment.shape[0] == 0:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"segment must be 2-D, got shape {rows.shape}")
+    if rows.shape[0] == 0:
         raise ValueError("cannot embed an empty segment")
-    if segment.shape[1] != net.input_dim:
-        raise ValueError(
-            f"segment has {segment.shape[1]} columns, net expects {net.input_dim}"
-        )
-    return _forward(net, segment)[1].mean(axis=0)
+    if rows.shape[1] != net.input_dim:
+        raise ValueError(f"segment has {rows.shape[1]} columns, net expects {net.input_dim}")
+    return _forward(net, rows)[1].mean(axis=0)
 
 
 def _check_dims(*dims: int) -> None:
@@ -204,18 +192,6 @@ def _check_dims(*dims: int) -> None:
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def _lstm_cell(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LstmParams:
-    """Draw the stacked gates from `rng`; row blocks i, f, o, c come out in that order."""
-    fan_in = input_dim + hidden_dim
-    return LstmParams(w=_uniform(rng, (4 * hidden_dim, fan_in), fan_in))
-
-
-def init_lstm(seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM) -> LstmParams:
-    """Seeded uniform init; each gate entry lies in [-1/sqrt(D+H), 1/sqrt(D+H)]."""
-    _check_dims(input_dim, hidden_dim)
-    return _lstm_cell(np.random.default_rng(seed), input_dim, hidden_dim)
 
 
 def init_subnet(
@@ -238,11 +214,17 @@ def init_subnet(
 def init_scorer(
     seed: int, input_dim: int, hidden_dim: int = DEFAULT_HIDDEN_DIM
 ) -> ImportanceScorer:
-    """Seeded bidirectional scorer; readout fan-in is the 2H concatenation."""
+    """Seeded bidirectional scorer.
+
+    The forward cell's stacked gates are drawn first, then the backward
+    cell's, each entry in [-1/sqrt(D+H), 1/sqrt(D+H)]; the readout's fan-in
+    is the 2H concatenation.
+    """
     _check_dims(input_dim, hidden_dim)
     rng = np.random.default_rng(seed)
-    fwd = _lstm_cell(rng, input_dim, hidden_dim)
-    bwd = _lstm_cell(rng, input_dim, hidden_dim)
+    fan_in = input_dim + hidden_dim
+    fwd = LstmParams(w=_uniform(rng, (4 * hidden_dim, fan_in), fan_in))
+    bwd = LstmParams(w=_uniform(rng, (4 * hidden_dim, fan_in), fan_in))
     readout_w = _uniform(rng, 2 * hidden_dim, 2 * hidden_dim)
     readout_b = float(_uniform(rng, (), 2 * hidden_dim))
     return ImportanceScorer(forward=fwd, backward=bwd, readout_w=readout_w, readout_b=readout_b)

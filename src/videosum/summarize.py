@@ -280,10 +280,18 @@ def semantic_threshold_split(
     if scores.size == 0:
         raise ValueError("scores must contain at least one frame")
     _check_finite_scores(scores)
-    mu = scores.mean()
-    sd = scores.std()
+    # Partial sums of finite scores can overflow to +inf and -inf, whose sum is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = scores.mean()
+        sd = scores.std()
+    if not (np.isfinite(mu) and np.isfinite(sd)):
+        raise ValueError(f"the mean and std of the scores overflow float64: {mu}, {sd}")
     inlier = np.abs(scores - mu) <= 2.0 * sd
-    threshold = float((scores[inlier].min() + scores[inlier].max()) / 2.0)
+    lo, hi = scores[inlier].min(), scores[inlier].max()
+    with np.errstate(over="ignore"):
+        threshold = float((lo + hi) / 2.0)
+    if not math.isfinite(threshold):
+        raise ValueError(f"the midpoint of the scores {lo} and {hi} overflows float64")
     semantic = inlier & (scores >= threshold)
     return threshold, _runs(semantic), _runs(~semantic)
 
@@ -294,12 +302,13 @@ def segment_speedups(len_s: float, len_ns: float, target: float, rho_s: float) -
     The output length budget (len_s + len_ns) / target is split between the
     two parts: len_s / rho_s + len_ns / rho_ns must hit the budget exactly.
     """
-    if len_s < 0 or len_ns < 0:
-        raise ValueError("part lengths must be non-negative")
-    if target < 1:
-        raise ValueError("target speed-up must be at least 1")
+    for name, length in (("len_s", len_s), ("len_ns", len_ns)):
+        if not 0 <= length < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {length}")
+    if not 1 <= target < math.inf:
+        raise ValueError(f"target speed-up must be finite and at least 1, got {target}")
     if not 1 <= rho_s <= target:
-        raise ValueError(f"semantic speed-up must lie in [1, {target}], got {rho_s}")
+        raise ValueError(f"semantic speed-up rho_s must lie in [1, {target}], got {rho_s}")
     budget = (len_s + len_ns) / target - len_s / rho_s
     if budget <= 0:
         raise ValueError(

@@ -103,13 +103,10 @@ def loss_gradients(
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
     """
-    seg = ex.segment
-    n = seg.shape[0]
-
-    # Forward with caches.  Video side processes all frames at once.
-    z1v, z2v = _forward(vnet, seg)
-    x = z2v.mean(axis=0)
-    z1d, y = _forward(dnet, ex.desc)
+    # Both nets embed the mean of their rows' outputs; the description is one row.
+    sides = ((vnet, ex.segment), (dnet, ex.desc[None, :]))
+    acts = [_forward(net, rows) for net, rows in sides]
+    x, y = (z2.mean(axis=0) for _, z2 in acts)
 
     loss = contrastive_loss(x, y, ex.label, margin)
 
@@ -123,13 +120,13 @@ def loss_gradients(
 
     g_x = 2.0 * g_d * (x - y)
 
-    # The mean pooling spreads g_x equally over the video frame rows; the
-    # description is one row whose output gradient is -g_x.
-    return (
-        loss,
-        _backward(vnet, seg, z1v, z2v, np.tile(g_x / n, (n, 1))),
-        _backward(dnet, ex.desc[None, :], z1d[None, :], y[None, :], -g_x[None, :]),
+    # The pooled gradient is g_x for the video net and -g_x for the description
+    # net; the mean pooling spreads it equally over that net's rows.
+    grad_v, grad_d = (
+        _backward(net, rows, z1, z2, np.tile(g / len(rows), (len(rows), 1)))
+        for (net, rows), (z1, z2), g in zip(sides, acts, (g_x, -g_x))
     )
+    return loss, grad_v, grad_d
 
 
 def finite_diff_check(

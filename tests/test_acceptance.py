@@ -13,7 +13,7 @@ import numpy as np
 from videosum.cli import cli_dispatch
 from videosum.io import MAGIC_FEATURES, load_checkpoint, read_matrix, save_checkpoint, write_matrix
 from videosum.metrics import keyshot_pr
-from videosum.model import _cell, LstmParams, embed_frames, ffn_forward, init_subnet
+from videosum.model import _cell, LstmParams, embed_frames, init_subnet
 from videosum.summarize import (
     SegmentFeature,
     clustering_cost,
@@ -207,7 +207,7 @@ def test_a6_contrastive_separation():
         pos, neg = [], []
         for ex in dataset:
             x = embed_frames(vnet, ex.segment)
-            y = ffn_forward(dnet, ex.desc)
+            y = embed_frames(dnet, ex.desc[None, :])
             (pos if ex.label else neg).append(float((x - y) @ (x - y)))
         if np.mean(pos) < 0.5 * np.mean(neg):
             separated += 1

@@ -419,6 +419,32 @@ class TestPipeline:
         assert code == 1
         assert err.startswith(f"error: {doc}: {needle}")
 
+    @pytest.mark.parametrize(
+        "command, text, needle",
+        [
+            ("eval", '{"intervals": [[0, 1%s]]}' % ("0" * 400),
+             "interval record 0: start and end must be finite numbers"),
+            ("score-semantic", '{"frame_w": 1%s, "frame_h": 10, "frames": [[]]}' % ("0" * 400),
+             "frame_w must be a positive number"),
+        ],
+        ids=["eval-interval-end", "score-semantic-frame-w"],
+    )
+    def test_int_beyond_float64_exits_one(self, tmp_path, capsys, command, text, needle):
+        """A JSON int of 10**400 is rejected with the file named, not an OverflowError."""
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        out_path = tmp_path / "o.vsf"
+        argv = {
+            "eval": ["--summary", str(doc), "--truth", str(doc)],
+            "score-semantic": ["--rois", str(doc), "--out", str(out_path)],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {doc}: {needle}")
+        assert out == ""
+        assert not out_path.exists()
+
     def test_gradcheck_passes_and_fails_by_tolerance(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--trials", "2", "--seed", "0")
         assert code == 0

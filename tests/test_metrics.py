@@ -62,7 +62,10 @@ class TestNormalizeIntervals:
         with pytest.raises(ValueError, match="record 1"):
             normalize_intervals([[0, 3], [7, 7]])
 
-    @pytest.mark.parametrize("pair", [(math.nan, 3), (0, math.nan), (0, math.inf), (-math.inf, 2)])
+    @pytest.mark.parametrize(
+        "pair",
+        [(math.nan, 3), (0, math.nan), (0, math.inf), (-math.inf, 2), (0, 10**400), (-10**400, 2)],
+    )
     def test_non_finite_record_rejected(self, pair):
         with pytest.raises(ValueError, match="interval record 1: bounds must be finite"):
             normalize_intervals([(0, 1), pair])
@@ -182,15 +185,23 @@ class TestJitterAmount:
         with pytest.raises(ValueError, match=r"track point 2 is not finite"):
             jitter_amount([[0, 0], [1, 1], [bad, 1], [2, 2]])
 
-    @pytest.mark.parametrize(
-        "track, first",
-        [([[-1e308, 0], [1e308, 0]], 0), ([[0, 0], [1, 1], [1, 1e200], [2, 2]], 1)],
-        ids=["difference", "square"],
-    )
-    def test_overflowing_distance_names_the_points(self, track, first):
-        needle = f"^distance between track points {first} and {first + 1} overflows float64: "
+    def test_overflowing_difference_names_the_points(self):
+        needle = "^distance between track points 0 and 1 overflows float64: "
         with pytest.raises(ValueError, match=needle):
-            jitter_amount(track)
+            jitter_amount([[-1e308, 0], [1e308, 0]])
+
+    @pytest.mark.parametrize(
+        "track, expected",
+        [([[0, 0], [1e200, 0]], 1e200), ([[0, 0], [1, 1], [1, 1e200], [2, 2]], 2e200 / 3)],
+        ids=["one-step", "square"],
+    )
+    def test_step_whose_square_overflows_is_measured(self, track, expected):
+        """A step of 1e200 is a finite float64 distance even though its square is not."""
+        assert jitter_amount(track) == pytest.approx(expected, rel=1e-15)
+
+    def test_overflowing_sum_of_distances_rejected(self):
+        with pytest.raises(ValueError, match="^the sum of the distances .* overflows float64"):
+            jitter_amount([[0, 0], [1.5e308, 0], [0, 0]])
 
 class TestSpeedupDeviation:
     def test_exact_hit(self):
@@ -214,3 +225,18 @@ class TestSpeedupDeviation:
     def test_desired_below_one_rejected(self):
         with pytest.raises(ValueError):
             speedup_deviation(0.5, 800, 100)
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            ((math.nan, 10, 2), "desired speed-up must be finite and at least 1, got nan"),
+            ((math.inf, 10, 2), "desired speed-up must be finite and at least 1, got inf"),
+            ((4.0, math.nan, 2), "n_input must be finite and non-negative, got nan"),
+            ((4.0, math.inf, 2), "n_input must be finite and non-negative, got inf"),
+            ((4.0, -10, 2), "n_input must be finite and non-negative, got -10"),
+        ],
+        ids=["desired-nan", "desired-inf", "n-input-nan", "n-input-inf", "n-input-negative"],
+    )
+    def test_bad_argument_named(self, args, needle):
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            speedup_deviation(*args)

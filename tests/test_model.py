@@ -15,8 +15,6 @@ from videosum.model import (
     LstmParams,
     Subnet,
     embed_frames,
-    ffn_forward,
-    init_lstm,
     init_scorer,
     init_subnet,
     lstm_scan,
@@ -58,7 +56,7 @@ class TestLstmStep:
 
     def test_zero_weights_zero_state(self):
         """All-zero weights force every gate to 0.5 and leave c' = h' = 0."""
-        params = init_lstm(0, 3, 2)
+        params = init_scorer(0, 3, 2).forward
         params.w[:] = 0.0
         h, c = _cell(params.w, np.ones(3), np.zeros(2), np.zeros(2))
         np.testing.assert_array_equal(c, 0.0)
@@ -97,7 +95,7 @@ class TestLstmStep:
         """Gates stay strictly in (0,1) and h strictly in (-1,1)."""
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            params = init_lstm(seed, 6, 4)
+            params = init_scorer(seed, 6, 4).forward
             h = c = np.zeros(4)
             for _ in range(5):
                 x = rng.normal(size=6)
@@ -117,12 +115,12 @@ class TestLstmStep:
 
 class TestLstmScan:
     def test_empty_sequence(self):
-        params = init_lstm(0, 3, 2)
+        params = init_scorer(0, 3, 2).forward
         out = lstm_scan(params, np.zeros((0, 3)))
         assert out.shape == (0, 2)
 
     def test_zero_weights_all_zero_rows(self):
-        params = init_lstm(0, 3, 2)
+        params = init_scorer(0, 3, 2).forward
         params.w[:] = 0.0
         out = lstm_scan(params, np.random.default_rng(1).normal(size=(5, 3)))
         np.testing.assert_array_equal(out, 0.0)
@@ -142,14 +140,14 @@ class TestLstmScan:
     def test_causality(self):
         """Truncating the input after t leaves rows 0..t bitwise unchanged."""
         rng = np.random.default_rng(4)
-        params = init_lstm(4, 5, 3)
+        params = init_scorer(4, 5, 3).forward
         frames = rng.normal(size=(8, 5))
         full = lstm_scan(params, frames)
         for t in (1, 4, 7):
             np.testing.assert_array_equal(lstm_scan(params, frames[: t + 1]), full[: t + 1])
 
     def test_shape_error(self):
-        params = init_lstm(0, 3, 2)
+        params = init_scorer(0, 3, 2).forward
         with pytest.raises(ValueError):
             lstm_scan(params, np.zeros((4, 2)))
 
@@ -216,53 +214,55 @@ class TestScoreImportance:
             assert np.all(scores > 0) and np.all(scores < 1)
 
 
-class TestFfnForward:
-    def test_zero_net(self):
-        net = init_subnet(0, 3, 4, 2)
+class TestEmbedFrames:
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (6, 4, 3)])
+    def test_zero_net(self, dims):
+        net = init_subnet(0, *dims)
         for name in ("w1", "b1", "w2", "b2"):
             getattr(net, name)[:] = 0.0
-        np.testing.assert_array_equal(ffn_forward(net, np.ones(3)), 0.0)
+        np.testing.assert_array_equal(embed_frames(net, np.ones((1, dims[0]))), 0.0)
 
     def test_scalar_toy(self):
         """1-dim identity-weight net: tanh(tanh(1))."""
         net = Subnet(w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1))
         np.testing.assert_allclose(
-            ffn_forward(net, np.array([1.0])), [0.6420149920119997], rtol=1e-15
+            embed_frames(net, np.array([[1.0]])), [0.6420149920119997], rtol=1e-15
         )
 
-    def test_outputs_strictly_inside_unit_cube(self):
-        net = init_subnet(7, 5, 6, 4)
+    @pytest.mark.parametrize("net_seed, dims, scale", [(7, (5, 6, 4), 10), (9, (8, 4, 3), 5)])
+    def test_one_row_strictly_inside_unit_cube(self, net_seed, dims, scale):
+        net = init_subnet(net_seed, *dims)
         for seed in range(20):
-            x = np.random.default_rng(seed).normal(scale=10, size=5)
-            out = ffn_forward(net, x)
+            x = np.random.default_rng(seed).normal(scale=scale, size=dims[0])
+            out = embed_frames(net, x[None, :])
             assert np.all(out > -1) and np.all(out < 1)
             assert np.all(np.isfinite(out))
 
-    def test_shape_error(self):
+    def test_column_count_checked(self):
         net = init_subnet(0, 3, 4, 2)
-        with pytest.raises(ValueError):
-            ffn_forward(net, np.ones(4))
+        with pytest.raises(ValueError, match="segment has 4 columns, net expects 3"):
+            embed_frames(net, np.ones((1, 4)))
 
-
-class TestEmbedFrames:
     def test_identical_frames_collapse_to_single_forward(self):
         net = init_subnet(1, 4, 5, 3)
         frame = np.random.default_rng(0).normal(size=4)
         segment = np.tile(frame, (6, 1))
-        np.testing.assert_allclose(embed_frames(net, segment), ffn_forward(net, frame), rtol=1e-12)
+        np.testing.assert_allclose(
+            embed_frames(net, segment), embed_frames(net, frame[None, :]), rtol=1e-12
+        )
 
     def test_single_frame(self):
+        """One row embeds as the two-layer forward written out with matvecs."""
         net = init_subnet(2, 4, 5, 3)
         frame = np.random.default_rng(1).normal(size=4)
-        np.testing.assert_allclose(
-            embed_frames(net, frame[None, :]), ffn_forward(net, frame), rtol=1e-14
-        )
+        expected = np.tanh(net.w2 @ np.tanh(net.w1 @ frame + net.b1) + net.b2)
+        np.testing.assert_allclose(embed_frames(net, frame[None, :]), expected, rtol=1e-14)
 
     def test_two_frames_average(self):
         """1-dim toy: the segment embedding is the mean of the two outputs."""
         net = Subnet(w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1))
         seg = np.array([[1.0], [-0.5]])
-        expected = (ffn_forward(net, seg[0]) + ffn_forward(net, seg[1])) / 2.0
+        expected = (embed_frames(net, seg[:1]) + embed_frames(net, seg[1:])) / 2.0
         np.testing.assert_allclose(embed_frames(net, seg), expected, rtol=1e-14)
 
     def test_permutation_invariance(self):
@@ -278,47 +278,29 @@ class TestEmbedFrames:
             embed_frames(net, np.zeros((0, 4)))
 
 
-class TestEmbedDescription:
-    def test_zero_net(self):
-        net = init_subnet(0, 6, 4, 3)
-        for name in ("w1", "b1", "w2", "b2"):
-            getattr(net, name)[:] = 0.0
-        np.testing.assert_array_equal(ffn_forward(net, np.ones(6)), 0.0)
-
-    def test_scalar_toy_matches_ffn(self):
-        net = Subnet(w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1))
-        np.testing.assert_allclose(
-            ffn_forward(net, np.array([1.0])), [0.6420149920119997], rtol=1e-15
-        )
-
-    def test_range(self):
-        net = init_subnet(9, 8, 4, 3)
-        v = np.random.default_rng(9).normal(scale=5, size=8)
-        out = ffn_forward(net, v)
-        assert np.all(np.abs(out) < 1)
-
-
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         a = init_subnet(42, 5, 4, 3)
         b = init_subnet(42, 5, 4, 3)
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        np.testing.assert_array_equal(init_lstm(42, 5, 4).w, init_lstm(42, 5, 4).w)
+        np.testing.assert_array_equal(
+            init_scorer(42, 5, 4).forward.w, init_scorer(42, 5, 4).forward.w
+        )
 
     def test_stacked_gates_equal_four_consecutive_draws(self):
-        """The one (4H, D+H) draw holds the values four (H, D+H) gate draws gave, in order."""
+        """Each (4H, D+H) draw holds the values four (H, D+H) gate draws gave, in order.
+
+        The forward cell's gates are the first draws of a fresh generator and
+        the backward cell's gates the next four.
+        """
         for seed, (d, h) in enumerate([(5, 4), (3, 7), (1, 1)]):
             bound = 1.0 / np.sqrt(d + h)
             rng = np.random.default_rng(seed)
-            gates = [rng.uniform(-bound, bound, size=(h, d + h)) for _ in range(4)]
-            np.testing.assert_array_equal(init_lstm(seed, d, h).w, np.vstack(gates))
-
-    def test_scorer_forward_cell_is_init_lstm(self):
-        """Both initialisers draw the i, f, o, c gates from a fresh generator first."""
-        scorer = init_scorer(7, 5, 4)
-        cell = init_lstm(7, 5, 4)
-        np.testing.assert_array_equal(scorer.forward.w, cell.w)
+            gates = [rng.uniform(-bound, bound, size=(h, d + h)) for _ in range(8)]
+            scorer = init_scorer(seed, d, h)
+            np.testing.assert_array_equal(scorer.forward.w, np.vstack(gates[:4]))
+            np.testing.assert_array_equal(scorer.backward.w, np.vstack(gates[4:]))
 
     def test_different_seeds_differ(self):
         a = init_subnet(0, 5, 4, 3)
@@ -333,10 +315,10 @@ class TestInit:
             assert np.all(np.abs(net.b1) <= 1 / np.sqrt(7))
             assert np.all(np.abs(net.w2) <= 1 / np.sqrt(5))
             assert np.all(np.abs(net.b2) <= 1 / np.sqrt(5))
-            params = init_lstm(seed, 7, 5)
-            assert params.w.shape == (20, 12)
-            assert np.all(np.abs(params.w) <= 1 / np.sqrt(12))
             scorer = init_scorer(seed, 7, 5)
+            for params in (scorer.forward, scorer.backward):
+                assert params.w.shape == (20, 12)
+                assert np.all(np.abs(params.w) <= 1 / np.sqrt(12))
             assert np.all(np.abs(scorer.readout_w) <= 1 / np.sqrt(10))
 
     @pytest.mark.parametrize("dims", [(0, 4, 3), (4, 0, 3), (4, 3, 0), (-1, 2, 2)])
@@ -346,7 +328,7 @@ class TestInit:
 
     def test_invalid_lstm_dims_rejected(self):
         with pytest.raises(ValueError):
-            init_lstm(0, 0, 3)
+            init_scorer(0, 0, 3)
         with pytest.raises(ValueError):
             init_scorer(0, 3, 0)
 
@@ -356,4 +338,4 @@ class TestInit:
         assert net.hidden_dim == 256 and net.embed_dim == 300
         desc = init_subnet(0, DEFAULT_DESC_DIM, hidden_dim=4, embed_dim=3)
         assert desc.input_dim == 4800
-        assert init_lstm(0, 10).hidden_dim == 256
+        assert init_scorer(0, 10).forward.hidden_dim == 256

@@ -6,8 +6,8 @@ PUBLIC_NAMES = [
     "DEFAULT_DESC_DIM", "DEFAULT_EMBED_DIM", "DEFAULT_HIDDEN_DIM", "ImportanceScorer",
     "LstmParams", "MAGIC_DESCS", "MAGIC_FEATURES", "PairExample", "Roi", "Segment",
     "SegmentFeature", "Subnet", "SynthData", "SynthSpec", "TrainConfig", "cli_dispatch",
-    "clustering_cost", "contrastive_loss", "embed_frames", "ffn_forward", "finite_diff_check",
-    "generate_summary", "init_lstm", "init_scorer", "init_subnet", "jitter_amount",
+    "clustering_cost", "contrastive_loss", "embed_frames", "finite_diff_check",
+    "generate_summary", "init_scorer", "init_subnet", "jitter_amount",
     "keyshot_pr", "kmedoids", "load_checkpoint", "loss_gradients", "lstm_scan",
     "normalize_intervals", "pam_iterations", "read_intervals", "read_matrix",
     "read_pair_labels", "read_rois", "sample_pairs", "save_checkpoint", "score_importance",

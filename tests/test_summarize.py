@@ -487,6 +487,22 @@ class TestSemanticThresholdSplit:
         with pytest.raises(ValueError, match="non-finite value at frame 2"):
             semantic_threshold_split(np.array([0.1, 0.5, np.nan, 0.3]))
 
+    @pytest.mark.parametrize(
+        "scores, needle",
+        [
+            ([1e308, -1e308], "the mean and std of the scores overflow float64: 0.0, inf"),
+            ([1e308] * 3, "the mean and std of the scores overflow float64: inf, inf"),
+            # numpy's eight partial sums reach +inf and -inf, so the mean is NaN.
+            (([1e308, -1e308] + [0] * 6) * 2, "the mean and std of the scores overflow float64"),
+            ([1.5e308], r"the midpoint of the scores 1.5e\+308 and 1.5e\+308 overflows float64"),
+        ],
+        ids=["std", "mean", "mean-nan", "midpoint"],
+    )
+    def test_overflowing_statistics_rejected(self, scores, needle):
+        """Finite scores whose statistics overflow raise a ValueError; a warning would fail."""
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            semantic_threshold_split(np.array(scores))
+
     @given(arrays(bool, st.integers(0, 40)))
     def test_runs_match_reference_loop(self, mask):
         runs = _runs(mask)
@@ -530,6 +546,24 @@ class TestSegmentSpeedups:
             segment_speedups(10, 10, 4.0, 5.0)
         with pytest.raises(ValueError):
             segment_speedups(-1, 10, 4.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            ((math.inf, 10, 6, 3), "len_s must be finite and non-negative, got inf"),
+            ((math.nan, 10, 6, 3), "len_s must be finite and non-negative, got nan"),
+            ((10, math.inf, 6, 3), "len_ns must be finite and non-negative, got inf"),
+            ((10, -1, 6, 3), "len_ns must be finite and non-negative, got -1"),
+            ((10, 10, math.nan, 1), "target speed-up must be finite and at least 1, got nan"),
+            ((10, 10, math.inf, 3), "target speed-up must be finite and at least 1, got inf"),
+            ((10, 10, 6, math.nan), r"semantic speed-up rho_s must lie in \[1, 6\], got nan"),
+        ],
+        ids=["len-s-inf", "len-s-nan", "len-ns-inf", "len-ns-negative", "target-nan",
+             "target-inf", "rho-s-nan"],
+    )
+    def test_bad_argument_named(self, args, needle):
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            segment_speedups(*args)
 
 
 class TestSpeedupFrameSelection:

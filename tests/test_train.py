@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from videosum.model import Subnet, embed_frames, ffn_forward, init_subnet
+from videosum.model import Subnet, embed_frames, init_subnet
 from videosum.summarize import segment_features, uniform_segments
 from videosum.train import (
     PairExample,
@@ -87,7 +87,7 @@ class TestLossGradients:
         """Negative pair with d >= margin: every gradient is exactly zero."""
         vnet, dnet, ex = random_case(3, label=0)
         x = embed_frames(vnet, ex.segment)
-        y = ffn_forward(dnet, ex.desc)
+        y = embed_frames(dnet, ex.desc[None, :])
         d = float((x - y) @ (x - y))
         _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin=d / 2.0)
         for grads in (grad_v, grad_d):
@@ -125,7 +125,7 @@ class TestLossGradients:
         dnet = init_subnet(seed ^ 1, 4, 5, 3)
         ex = PairExample(segment=rng.normal(size=(frames, 7)), desc=rng.normal(size=4), label=label)
         x = embed_frames(vnet, ex.segment)
-        y = ffn_forward(dnet, ex.desc)
+        y = embed_frames(dnet, ex.desc[None, :])
         assert loss_gradients(vnet, dnet, ex, margin)[0] == contrastive_loss(x, y, label, margin)
 
 
@@ -223,7 +223,7 @@ class TestSgdTrain:
         pos, neg = [], []
         for ex in dataset:
             x = embed_frames(v2, ex.segment)
-            y = ffn_forward(d2, ex.desc)
+            y = embed_frames(d2, ex.desc[None, :])
             (pos if ex.label else neg).append(float((x - y) @ (x - y)))
         assert np.mean(pos) < np.mean(neg)
         assert history[-1] < history[0]
