@@ -11,18 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import io as vio
 from .metrics import keyshot_pr
-from .model import (
-    DEFAULT_EMBED_DIM,
-    DEFAULT_HIDDEN_DIM,
-    init_scorer,
-    init_subnet,
-    score_importance,
-)
+from .model import init_scorer, init_subnet, score_importance
 from .summarize import (
     generate_summary,
     segment_features,
@@ -40,28 +35,19 @@ def _emit(doc) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+def _given(args, *names) -> dict:
+    """The options among `names` that were set; `**unset` leaves the rest out of `args`."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_gen_synth(args) -> int:
-    spec = SynthSpec(
-        seed=args.seed,
-        n_events=args.n_events,
-        frames_per_event=args.frames_per_event,
-        gap_frames=args.gap_frames,
-        dim=args.dim,
-        noise_sigma=args.noise_sigma,
-    )
-    data = synth_generate(spec)
+    data = synth_generate(SynthSpec(**_given(args, *(f.name for f in fields(SynthSpec)))))
     vio.write_matrix(args.features, data.features, vio.MAGIC_FEATURES)
     vio.write_intervals(args.truth, data.truth)
     vio.write_matrix(args.descs, data.descs, vio.MAGIC_DESCS)
     vio.write_pair_labels(args.labels, data.labels)
-    _emit(
-        {
-            "frames": int(data.features.shape[0]),
-            "dim": int(data.features.shape[1]),
-            "events": len(data.truth),
-            "labels": len(data.labels),
-        }
-    )
+    frames, dim = data.features.shape
+    _emit({"frames": frames, "dim": dim, "events": len(data.truth), "labels": len(data.labels)})
     return 0
 
 
@@ -72,20 +58,16 @@ def _cmd_train(args) -> int:
     segments = uniform_segments(frames.shape[0], args.seg_len)
     seg_frames = [frames[s.start : s.end] for s in segments]
     dataset = sample_pairs(seg_frames, descs, labels)
-    vnet = init_subnet(args.seed, frames.shape[1], args.hidden, args.embed_dim)
-    dnet = init_subnet(args.seed + 1, descs.shape[1], args.hidden, args.embed_dim)
-    cfg = TrainConfig(
-        margin=args.margin,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    cfg = TrainConfig(**_given(args, *(f.name for f in fields(TrainConfig))))
+    dims = _given(args, "hidden_dim", "embed_dim")
+    vnet = init_subnet(cfg.seed, frames.shape[1], **dims)
+    dnet = init_subnet(cfg.seed + 1, descs.shape[1], **dims)
     vnet, dnet, history = sgd_train(vnet, dnet, dataset, cfg)
     vio.save_checkpoint(args.out, vnet, dnet)
     _emit(
         {
             "examples": len(dataset),
-            "epochs": args.epochs,
+            "epochs": cfg.epochs,
             "final_loss": history[-1] if history else None,
         }
     )
@@ -105,7 +87,7 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_score_lstm(args) -> int:
     frames = vio.read_matrix(args.features, vio.MAGIC_FEATURES)
-    scorer = init_scorer(args.seed, frames.shape[1], args.hidden)
+    scorer = init_scorer(args.seed, frames.shape[1], **_given(args, "hidden_dim"))
     scores = score_importance(scorer, frames)
     vio.write_matrix(args.out, scores[:, None], vio.MAGIC_FEATURES)
     _emit({"frames": int(scores.size)})
@@ -114,7 +96,12 @@ def _cmd_score_lstm(args) -> int:
 
 def _cmd_score_semantic(args) -> int:
     frame_w, frame_h, sigma, frames = vio.read_rois(args.rois)
-    scores = [semantic_score(rois, frame_w, frame_h, sigma) for rois in frames]
+    scores = []
+    for rec_no, rois in enumerate(frames):
+        try:
+            scores.append(semantic_score(rois, frame_w, frame_h, sigma))
+        except ValueError as exc:
+            raise ValueError(f"{args.rois}: frame {rec_no}: {exc}") from None
     vio.write_matrix(args.out, np.asarray(scores)[:, None], vio.MAGIC_FEATURES)
     _emit({"frames": len(scores)})
     return 0
@@ -127,9 +114,8 @@ def _cmd_fastforward(args) -> int:
             f"{args.scores}: score files hold one column, got {matrix.shape[1]}"
         )
     scores = matrix.reshape(-1)
-    selected = speedup_frame_selection(
-        scores, args.speedup, args.max_skip, args.lambda_speed, args.lambda_sem
-    )
+    weights = _given(args, "lambda_speed", "lambda_sem")
+    selected = speedup_frame_selection(scores, args.speedup, args.max_skip, **weights)
     achieved = scores.size / len(selected)
     vio.write_selection(args.out, selected, args.speedup, achieved)
     _emit({"kept": len(selected), "achieved_speedup": achieved})
@@ -145,7 +131,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    worst = 0.0
+    errors = []
     for trial in range(args.trials):
         rng = np.random.default_rng(args.seed + trial)
         vnet = init_subnet(args.seed + trial, 8, 6, 4)
@@ -155,7 +141,8 @@ def _cmd_gradcheck(args) -> int:
             desc=rng.normal(size=5),
             label=trial % 2,
         )
-        worst = max(worst, finite_diff_check(vnet, dnet, ex, margin=1.0, h=args.step))
+        errors.append(finite_diff_check(vnet, dnet, ex, **_given(args, "h")))
+    worst = float(np.max(errors, initial=0.0))  # unlike max(), a NaN error fails the check
     _emit({"trials": args.trials, "max_rel_error": worst, "tolerance": args.tolerance})
     return 0 if worst <= args.tolerance else 1
 
@@ -166,31 +153,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Video summarization over per-frame feature streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    unset = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic planted-event dataset")
+    p = sub.add_parser("gen-synth", help="generate a synthetic planted-event dataset", **unset)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n-events", type=int, default=5)
-    p.add_argument("--frames-per-event", type=int, default=32)
-    p.add_argument("--gap-frames", type=int, default=4)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+    p.add_argument("--n-events", type=int)
+    p.add_argument("--frames-per-event", type=int)
+    p.add_argument("--gap-frames", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--noise-sigma", type=float)
     p.add_argument("--features", required=True, help="output feature file (VSF1)")
     p.add_argument("--truth", required=True, help="output event-window document")
     p.add_argument("--descs", required=True, help="output description file (VSD1)")
     p.add_argument("--labels", required=True, help="output pair-label file")
     p.set_defaults(func=_cmd_gen_synth)
 
-    p = sub.add_parser("train", help="train the joint embedding nets")
+    p = sub.add_parser("train", help="train the joint embedding nets", **unset)
     p.add_argument("--features", required=True, help="input feature file (VSF1)")
     p.add_argument("--descs", required=True, help="input description file (VSD1)")
     p.add_argument("--pairs", required=True, help="input pair-label file")
     p.add_argument("--seg-len", type=int, required=True)
-    p.add_argument("--embed-dim", type=int, default=DEFAULT_EMBED_DIM)
-    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_DIM)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--hidden", type=int, dest="hidden_dim", metavar="HIDDEN")
+    p.add_argument("--margin", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.set_defaults(func=_cmd_train)
 
@@ -202,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output summary document")
     p.set_defaults(func=_cmd_summarize)
 
-    p = sub.add_parser("score-lstm", help="per-frame importance scores")
+    p = sub.add_parser("score-lstm", help="per-frame importance scores", **unset)
     p.add_argument("--features", required=True, help="input feature file (VSF1)")
-    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_DIM)
+    p.add_argument("--hidden", type=int, dest="hidden_dim", metavar="HIDDEN")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output score file (VSF1, one column)")
     p.set_defaults(func=_cmd_score_lstm)
@@ -214,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output score file (VSF1, one column)")
     p.set_defaults(func=_cmd_score_semantic)
 
-    p = sub.add_parser("fastforward", help="speed-up frame selection by shortest path")
+    p = sub.add_parser("fastforward", help="speed-up frame selection by shortest path", **unset)
     p.add_argument("--scores", required=True, help="input score file (VSF1, one column)")
     p.add_argument("--speedup", type=float, required=True)
     p.add_argument("--max-skip", type=int, required=True)
-    p.add_argument("--lambda-speed", type=float, default=1.0)
-    p.add_argument("--lambda-sem", type=float, default=1.0)
+    p.add_argument("--lambda-speed", type=float)
+    p.add_argument("--lambda-sem", type=float)
     p.add_argument("--out", required=True, help="output selection document")
     p.set_defaults(func=_cmd_fastforward)
 
@@ -228,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="reference interval document")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient verification", **unset)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=float, dest="h", metavar="STEP")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import Subnet
-from .summarize import Roi, Segment
+from .summarize import Roi, Segment, semantic_score
 
 __all__ = [
     "MAGIC_FEATURES",
@@ -118,6 +118,8 @@ def _read_json(path):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
 
 
 def _is_finite_number(value) -> bool:
@@ -160,7 +162,10 @@ def read_intervals(path) -> list[tuple[int, int]]:
 
 
 def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
-    """Read an ROI document: (frame_w, frame_h, sigma or None, each frame's ROIs)."""
+    """Read an ROI document: (frame_w, frame_h, sigma or None, each frame's ROIs).
+
+    The frame size and sigma must also pass `semantic_score`'s range rule.
+    """
     doc = _read_json(path)
     frame_w, frame_h, frame_docs = _fields(path, doc, "frame_w", "frame_h", "frames")
     sigma = doc.get("sigma")
@@ -170,6 +175,10 @@ def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
     for name, value in sizes:
         if not (_is_finite_number(value) and value > 0):
             raise ValueError(f"{path}: {name} must be a positive number, got {value!r}")
+    try:
+        semantic_score([], frame_w, frame_h, sigma)  # the frame rule, checked once
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(frame_docs, list):
         raise ValueError(f"{path}: frames must be a list of per-frame ROI lists")
     frames = []

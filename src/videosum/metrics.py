@@ -78,12 +78,15 @@ def keyshot_pr(
 
     precision = overlap / duration(a), recall = overlap / duration(b),
     f1 = 2pr / (p + r) with f1 = 0 when both are zero.  Empty or
-    zero-duration inputs are rejected.
+    zero-duration inputs, and a total duration beyond float64, are rejected.
     """
     a = normalize_intervals(a)
     b = normalize_intervals(b)
     dur_a = _total_length(a)
     dur_b = _total_length(b)
+    for name, dur in (("summary a", dur_a), ("reference b", dur_b)):
+        if not dur <= sys.float_info.max:  # Python compares an int with a float exactly
+            raise ValueError(f"the total duration of {name} overflows float64: {dur}")
     if dur_a <= 0 or dur_b <= 0:
         raise ValueError("both interval sets must have positive duration")
     overlap = _overlap_length(a, b)

@@ -11,6 +11,7 @@ the retained frames by a shortest path over a skip-bounded frame graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -309,12 +310,15 @@ def segment_speedups(len_s: float, len_ns: float, target: float, rho_s: float) -
         raise ValueError(f"target speed-up must be finite and at least 1, got {target}")
     if not 1 <= rho_s <= target:
         raise ValueError(f"semantic speed-up rho_s must lie in [1, {target}], got {rho_s}")
-    budget = (len_s + len_ns) / target - len_s / rho_s
+    total = len_s + len_ns
+    if not total <= sys.float_info.max:  # Python compares an int with a float exactly
+        raise ValueError(f"len_s + len_ns overflows float64: {len_s} + {len_ns}")
+    budget = total / target - len_s / rho_s
     if budget <= 0:
         raise ValueError(
             "infeasible: the semantic part alone exceeds the output budget "
             f"(len_s/rho_s = {len_s / rho_s:.6g} >= (len_s+len_ns)/target = "
-            f"{(len_s + len_ns) / target:.6g})"
+            f"{total / target:.6g})"
         )
     return len_ns / budget
 

@@ -135,10 +135,11 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     Relative error per parameter uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    max(|analytic|, |numeric|, 1e-8).  A NaN error is returned at once, so it
+    fails every tolerance.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be finite and positive, got {h}")
     _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
     worst = 0.0
     for net, grads in ((vnet, grad_v), (dnet, grad_d)):
@@ -155,6 +156,8 @@ def finite_diff_check(
                 numeric = (up - down) / (2.0 * h)
                 a = analytic[idx]
                 err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                if math.isnan(err):
+                    return err
                 worst = max(worst, err)
     return worst
 

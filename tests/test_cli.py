@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file plumbing, and the full synthetic pipeline."""
 
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -9,7 +10,21 @@ import numpy as np
 import pytest
 
 from videosum.cli import cli_dispatch
-from videosum.io import MAGIC_FEATURES, read_intervals, read_matrix, write_matrix
+from videosum.io import (
+    MAGIC_DESCS,
+    MAGIC_FEATURES,
+    read_intervals,
+    read_matrix,
+    save_checkpoint,
+    write_intervals,
+    write_matrix,
+    write_pair_labels,
+    write_selection,
+)
+from videosum.model import init_scorer, init_subnet, score_importance
+from videosum.summarize import speedup_frame_selection, uniform_segments
+from videosum.synth import SynthSpec, synth_generate
+from videosum.train import PairExample, TrainConfig, finite_diff_check, sample_pairs, sgd_train
 
 
 def run(capsys, *argv):
@@ -265,9 +280,13 @@ class TestPipeline:
             ({"sigma": 0}, "sigma must be a positive number, got 0"),
             ({"frames": 5}, "frames must be a list of per-frame ROI lists"),
             ({"frames": [5]}, "frame 0: expected a list of ROI records"),
+            ({"sigma": 1e200}, "sigma=1e+200 for a 10 x 10 frame is out of range: "
+             "2 * sigma**2 is not a positive float64"),
+            ({"frame_w": 1e-200, "frame_h": 1e-200},
+             "sigma=3.5355339059327375e-201 for a 1e-200 x 1e-200 frame is out of range"),
         ],
         ids=["confidence", "area", "non-numeric-center", "frame-w", "frame-h", "sigma",
-             "frames-not-a-list", "frame-not-a-list"],
+             "frames-not-a-list", "frame-not-a-list", "sigma-overflows", "tiny-frame"],
     )
     def test_score_semantic_bad_document_names_file(self, tmp_path, capsys, changes, needle):
         doc = {"frame_w": 10, "frame_h": 10, "frames": [[]]}
@@ -285,14 +304,14 @@ class TestPipeline:
         rois = tmp_path / "rois.json"
         rois.write_text(json.dumps({
             "frame_w": 10, "frame_h": 10,
-            "frames": [[{"confidence": 0.5, "cx": 1e200, "cy": 1, "area": 1}]],
+            "frames": [[], [{"confidence": 0.5, "cx": 1e200, "cy": 1, "area": 1}]],
         }))
         out_path = tmp_path / "o.vsf"
         code, _, err = run(capsys, "score-semantic", "--rois", str(rois), "--out", str(out_path))
         assert code == 1
         assert err.splitlines() == [
-            "error: ROI center (1e+200, 1) is too far from the frame center (5.0, 5.0): "
-            "its squared distance overflows float64"
+            f"error: {rois}: frame 1: ROI center (1e+200, 1) is too far from the frame center "
+            "(5.0, 5.0): its squared distance overflows float64"
         ]
         assert not out_path.exists()
 
@@ -445,6 +464,34 @@ class TestPipeline:
         assert out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "score-semantic"])
+    def test_deeply_nested_json_exits_one(self, tmp_path, capsys, command):
+        """json.load's RecursionError becomes one error line naming the file."""
+        doc = tmp_path / "doc.json"
+        doc.write_text("[" * 100_000)
+        out_path = tmp_path / "o.vsf"
+        argv = {
+            "eval": ["--summary", str(doc), "--truth", str(doc)],
+            "score-semantic": ["--rois", str(doc), "--out", str(out_path)],
+        }[command]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert err.splitlines() == [f"error: {doc}: invalid JSON: nesting too deep"]
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_eval_overflowing_duration_exits_one(self, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"intervals": [[0, 1e308]]}')
+        truth = tmp_path / "truth.json"
+        truth.write_text('{"intervals": [[-1e308, 1e308]]}')
+        code, out, err = run(capsys, "eval", "--summary", str(summary), "--truth", str(truth))
+        assert code == 1
+        assert err.splitlines() == [
+            "error: the total duration of reference b overflows float64: inf"
+        ]
+        assert out == ""
+
     def test_gradcheck_passes_and_fails_by_tolerance(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--trials", "2", "--seed", "0")
         assert code == 0
@@ -454,6 +501,21 @@ class TestPipeline:
             capsys, "gradcheck", "--trials", "2", "--seed", "0", "--tolerance", "1e-12"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_gradcheck_non_finite_step_exits_one(self, capsys, step):
+        code, out, err = run(capsys, "gradcheck", "--trials", "1", "--step", step)
+        assert code == 1
+        assert err.splitlines() == [f"error: step h must be finite and positive, got {step}"]
+        assert out == ""
+
+    def test_gradcheck_nan_error_fails(self, capsys, monkeypatch):
+        """A NaN error from any trial is reported and fails the check."""
+        errors = iter([0.0, math.nan, 0.0])
+        monkeypatch.setattr("videosum.cli.finite_diff_check", lambda *a, **kw: next(errors))
+        code, out, _ = run(capsys, "gradcheck", "--trials", "3")
+        assert code == 1
+        assert math.isnan(json.loads(out)["max_rel_error"])
 
 
 class TestDeterminism:
@@ -467,3 +529,69 @@ class TestDeterminism:
     def _mkdirs(self, tmp_path):
         (tmp_path / "a").mkdir(exist_ok=True)
         (tmp_path / "b").mkdir(exist_ok=True)
+
+
+def test_unset_options_take_library_defaults(tmp_path, capsys):
+    """Each command given only its required options matches the library on its own defaults."""
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    cli.mkdir()
+    lib.mkdir()
+
+    data = synth_generate(SynthSpec(seed=1))
+    write_matrix(lib / "f.vsf", data.features, MAGIC_FEATURES)
+    write_intervals(lib / "t.json", data.truth)
+    write_matrix(lib / "d.vsd", data.descs, MAGIC_DESCS)
+    write_pair_labels(lib / "p.txt", data.labels)
+    code, out, err = run(capsys, "gen-synth", "--seed", "1", "--features", str(cli / "f.vsf"),
+                         "--truth", str(cli / "t.json"), "--descs", str(cli / "d.vsd"),
+                         "--labels", str(cli / "p.txt"))
+    assert code == 0, err
+    frames, dim = data.features.shape
+    assert json.loads(out) == {"frames": frames, "dim": dim, "events": len(data.truth),
+                               "labels": len(data.labels)}
+
+    features = read_matrix(lib / "f.vsf", MAGIC_FEATURES)
+    descs = read_matrix(lib / "d.vsd", MAGIC_DESCS)
+    write_pair_labels(lib / "few.txt", data.labels[:4])  # so the full-width nets train in ~1 s
+    segments = uniform_segments(frames, 8)
+    dataset = sample_pairs([features[s.start : s.end] for s in segments], descs, data.labels[:4])
+    cfg = TrainConfig()
+    vnet, dnet, history = sgd_train(
+        init_subnet(cfg.seed, dim), init_subnet(cfg.seed + 1, descs.shape[1]), dataset, cfg
+    )
+    save_checkpoint(lib / "m.npz", vnet, dnet)
+    code, out, err = run(capsys, "train", "--features", str(cli / "f.vsf"),
+                         "--descs", str(cli / "d.vsd"), "--pairs", str(lib / "few.txt"),
+                         "--seg-len", "8", "--out", str(cli / "m.npz"))
+    assert code == 0, err
+    assert json.loads(out) == {"examples": len(dataset), "epochs": cfg.epochs,
+                               "final_loss": history[-1]}
+
+    scores = score_importance(init_scorer(0, dim), features)
+    write_matrix(lib / "s.vsf", scores[:, None], MAGIC_FEATURES)
+    code, out, err = run(capsys, "score-lstm", "--features", str(cli / "f.vsf"),
+                         "--out", str(cli / "s.vsf"))
+    assert code == 0, err
+    assert json.loads(out) == {"frames": frames}
+
+    scores = read_matrix(lib / "s.vsf", MAGIC_FEATURES).reshape(-1)
+    selected = speedup_frame_selection(scores, 4.0, 8)
+    write_selection(lib / "ff.json", selected, 4.0, frames / len(selected))
+    code, out, err = run(capsys, "fastforward", "--scores", str(cli / "s.vsf"), "--speedup", "4",
+                         "--max-skip", "8", "--out", str(cli / "ff.json"))
+    assert code == 0, err
+    assert json.loads(out) == {"kept": len(selected), "achieved_speedup": frames / len(selected)}
+
+    for name in ("f.vsf", "t.json", "d.vsd", "p.txt", "m.npz", "s.vsf", "ff.json"):
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+
+    # The nets and pair of each gradcheck trial, as `videosum gradcheck` builds them.
+    errors = []
+    for trial in range(5):
+        rng = np.random.default_rng(trial)
+        vnet, dnet = init_subnet(trial, 8, 6, 4), init_subnet(trial + 10_000, 5, 6, 4)
+        ex = PairExample(segment=rng.normal(size=(3, 8)), desc=rng.normal(size=5), label=trial % 2)
+        errors.append(finite_diff_check(vnet, dnet, ex))
+    code, out, err = run(capsys, "gradcheck")
+    assert code == 0, err
+    assert json.loads(out) == {"trials": 5, "max_rel_error": max(errors), "tolerance": 1e-4}

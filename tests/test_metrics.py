@@ -149,6 +149,20 @@ class TestKeyshotPr:
         with pytest.raises(ValueError):
             keyshot_pr([[0, 5]], [])
 
+    @pytest.mark.parametrize(
+        "a, b, needle",
+        [
+            ([[0, 1e308]], [[-1e308, 1e308]], "reference b overflows float64: inf"),
+            ([[-1.7e308, 0], [1, 1.7e308]], [[0, 5]], "summary a overflows float64: inf"),
+            ([[-10**308, 10**308]], [[0, 5]], "summary a overflows float64: 2000"),
+        ],
+        ids=["float-reference", "sum-of-pieces", "int-summary"],
+    )
+    def test_overflowing_total_duration_named(self, a, b, needle):
+        """A duration float64 cannot hold is rejected, not turned into a wrong recall."""
+        with pytest.raises(ValueError, match=f"^the total duration of {needle}"):
+            keyshot_pr(a, b)
+
 
 class TestJitterAmount:
     def test_constant_track(self):

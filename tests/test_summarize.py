@@ -557,9 +557,10 @@ class TestSegmentSpeedups:
             ((10, 10, math.nan, 1), "target speed-up must be finite and at least 1, got nan"),
             ((10, 10, math.inf, 3), "target speed-up must be finite and at least 1, got inf"),
             ((10, 10, 6, math.nan), r"semantic speed-up rho_s must lie in \[1, 6\], got nan"),
+            ((1e308, 1e308, 2, 1), r"len_s \+ len_ns overflows float64: 1e\+308 \+ 1e\+308"),
         ],
         ids=["len-s-inf", "len-s-nan", "len-ns-inf", "len-ns-negative", "target-nan",
-             "target-inf", "rho-s-nan"],
+             "target-inf", "rho-s-nan", "sum-overflows"],
     )
     def test_bad_argument_named(self, args, needle):
         with pytest.raises(ValueError, match=f"^{needle}$"):

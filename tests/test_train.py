@@ -1,5 +1,7 @@
 """Unit tests for the contrastive loss, analytic gradients, and SGD loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,18 @@ class TestFiniteDiffCheck:
         vnet, dnet, ex = random_case(8)
         with pytest.raises(ValueError):
             finite_diff_check(vnet, dnet, ex, margin=1.0, h=0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_rejects_non_finite_step(self, h):
+        vnet, dnet, ex = random_case(8)
+        with pytest.raises(ValueError, match=f"^step h must be finite and positive, got {h}$"):
+            finite_diff_check(vnet, dnet, ex, h=h)
+
+    def test_nan_error_fails_the_check(self):
+        """A NaN input makes every relative error NaN; the check reports NaN, not 0."""
+        vnet, dnet, ex = random_case(9)
+        ex.segment[1, 2] = np.nan
+        assert math.isnan(finite_diff_check(vnet, dnet, ex))
 
 
 def two_cluster_dataset(seed):
