@@ -9,7 +9,6 @@ which the keyshot precision metric confirms against the generator's truth.
 from videosum import (
     SegmentFeature,
     SynthSpec,
-    clustering_cost,
     generate_summary,
     keyshot_pr,
     pam_iterations,

@@ -16,6 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io as vio
+from ._checks import check_real
 from .metrics import keyshot_pr
 from .model import init_scorer, init_subnet, score_importance
 from .summarize import (
@@ -131,18 +132,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
+    check_real("tolerance", args.tolerance, 0)
     errors = []
     for trial in range(args.trials):
-        rng = np.random.default_rng(args.seed + trial)
-        vnet = init_subnet(args.seed + trial, 8, 6, 4)
+        vnet = init_subnet(args.seed + trial, 8, 6, 4)  # first, so it names a negative seed
         dnet = init_subnet(args.seed + trial + 10_000, 5, 6, 4)
+        rng = np.random.default_rng(args.seed + trial)
         ex = PairExample(
             segment=rng.normal(size=(3, 8)),
             desc=rng.normal(size=5),
             label=trial % 2,
         )
         errors.append(finite_diff_check(vnet, dnet, ex, **_given(args, "h")))
-    worst = float(np.max(errors, initial=0.0))  # unlike max(), a NaN error fails the check
+    worst = float(np.max(errors))  # unlike max(), a NaN error fails the check
     _emit({"trials": args.trials, "max_rel_error": worst, "tolerance": args.tolerance})
     return 0 if worst <= args.tolerance else 1
 

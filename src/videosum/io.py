@@ -15,13 +15,13 @@ import json
 import math
 import re
 import struct
-import sys
 import zipfile
 from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
 from .model import Subnet
 from .summarize import Roi, Segment, semantic_score
 
@@ -122,13 +122,6 @@ def _read_json(path):
             raise ValueError(f"{path}: invalid JSON: nesting too deep") from None
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number other than a boolean that float64 holds: no NaN, infinity or huge int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max  # Python compares an int with a float exactly
-
-
 def _fields(path, doc, *keys) -> list:
     """The values of `keys` in a JSON object; a missing one raises a ValueError naming the file."""
     if not isinstance(doc, dict):
@@ -150,11 +143,8 @@ def read_intervals(path) -> list[tuple[int, int]]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"{path}: interval record {rec_no} is not a [start, end] pair")
         start, end = pair
-        if not all(_is_finite_number(v) for v in pair):
-            raise ValueError(
-                f"{path}: interval record {rec_no}: start and end must be finite numbers, "
-                f"got {pair!r}"
-            )
+        check_real(f"{path}: interval record {rec_no}: start", start)
+        check_real(f"{path}: interval record {rec_no}: end", end)
         if start >= end:
             raise ValueError(f"{path}: interval record {rec_no}: start {start} >= end {end}")
         out.append((start, end))
@@ -164,17 +154,11 @@ def read_intervals(path) -> list[tuple[int, int]]:
 def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
     """Read an ROI document: (frame_w, frame_h, sigma or None, each frame's ROIs).
 
-    The frame size and sigma must also pass `semantic_score`'s range rule.
+    The frame size and sigma must pass `semantic_score`'s frame rule, each ROI `Roi`'s rule.
     """
     doc = _read_json(path)
     frame_w, frame_h, frame_docs = _fields(path, doc, "frame_w", "frame_h", "frames")
     sigma = doc.get("sigma")
-    sizes = [("frame_w", frame_w), ("frame_h", frame_h)]
-    if sigma is not None:
-        sizes.append(("sigma", sigma))
-    for name, value in sizes:
-        if not (_is_finite_number(value) and value > 0):
-            raise ValueError(f"{path}: {name} must be a positive number, got {value!r}")
     try:
         semantic_score([], frame_w, frame_h, sigma)  # the frame rule, checked once
     except ValueError as exc:
@@ -188,10 +172,7 @@ def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
             raise ValueError(f"{where}: expected a list of ROI records")
         rois = []
         for record in frame_rois:
-            values = _fields(where, record, "confidence", "cx", "cy", "area")
-            if not all(map(_is_finite_number, values)):
-                raise ValueError(f"{where}: ROI fields must be finite numbers, got {record!r}")
-            confidence, cx, cy, area = values
+            confidence, cx, cy, area = _fields(where, record, "confidence", "cx", "cy", "area")
             try:
                 rois.append(Roi(confidence=confidence, center=(cx, cy), area=area))
             except ValueError as exc:

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
+
 __all__ = [
     "normalize_intervals",
     "keyshot_pr",
@@ -33,11 +35,9 @@ def normalize_intervals(intervals: Sequence[Sequence[float]]) -> list[Interval]:
     input.
     """
     cleaned = []
-    for rec_no, pair in enumerate(intervals):
-        start, end = pair
-        # Python compares an int with a float exactly.
-        if not (abs(start) <= sys.float_info.max and abs(end) <= sys.float_info.max):
-            raise ValueError(f"interval record {rec_no}: bounds must be finite, got {pair!r}")
+    for rec_no, (start, end) in enumerate(intervals):
+        start = check_real(f"interval record {rec_no}: start", start)
+        end = check_real(f"interval record {rec_no}: end", end)
         if start >= end:
             raise ValueError(f"interval record {rec_no}: start {start} >= end {end}")
         cleaned.append((start, end))
@@ -130,10 +130,8 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
 
 def speedup_deviation(desired: float, n_input: int, n_output: int) -> float:
     """|desired - n_input / n_output|, the gap to the achieved speed-up."""
-    if not 1 <= desired < math.inf:
-        raise ValueError(f"desired speed-up must be finite and at least 1, got {desired}")
-    if not 0 <= n_input < math.inf:
-        raise ValueError(f"n_input must be finite and non-negative, got {n_input}")
+    desired = check_real("desired speed-up", desired, 1)
+    n_input = check_real("n_input", n_input, 0)
     if n_output < 1:
         raise ValueError("n_output must be at least 1")
     return abs(desired - n_input / n_output)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_seed
+
 __all__ = [
     "DEFAULT_EMBED_DIM",
     "DEFAULT_HIDDEN_DIM",
@@ -201,6 +203,7 @@ def init_subnet(
     embed_dim: int = DEFAULT_EMBED_DIM,
 ) -> Subnet:
     """Seeded uniform init with per-layer fan-in bounds, biases included."""
+    check_seed(seed)
     _check_dims(input_dim, hidden_dim, embed_dim)
     rng = np.random.default_rng(seed)
     return Subnet(
@@ -220,6 +223,7 @@ def init_scorer(
     cell's, each entry in [-1/sqrt(D+H), 1/sqrt(D+H)]; the readout's fan-in
     is the 2H concatenation.
     """
+    check_seed(seed)
     _check_dims(input_dim, hidden_dim)
     rng = np.random.default_rng(seed)
     fan_in = input_dim + hidden_dim

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._checks import check_real
 from .model import Subnet, embed_frames
 
 __all__ = [
@@ -68,14 +69,11 @@ class Roi:
     area: float
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
-        if not all(-math.inf < v < math.inf for v in self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
-        if self.area < 0:
-            raise ValueError(f"area must be non-negative, got {self.area}")
-        if not self.area < math.inf:
-            raise ValueError(f"area must be finite, got {self.area}")
+        x, y = self.center
+        # The fields hold the checked Python numbers, so NumPy scalars score like them.
+        object.__setattr__(self, "confidence", check_real("confidence", self.confidence, 0, 1))
+        object.__setattr__(self, "center", (check_real("center x", x), check_real("center y", y)))
+        object.__setattr__(self, "area", check_real("area", self.area, 0))
 
 
 def uniform_segments(n_frames: int, seg_len: int) -> list[Segment]:
@@ -205,6 +203,8 @@ def kmedoids(points: Sequence[np.ndarray], k: int) -> list[int]:
 
 def generate_summary(segfeats: Sequence[SegmentFeature], k: int) -> list[Segment]:
     """Select k medoid segments and return them sorted by start frame."""
+    if not segfeats:
+        raise ValueError(f"there is no segment to choose k={k} from")
     feats = [sf.feature for sf in segfeats]
     chosen = kmedoids(feats, k)
     return sorted((segfeats[i].segment for i in chosen), key=lambda s: s.start)
@@ -222,16 +222,23 @@ def semantic_score(
     center; size is the ROI area as a fraction of the frame, clamped to [0, 1].
     When sigma is omitted it defaults to a quarter of the frame diagonal.
     """
+    frame_w = check_real("frame_w", frame_w, positive=True)
+    frame_h = check_real("frame_h", frame_h, positive=True)
     if sigma is None:
-        sigma = 0.25 * float(np.hypot(frame_w, frame_h))
-    for name, value in (("frame_w", frame_w), ("frame_h", frame_h), ("sigma", sigma)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        with np.errstate(over="ignore"):  # an infinite diagonal fails the sigma rule below
+            sigma = 0.25 * float(np.hypot(frame_w, frame_h))
+    else:
+        sigma = check_real("sigma", sigma, positive=True)
     # So that sigma**2 in the loop neither overflows nor divides by zero.
     if not 0 < 2.0 * sigma * sigma < math.inf:
         raise ValueError(
             f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
             "2 * sigma**2 is not a positive float64"
+        )
+    if not frame_w * frame_h > 0:
+        raise ValueError(
+            f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of range: "
+            "frame_w * frame_h underflows to 0"
         )
     cx, cy = frame_w / 2.0, frame_h / 2.0
     total = 0.0
@@ -303,13 +310,10 @@ def segment_speedups(len_s: float, len_ns: float, target: float, rho_s: float) -
     The output length budget (len_s + len_ns) / target is split between the
     two parts: len_s / rho_s + len_ns / rho_ns must hit the budget exactly.
     """
-    for name, length in (("len_s", len_s), ("len_ns", len_ns)):
-        if not 0 <= length < math.inf:
-            raise ValueError(f"{name} must be finite and non-negative, got {length}")
-    if not 1 <= target < math.inf:
-        raise ValueError(f"target speed-up must be finite and at least 1, got {target}")
-    if not 1 <= rho_s <= target:
-        raise ValueError(f"semantic speed-up rho_s must lie in [1, {target}], got {rho_s}")
+    len_s = check_real("len_s", len_s, 0)
+    len_ns = check_real("len_ns", len_ns, 0)
+    target = check_real("target speed-up", target, 1)
+    rho_s = check_real("semantic speed-up rho_s", rho_s, 1, target)
     total = len_s + len_ns
     if not total <= sys.float_info.max:  # Python compares an int with a float exactly
         raise ValueError(f"len_s + len_ns overflows float64: {len_s} + {len_ns}")
@@ -345,14 +349,9 @@ def speedup_frame_selection(
     if max_skip < 1:
         raise ValueError("max_skip must be at least 1")
     _check_finite_scores(scores)
-    for name, value in (("rho", rho), ("lambda_speed", lambda_speed), ("lambda_sem", lambda_sem)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if rho < 1:
-        raise ValueError("speed-up rho must be at least 1")
-    for name, value in (("lambda_speed", lambda_speed), ("lambda_sem", lambda_sem)):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+    rho = check_real("rho", rho, 1)
+    lambda_speed = check_real("lambda_speed", lambda_speed, 0)
+    lambda_sem = check_real("lambda_sem", lambda_sem, 0)
 
     # speed[skip] is the speed term of every edge that advances `skip` frames.  A float
     # square that overflows raises OverflowError, and then every edge's term overflows.

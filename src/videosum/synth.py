@@ -9,10 +9,11 @@ and negative pair labels tying each event block to its description.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import check_real, check_seed
 
 __all__ = ["SynthSpec", "SynthData", "synth_generate"]
 
@@ -27,13 +28,11 @@ class SynthSpec:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
+        check_seed(self.seed)
         for name in ("n_events", "frames_per_event", "gap_frames", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(
-                f"noise_sigma must be finite and non-negative, got {self.noise_sigma}"
-            )
+        object.__setattr__(self, "noise_sigma", check_real("noise_sigma", self.noise_sigma, 0))
         # Centers lie 10 * noise_sigma from the origin, and features are written as float32.
         if 10.0 * self.noise_sigma > float(np.finfo(np.float32).max):
             raise ValueError(

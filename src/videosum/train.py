@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real, check_seed
 from .model import Subnet, _forward
 
 __all__ = [
@@ -56,18 +57,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_margin(self.margin)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}"
-            )
+        self.margin = check_real("margin", self.margin, 0)
+        self.learning_rate = check_real("learning_rate", self.learning_rate, positive=True)
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-
-
-def _check_margin(margin: float) -> None:
-    if not 0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+        check_seed(self.seed)
 
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:
@@ -76,7 +70,7 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"embedding shapes differ: {x.shape} vs {y.shape}")
-    _check_margin(margin)
+    margin = check_real("margin", margin, 0)
     diff = x - y
     d = float(diff @ diff)
     if label:
@@ -138,8 +132,7 @@ def finite_diff_check(
     max(|analytic|, |numeric|, 1e-8).  A NaN error is returned at once, so it
     fails every tolerance.
     """
-    if not 0 < h < math.inf:
-        raise ValueError(f"step h must be finite and positive, got {h}")
+    h = check_real("step h", h, positive=True)
     _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
     worst = 0.0
     for net, grads in ((vnet, grad_v), (dnet, grad_d)):

@@ -18,7 +18,6 @@ from videosum.summarize import (
     SegmentFeature,
     clustering_cost,
     generate_summary,
-    kmedoids,
     pam_iterations,
     segment_speedups,
     speedup_frame_selection,

@@ -270,23 +270,27 @@ class TestPipeline:
         "changes, needle",
         [
             ({"frames": [[], [{"confidence": 2.0, "cx": 1, "cy": 1, "area": 1}]]},
-             "frame 1: confidence must lie in [0, 1], got 2.0"),
+             "frame 1: confidence must be in [0, 1], got 2.0"),
             ({"frames": [[{"confidence": 0.5, "cx": 1, "cy": 1, "area": -3}]]},
-             "frame 0: area must be non-negative, got -3"),
+             "frame 0: area must be finite and non-negative, got -3"),
             ({"frames": [[{"confidence": 0.5, "cx": "a", "cy": 1, "area": 1}]]},
-             "frame 0: ROI fields must be finite numbers"),
-            ({"frame_w": 0}, "frame_w must be a positive number, got 0"),
-            ({"frame_h": -2.5}, "frame_h must be a positive number, got -2.5"),
-            ({"sigma": 0}, "sigma must be a positive number, got 0"),
+             "frame 0: center x must be finite, got 'a'"),
+            ({"frame_w": 0}, "frame_w must be finite and positive, got 0"),
+            ({"frame_h": -2.5}, "frame_h must be finite and positive, got -2.5"),
+            ({"sigma": 0}, "sigma must be finite and positive, got 0"),
             ({"frames": 5}, "frames must be a list of per-frame ROI lists"),
             ({"frames": [5]}, "frame 0: expected a list of ROI records"),
             ({"sigma": 1e200}, "sigma=1e+200 for a 10 x 10 frame is out of range: "
              "2 * sigma**2 is not a positive float64"),
             ({"frame_w": 1e-200, "frame_h": 1e-200},
              "sigma=3.5355339059327375e-201 for a 1e-200 x 1e-200 frame is out of range"),
+            ({"frame_w": 1e-200, "frame_h": 1e-200, "sigma": 1},
+             "frame size 1e-200 x 1e-200 with sigma=1 is out of range: "
+             "frame_w * frame_h underflows to 0"),
         ],
         ids=["confidence", "area", "non-numeric-center", "frame-w", "frame-h", "sigma",
-             "frames-not-a-list", "frame-not-a-list", "sigma-overflows", "tiny-frame"],
+             "frames-not-a-list", "frame-not-a-list", "sigma-overflows", "tiny-frame",
+             "tiny-frame-area"],
     )
     def test_score_semantic_bad_document_names_file(self, tmp_path, capsys, changes, needle):
         doc = {"frame_w": 10, "frame_h": 10, "frames": [[]]}
@@ -410,7 +414,7 @@ class TestPipeline:
         )
         assert code == 1
         name = flag[2:].replace("-", "_")
-        assert err.splitlines() == [f"error: {name} must be non-negative, got -1.0"]
+        assert err.splitlines() == [f"error: {name} must be finite and non-negative, got -1.0"]
         assert not (tmp_path / "ff.json").exists()
 
     @pytest.mark.parametrize(
@@ -442,9 +446,9 @@ class TestPipeline:
         "command, text, needle",
         [
             ("eval", '{"intervals": [[0, 1%s]]}' % ("0" * 400),
-             "interval record 0: start and end must be finite numbers"),
+             "interval record 0: end must be finite, got 1%s" % ("0" * 400)),
             ("score-semantic", '{"frame_w": 1%s, "frame_h": 10, "frames": [[]]}' % ("0" * 400),
-             "frame_w must be a positive number"),
+             "frame_w must be finite and positive, got 1%s" % ("0" * 400)),
         ],
         ids=["eval-interval-end", "score-semantic-frame-w"],
     )
@@ -459,8 +463,7 @@ class TestPipeline:
         }[command]
         code, out, err = run(capsys, command, *argv)
         assert code == 1
-        (line,) = err.splitlines()
-        assert line.startswith(f"error: {doc}: {needle}")
+        assert err.splitlines() == [f"error: {doc}: {needle}"]
         assert out == ""
         assert not out_path.exists()
 
@@ -516,6 +519,60 @@ class TestPipeline:
         code, out, _ = run(capsys, "gradcheck", "--trials", "3")
         assert code == 1
         assert math.isnan(json.loads(out)["max_rel_error"])
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "trials must be at least 1, got 0"),
+            ("--trials", "-3", "trials must be at least 1, got -3"),
+            ("--tolerance", "nan", "tolerance must be finite and non-negative, got nan"),
+        ],
+        ids=["trials-zero", "trials-negative", "tolerance-nan"],
+    )
+    def test_gradcheck_bad_setting_exits_one(self, capsys, flag, value, message):
+        """No trial run, or a NaN tolerance, is an error rather than a vacuous pass."""
+        code, out, err = run(capsys, "gradcheck", flag, value)
+        assert code == 1
+        assert err.splitlines() == [f"error: {message}"]
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train", "score-lstm", "gradcheck"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        paths = gen_synth(tmp_path, capsys, seed=0, **{"n-events": 2})
+        out_path = tmp_path / "out"
+        argv = {
+            "gen-synth": ["--features", str(out_path), "--truth", str(tmp_path / "t.json"),
+                          "--descs", str(tmp_path / "d.vsd"), "--labels", str(tmp_path / "p.txt")],
+            "train": ["--features", str(paths["features"]), "--descs", str(paths["descs"]),
+                      "--pairs", str(paths["labels"]), "--seg-len", "36", "--out", str(out_path)],
+            "score-lstm": ["--features", str(paths["features"]), "--out", str(out_path)],
+            "gradcheck": [],
+        }[command]
+        code, out, err = run(capsys, command, "--seed", "-1", *argv)
+        assert code == 1
+        assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_summarize_video_shorter_than_a_segment_exits_one(self, tmp_path, capsys):
+        features = tmp_path / "f.vsf"
+        write_matrix(features, np.zeros((3, 2)), MAGIC_FEATURES)
+        model = tmp_path / "m.npz"
+        save_checkpoint(model, init_subnet(0, 2, 4, 3), init_subnet(1, 5, 4, 3))
+        out_path = tmp_path / "s.json"
+        code, out, err = run(
+            capsys,
+            "summarize",
+            "--features", str(features),
+            "--model", str(model),
+            "--seg-len", "4",
+            "--k", "1",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.splitlines() == ["error: there is no segment to choose k=1 from"]
+        assert out == ""
+        assert not out_path.exists()
 
 
 class TestDeterminism:

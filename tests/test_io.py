@@ -175,8 +175,8 @@ class TestIntervalDocuments:
     @pytest.mark.parametrize(
         "intervals, needle",
         [
-            ([[0, 2], ["a", 2]], "interval record 1: start and end must be finite numbers"),
-            ([[0, 2], [1, True]], "interval record 1: start and end must be finite numbers"),
+            ([[0, 2], ["a", 2]], "interval record 1: start must be finite, got 'a'$"),
+            ([[0, 2], [1, True]], "interval record 1: end must be finite, got True$"),
             (5, "intervals must be a list"),
         ],
         ids=["string-start", "boolean-end", "not-a-list"],

@@ -63,13 +63,21 @@ class TestNormalizeIntervals:
             normalize_intervals([[0, 3], [7, 7]])
 
     @pytest.mark.parametrize(
-        "pair",
-        [(math.nan, 3), (0, math.nan), (0, math.inf), (-math.inf, 2), (0, 10**400), (-10**400, 2)],
+        "pair, rule",
+        [
+            ((math.nan, 3), "start must be finite, got nan"),
+            ((0, math.nan), "end must be finite, got nan"),
+            ((0, math.inf), "end must be finite, got inf"),
+            ((-math.inf, 2), "start must be finite, got -inf"),
+            ((0, 10**400), f"end must be finite, got {10**400}"),
+            ((-10**400, 2), f"start must be finite, got {-10**400}"),
+        ],
+        ids=[f"pair{i}" for i in range(6)],
     )
-    def test_non_finite_record_rejected(self, pair):
-        with pytest.raises(ValueError, match="interval record 1: bounds must be finite"):
+    def test_non_finite_record_rejected(self, pair, rule):
+        with pytest.raises(ValueError, match=f"^interval record 1: {rule}$"):
             normalize_intervals([(0, 1), pair])
-        with pytest.raises(ValueError, match="interval record 0: bounds must be finite"):
+        with pytest.raises(ValueError, match=f"^interval record 0: {rule}$"):
             keyshot_pr([pair], [(0, 2)])
 
 
@@ -248,8 +256,11 @@ class TestSpeedupDeviation:
             ((4.0, math.nan, 2), "n_input must be finite and non-negative, got nan"),
             ((4.0, math.inf, 2), "n_input must be finite and non-negative, got inf"),
             ((4.0, -10, 2), "n_input must be finite and non-negative, got -10"),
+            ((10**5000, 10, 2), "desired speed-up must be finite and at least 1, "
+             "got an int of 16610 bits"),
         ],
-        ids=["desired-nan", "desired-inf", "n-input-nan", "n-input-inf", "n-input-negative"],
+        ids=["desired-nan", "desired-inf", "n-input-nan", "n-input-inf", "n-input-negative",
+             "desired-too-long-to-print"],
     )
     def test_bad_argument_named(self, args, needle):
         with pytest.raises(ValueError, match=f"^{needle}$"):

@@ -1,4 +1,7 @@
-"""The package's public surface: the union of its modules' `__all__` lists."""
+"""The package's public surface: the union of its modules' `__all__` lists, and no dead import."""
+
+import ast
+from pathlib import Path
 
 import videosum
 
@@ -22,3 +25,33 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(videosum.__all__) == PUBLIC_NAMES
     for name in videosum.__all__:
         assert getattr(videosum, name) is not None, name
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never mentions; a name listed in `__all__` counts as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    where = f"{path.parent.name}/{path.name}"
+    return [f"{where}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """Every module of the package, the tests and the demos uses each name it imports."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src/videosum", "tests", "demos")
+             for path in sorted((root / folder).glob("*.py"))]
+    assert paths
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

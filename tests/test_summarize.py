@@ -346,6 +346,10 @@ class TestGenerateSummary:
         segs = generate_summary(self.feats_from(pts), 1)
         assert len(segs) == 1
 
+    def test_no_segment_named(self):
+        with pytest.raises(ValueError, match="^there is no segment to choose k=2 from$"):
+            generate_summary([], 2)
+
     def test_output_sorted_and_duplicate_free(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))
@@ -413,15 +417,14 @@ class TestSemanticScore:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_roi_fields_rejected(self, bad):
-        with pytest.raises(ValueError, match=r"confidence must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=rf"^confidence must be in \[0, 1\], got {bad}$"):
             Roi(confidence=bad, center=(1.0, 1.0), area=1.0)
-        with pytest.raises(ValueError, match="center must be finite"):
+        with pytest.raises(ValueError, match=f"^center x must be finite, got {bad}$"):
             Roi(confidence=0.5, center=(bad, 1.0), area=1.0)
-        with pytest.raises(ValueError, match="center must be finite"):
+        with pytest.raises(ValueError, match=f"^center y must be finite, got {bad}$"):
             Roi(confidence=0.5, center=(1.0, bad), area=1.0)
-        if bad != -math.inf:
-            with pytest.raises(ValueError, match="area must be finite"):
-                Roi(confidence=0.5, center=(1.0, 1.0), area=bad)
+        with pytest.raises(ValueError, match=f"^area must be finite and non-negative, got {bad}$"):
+            Roi(confidence=0.5, center=(1.0, 1.0), area=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("name", ["frame_w", "frame_h", "sigma"])
@@ -440,9 +443,10 @@ class TestSemanticScore:
             ((5.0, 5.0), 1e300, None, r"sigma=3.5\d*e\+299 for a 1e\+300 x 1e\+300 frame"),
             ((5.0, 5.0), 1e300, 2.0, r"ROI center \(5.0, 5.0\) is too far from the frame center"),
             ((0.0, 0.0), 1e-200, 1.0, r"frame size 1e-200 x 1e-200 with sigma=1.0 is out of range"),
+            ((5.0, 5.0), 1.7e308, None, r"sigma=inf for a 1.7e\+308 x 1.7e\+308 frame"),
         ],
         ids=["far-center", "huge-sigma", "tiny-sigma", "huge-frame", "huge-frame-sigma",
-             "tiny-frame"],
+             "tiny-frame", "overflowing-diagonal"],
     )
     def test_out_of_range_arithmetic_names_the_input(self, center, frame_w, sigma, needle):
         roi = Roi(confidence=1.0, center=center, area=1.0)
@@ -556,7 +560,7 @@ class TestSegmentSpeedups:
             ((10, -1, 6, 3), "len_ns must be finite and non-negative, got -1"),
             ((10, 10, math.nan, 1), "target speed-up must be finite and at least 1, got nan"),
             ((10, 10, math.inf, 3), "target speed-up must be finite and at least 1, got inf"),
-            ((10, 10, 6, math.nan), r"semantic speed-up rho_s must lie in \[1, 6\], got nan"),
+            ((10, 10, 6, math.nan), r"semantic speed-up rho_s must be in \[1, 6\], got nan"),
             ((1e308, 1e308, 2, 1), r"len_s \+ len_ns overflows float64: 1e\+308 \+ 1e\+308"),
         ],
         ids=["len-s-inf", "len-s-nan", "len-ns-inf", "len-ns-negative", "target-nan",
@@ -661,7 +665,7 @@ class TestSpeedupFrameSelection:
 
     @pytest.mark.parametrize("name", ["lambda_speed", "lambda_sem"])
     def test_negative_weight_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be non-negative, got -1"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got -1$"):
             speedup_frame_selection(np.linspace(0, 1, 8), 2, 3, **{name: -1})
 
     def test_too_few_frames(self):
