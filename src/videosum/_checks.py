@@ -1,4 +1,4 @@
-"""The one rule for a real-valued setting or document number, and the one for a seed."""
+"""The one rule for a real-valued setting or document number, and the one for an integer."""
 
 from __future__ import annotations
 
@@ -34,9 +34,14 @@ def check_real(name: str, value, low=-math.inf, high=math.inf, *, positive: bool
     raise ValueError(f"{name} must be {rule}, got {shown}")
 
 
-def check_seed(seed) -> None:
-    """A ValueError unless `seed` is a non-negative integer other than a bool."""
-    if isinstance(seed, np.generic):
-        seed = seed.item()
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def check_int(name: str, value, low: int) -> int:
+    """`value` as a Python int; a ValueError starting with `name` unless it is an integer
+    other than a bool and at least `low`.  A NumPy integer becomes the int it holds."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+        return value
+    rule = ("a non-negative integer" if low == 0
+            else "a positive integer" if low == 1
+            else f"an integer of at least {low}")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")

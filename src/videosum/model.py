@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_seed
+from ._checks import check_int
 
 __all__ = [
     "DEFAULT_EMBED_DIM",
@@ -60,6 +60,9 @@ class LstmParams:
             raise ValueError(
                 f"LSTM gate matrix has shape {w.shape}, expected (4H, D+H) with H, D >= 1"
             )
+        if not np.isfinite(w).all():
+            row, col = np.argwhere(~np.isfinite(w))[0]
+            raise ValueError(f"LSTM gate matrix has a non-finite weight at row {row}, column {col}")
 
     @property
     def hidden_dim(self) -> int:
@@ -112,55 +115,85 @@ class ImportanceScorer:
     readout_b: float
 
 
-def _cell(w: np.ndarray, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One unchecked step to (h', c'): c' = i * tanh(W_c [x ; h]) + f * c, h' = o * tanh(c').
+# Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
+# block, so a frame's projection does not depend on how many frames follow it.
+_CHUNK = 128
 
-    i, f, o are the sigmoids of the first three gate blocks of one matvec w @ [x ; h].
+
+def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One unchecked step to (h', c'): c' = i * tanh(z_c) + f * c, h' = o * tanh(c').
+
+    z = zx + w_h @ h, where zx = W_x x is the frame's input projection; i, f, o are the
+    sigmoids of its first three gate blocks.
     """
     h_dim = h.shape[0]
-    z = w @ np.concatenate([x, h])
+    z = zx + w_h @ h
     ifo = sigmoid(z[: 3 * h_dim])
     c = ifo[:h_dim] * np.tanh(z[3 * h_dim :]) + ifo[h_dim : 2 * h_dim] * c
     return ifo[2 * h_dim :] * np.tanh(c), c
+
+
+def _scan(params: LstmParams, frames, reverse: bool) -> np.ndarray:
+    """lstm_scan over the rows of `frames`, last row first if `reverse`; row t of the
+    result is always the hidden state at frame t, and errors name frames as given."""
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
+    n, d = frames.shape
+    if n > 0 and d != params.input_dim:
+        raise ValueError(f"frames have {d} columns, cell expects {params.input_dim}")
+    if not np.isfinite(frames).all():
+        frame = np.flatnonzero(~np.isfinite(frames).all(axis=1))[0]
+        raise ValueError(f"frames contain a non-finite value at frame {frame}")
+
+    w_x = params.w[:, :d]
+    w_h = np.ascontiguousarray(params.w[:, d:])
+    rows = np.zeros((_CHUNK, d))
+    h = c = np.zeros(params.hidden_dim)
+    hidden = np.empty((n, params.hidden_dim))
+    src, out = (frames[::-1], hidden[::-1]) if reverse else (frames, hidden)
+    # A step that overflows leaves NaN behind it; the finished rows are checked once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - s)
+            rows[:m] = src[s : s + m]
+            for t, zx in zip(range(s, s + m), rows @ w_x.T):
+                h, c = _cell(w_h, zx, h, c)
+                out[t] = h
+    bad = np.flatnonzero(~np.isfinite(hidden).all(axis=1))
+    if bad.size:
+        first = bad[-1] if reverse else bad[0]
+        raise ValueError(f"LSTM hidden state is not finite from frame {first}: the cell overflowed")
+    return hidden
 
 
 def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
     """Run the cell over the rows of `frames` from a zero state.
 
     Returns a (T, hidden_dim) matrix whose row t is h_t.  An empty input
-    yields an empty (0, hidden_dim) output.
+    yields an empty (0, hidden_dim) output.  Each chunk of frames is projected
+    by one GEMM, then each step does one (4H, H) matvec on the hidden state.
+    A non-finite frame, or a hidden state that overflows, raises a ValueError
+    naming the frame.
     """
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 2:
-        raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
-    if frames.shape[0] > 0 and frames.shape[1] != params.input_dim:
-        raise ValueError(
-            f"frames have {frames.shape[1]} columns, cell expects {params.input_dim}"
-        )
-
-    h = c = np.zeros(params.hidden_dim)
-    hidden = np.empty((frames.shape[0], params.hidden_dim))
-    for t in range(frames.shape[0]):
-        h, c = _cell(params.w, frames[t], h, c)
-        hidden[t] = h
-    return hidden
+    return _scan(params, frames, reverse=False)
 
 
 def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray:
     """Per-frame importance scores in (0, 1).
 
-    The forward cell scans the sequence as given; the backward cell scans the
-    reversed sequence and its outputs are re-reversed so that both hidden
-    states at index t describe frame t.  score_t = sigmoid(w . [h_f ; h_b] + b).
+    The forward cell scans the sequence as given; the backward cell scans it
+    last frame first, so that both hidden states at index t describe frame t.
+    score_t = sigmoid(w . [h_f ; h_b] + b).
     """
-    width = scorer.forward.hidden_dim + scorer.backward.hidden_dim
+    h_dim = scorer.forward.hidden_dim
+    width = h_dim + scorer.backward.hidden_dim
     if scorer.readout_w.shape != (width,):
         raise ValueError(f"readout has shape {scorer.readout_w.shape}, expected ({width},)")
-    frames = np.asarray(frames, dtype=float)
-    h_fwd = lstm_scan(scorer.forward, frames)
-    h_bwd = lstm_scan(scorer.backward, frames[::-1])[::-1]
-    both = np.hstack([h_fwd, h_bwd])
-    return sigmoid(both @ scorer.readout_w + scorer.readout_b)
+    h_fwd = _scan(scorer.forward, frames, reverse=False)
+    h_bwd = _scan(scorer.backward, frames, reverse=True)
+    w = scorer.readout_w
+    return sigmoid(h_fwd @ w[:h_dim] + h_bwd @ w[h_dim:] + scorer.readout_b)
 
 
 def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,12 +218,6 @@ def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:
     return _forward(net, rows)[1].mean(axis=0)
 
 
-def _check_dims(*dims: int) -> None:
-    for d in dims:
-        if d < 1:
-            raise ValueError(f"dimensions must be positive, got {dims}")
-
-
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -203,8 +230,9 @@ def init_subnet(
     embed_dim: int = DEFAULT_EMBED_DIM,
 ) -> Subnet:
     """Seeded uniform init with per-layer fan-in bounds, biases included."""
-    check_seed(seed)
-    _check_dims(input_dim, hidden_dim, embed_dim)
+    check_int("seed", seed, 0)
+    for name, dim in (("input_dim", input_dim), ("hidden_dim", hidden_dim), ("embed_dim", embed_dim)):
+        check_int(name, dim, 1)
     rng = np.random.default_rng(seed)
     return Subnet(
         w1=_uniform(rng, (hidden_dim, input_dim), input_dim),
@@ -223,8 +251,9 @@ def init_scorer(
     cell's, each entry in [-1/sqrt(D+H), 1/sqrt(D+H)]; the readout's fan-in
     is the 2H concatenation.
     """
-    check_seed(seed)
-    _check_dims(input_dim, hidden_dim)
+    check_int("seed", seed, 0)
+    for name, dim in (("input_dim", input_dim), ("hidden_dim", hidden_dim)):
+        check_int(name, dim, 1)
     rng = np.random.default_rng(seed)
     fan_in = input_dim + hidden_dim
     fwd = LstmParams(w=_uniform(rng, (4 * hidden_dim, fan_in), fan_in))

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import check_real
+from ._checks import check_int, check_real
 from .model import Subnet, embed_frames
 
 __all__ = [
@@ -69,7 +69,10 @@ class Roi:
     area: float
 
     def __post_init__(self):
-        x, y = self.center
+        try:
+            x, y = self.center
+        except (TypeError, ValueError):
+            raise ValueError(f"center must be a pair (x, y), got {self.center!r}") from None
         # The fields hold the checked Python numbers, so NumPy scalars score like them.
         object.__setattr__(self, "confidence", check_real("confidence", self.confidence, 0, 1))
         object.__setattr__(self, "center", (check_real("center x", x), check_real("center y", y)))
@@ -82,10 +85,8 @@ def uniform_segments(n_frames: int, seg_len: int) -> list[Segment]:
     A trailing remainder shorter than seg_len is dropped, so the output
     covers exactly floor(n_frames / seg_len) * seg_len frames.
     """
-    if seg_len < 1:
-        raise ValueError("seg_len must be at least 1")
-    if n_frames < 0:
-        raise ValueError("n_frames must be non-negative")
+    seg_len = check_int("seg_len", seg_len, 1)
+    n_frames = check_int("n_frames", n_frames, 0)
     return [
         Segment(index=i, start=i * seg_len, end=(i + 1) * seg_len)
         for i in range(n_frames // seg_len)
@@ -346,8 +347,7 @@ def speedup_frame_selection(
     t = scores.size
     if t < 2:
         raise ValueError("need at least 2 frames")
-    if max_skip < 1:
-        raise ValueError("max_skip must be at least 1")
+    max_skip = check_int("max_skip", max_skip, 1)
     _check_finite_scores(scores)
     rho = check_real("rho", rho, 1)
     lambda_speed = check_real("lambda_speed", lambda_speed, 0)

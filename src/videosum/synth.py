@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_real, check_seed
+from ._checks import check_int, check_real
 
 __all__ = ["SynthSpec", "SynthData", "synth_generate"]
 
@@ -28,10 +28,9 @@ class SynthSpec:
     noise_sigma: float = 0.05
 
     def __post_init__(self):
-        check_seed(self.seed)
-        for name in ("n_events", "frames_per_event", "gap_frames", "dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, low in (("seed", 0), ("n_events", 1), ("frames_per_event", 1),
+                          ("gap_frames", 1), ("dim", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         object.__setattr__(self, "noise_sigma", check_real("noise_sigma", self.noise_sigma, 0))
         # Centers lie 10 * noise_sigma from the origin, and features are written as float32.
         if 10.0 * self.noise_sigma > float(np.finfo(np.float32).max):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_real, check_seed
+from ._checks import check_int, check_real
 from .model import Subnet, _forward
 
 __all__ = [
@@ -59,9 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         self.margin = check_real("margin", self.margin, 0)
         self.learning_rate = check_real("learning_rate", self.learning_rate, positive=True)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        check_seed(self.seed)
+        self.epochs = check_int("epochs", self.epochs, 0)
+        self.seed = check_int("seed", self.seed, 0)
 
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:

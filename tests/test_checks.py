@@ -1,7 +1,8 @@
-"""The number rule and the seed rule, applied at every entry point that takes one.
+"""The number rule and the integer rule, applied at every entry point that takes one.
 
 A real-valued setting or document number must be a number other than a bool that
-float64 holds, within the parameter's range.  A rejection is one ValueError,
+float64 holds, within the parameter's range; an integer setting must be an int
+other than a bool, at least its lower bound.  A rejection is one ValueError,
 "<name> must be <rule>, got <value>", with the file first for a document; a NumPy
 scalar behaves exactly like the Python number it holds.
 """
@@ -15,7 +16,13 @@ import pytest
 from videosum.io import read_intervals, read_rois
 from videosum.metrics import normalize_intervals, speedup_deviation
 from videosum.model import init_scorer, init_subnet
-from videosum.summarize import Roi, segment_speedups, semantic_score, speedup_frame_selection
+from videosum.summarize import (
+    Roi,
+    segment_speedups,
+    semantic_score,
+    speedup_frame_selection,
+    uniform_segments,
+)
 from videosum.synth import SynthSpec, synth_generate
 from videosum.train import PairExample, TrainConfig, contrastive_loss, finite_diff_check
 
@@ -128,6 +135,45 @@ def test_roi_document_number_follows_the_number_rule(tmp_path, field, rule):
         with pytest.raises(ValueError) as exc:
             read_rois(path)
         assert str(exc.value) == f"{path}: {rule}, got {bad!r}"
+
+
+# The message before ", got <value>", the call on the value, and the lowest valid value.
+INT_PARAMETERS = [
+    ("epochs must be a non-negative integer", lambda v: TrainConfig(epochs=v), 0),
+    ("n_events must be a positive integer", lambda v: SynthSpec(seed=0, n_events=v), 1),
+    ("frames_per_event must be a positive integer",
+     lambda v: SynthSpec(seed=0, frames_per_event=v), 1),
+    ("gap_frames must be a positive integer", lambda v: SynthSpec(seed=0, gap_frames=v), 1),
+    ("dim must be a positive integer", lambda v: SynthSpec(seed=0, dim=v), 1),
+    ("n_frames must be a non-negative integer", lambda v: uniform_segments(v, 2), 0),
+    ("seg_len must be a positive integer", lambda v: uniform_segments(10, v), 1),
+    ("max_skip must be a positive integer", lambda v: speedup_frame_selection(SCORES, 2, v), 1),
+    ("input_dim must be a positive integer", lambda v: init_scorer(0, v, 3), 1),
+    ("hidden_dim must be a positive integer", lambda v: init_scorer(0, 3, v), 1),
+    ("input_dim must be a positive integer", lambda v: init_subnet(0, v, 3, 2), 1),
+    ("hidden_dim must be a positive integer", lambda v: init_subnet(0, 3, v, 2), 1),
+    ("embed_dim must be a positive integer", lambda v: init_subnet(0, 3, 4, v), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, call, low", INT_PARAMETERS,
+    ids=[f"{i}-{p[0].split(' must')[0]}" for i, p in enumerate(INT_PARAMETERS)],
+)
+def test_integer_parameter_follows_the_integer_rule(rule, call, low):
+    for bad in [low - 1, np.int64(low - 1), 2.5, 2.0, True, "2", None]:
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        shown = bad.item() if isinstance(bad, np.generic) else bad
+        assert str(exc.value) == f"{rule}, got {shown!r}"
+    assert repr(call(np.int64(low + 2))) == repr(call(low + 2))
+
+
+@pytest.mark.parametrize("center", [(1, 2, 3), (1,), 5, None])
+def test_roi_center_must_be_a_pair(center):
+    with pytest.raises(ValueError) as exc:
+        Roi(0.5, center, 1)
+    assert str(exc.value) == f"center must be a pair (x, y), got {center!r}"
 
 
 @pytest.mark.parametrize(

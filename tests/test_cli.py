@@ -151,7 +151,7 @@ class TestPipeline:
         [
             ("--lr", "nan", "learning_rate must be finite and positive, got nan"),
             ("--margin", "nan", "margin must be finite and non-negative, got nan"),
-            ("--epochs", "-2", "epochs must be non-negative, got -2"),
+            ("--epochs", "-2", "epochs must be a non-negative integer, got -2"),
         ],
     )
     def test_train_bad_setting_exits_one(self, tmp_path, capsys, flag, value, message):

@@ -51,6 +51,31 @@ def make_1d_params(w_i, w_f, w_o, w_c):
     return LstmParams(w=np.array([w_i, w_f, w_o, w_c], dtype=float))
 
 
+def step(w, x, h, c):
+    """One step on [x ; h]: the kernel takes the recurrent block and the input projection."""
+    d = x.shape[0]
+    return _cell(w[:, d:], w[:, :d] @ x, h, c)
+
+
+def concatenated_scan(w, frames):
+    """Hidden rows from the textbook step z = w @ [x ; h], written out without the kernel."""
+    h_dim = w.shape[0] // 4
+    h = c = np.zeros(h_dim)
+    rows = []
+    for x in frames:
+        z = w @ np.concatenate([x, h])
+        i, f, o = (1.0 / (1.0 + np.exp(-z[k * h_dim : (k + 1) * h_dim])) for k in range(3))
+        c = i * np.tanh(z[3 * h_dim :]) + f * c
+        h = o * np.tanh(c)
+        rows.append(h)
+    return np.array(rows)
+
+
+# H = 2, D = 1.  Gates i, f, o saturate at 1; the candidate rows add 100 x to
+# -1.7e308 (h_1 + h_2), so once h is about 0.76 a frame of 1e307 gives inf + -inf.
+OVERFLOWING_CELL = LstmParams([[100, 0, 0]] * 6 + [[100, -1.7e308, -1.7e308]] * 2)
+
+
 class TestLstmStep:
     """One step of the private cell kernel from a chosen (h, c)."""
 
@@ -58,21 +83,21 @@ class TestLstmStep:
         """All-zero weights force every gate to 0.5 and leave c' = h' = 0."""
         params = init_scorer(0, 3, 2).forward
         params.w[:] = 0.0
-        h, c = _cell(params.w, np.ones(3), np.zeros(2), np.zeros(2))
+        h, c = step(params.w, np.ones(3), np.zeros(2), np.zeros(2))
         np.testing.assert_array_equal(c, 0.0)
         np.testing.assert_array_equal(h, 0.0)
 
     def test_zero_weights_nonzero_cell(self):
         """Gates forced to 0.5: c' = 0.5 * c_prev, h' = 0.5 * tanh(c')."""
         params = make_1d_params([0, 0], [0, 0], [0, 0], [0, 0])
-        h, c = _cell(params.w, np.array([7.0]), np.zeros(1), np.ones(1))
+        h, c = step(params.w, np.array([7.0]), np.zeros(1), np.ones(1))
         np.testing.assert_allclose(c, [0.5], rtol=0, atol=0)
         np.testing.assert_allclose(h, [0.23105857863000487], rtol=1e-15)
 
     def test_unit_weight_scalar_case(self):
         """D=H=1 with all gate weights [1, 1], x=1, zero state."""
         params = make_1d_params([1, 1], [1, 1], [1, 1], [1, 1])
-        h, c = _cell(params.w, np.array([1.0]), np.zeros(1), np.zeros(1))
+        h, c = step(params.w, np.array([1.0]), np.zeros(1), np.zeros(1))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
         c_expect = sig1 * math.tanh(1.0)
         h_expect = sig1 * math.tanh(c_expect)
@@ -86,7 +111,7 @@ class TestLstmStep:
             w = rng.uniform(-2, 2, size=(4, 2))
             h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
             params = make_1d_params(*w)
-            h, c = _cell(params.w, np.array([x]), np.array([h_prev]), np.array([c_prev]))
+            h, c = step(params.w, np.array([x]), np.array([h_prev]), np.array([c_prev]))
             h_ref, c_ref = scalar_lstm_step(*w, h_prev, c_prev, x)
             assert abs(h[0] - h_ref) <= 1e-12
             assert abs(c[0] - c_ref) <= 1e-12
@@ -103,7 +128,7 @@ class TestLstmStep:
                 for w in np.split(params.w, 4)[:3]:
                     gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                     assert np.all(gate > 0) and np.all(gate < 1)
-                h, c = _cell(params.w, x, h, c)
+                h, c = step(params.w, x, h, c)
                 assert np.all(h > -1) and np.all(h < 1)
 
     @pytest.mark.parametrize("shape", [(7, 5), (8, 2), (0, 3), (8,), (2, 8, 5)])
@@ -111,6 +136,13 @@ class TestLstmStep:
         """Only a (4H, D+H) matrix with H, D >= 1 is a valid stack of four gates."""
         with pytest.raises(ValueError, match=r"expected \(4H, D\+H\)"):
             LstmParams(w=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.zeros((8, 3))
+        w[5, 1] = bad
+        with pytest.raises(ValueError, match="non-finite weight at row 5, column 1"):
+            LstmParams(w)
 
 
 class TestLstmScan:
@@ -137,19 +169,63 @@ class TestLstmScan:
                 h, c = scalar_lstm_step(*w, h, c, frames[t, 0])
                 assert abs(out[t, 0] - h) <= 1e-12
 
+    def test_matches_concatenated_steps_over_several_chunks(self):
+        """300 frames span three input-projection chunks; rows stay within 1e-12 of w @ [x ; h]."""
+        params = init_scorer(6, 5, 4).forward
+        frames = np.random.default_rng(6).normal(size=(300, 5))
+        np.testing.assert_allclose(
+            lstm_scan(params, frames), concatenated_scan(params.w, frames), rtol=0, atol=1e-12
+        )
+
     def test_causality(self):
-        """Truncating the input after t leaves rows 0..t bitwise unchanged."""
+        """Truncating the input after t leaves rows 0..t bitwise unchanged, at chunk edges too."""
         rng = np.random.default_rng(4)
         params = init_scorer(4, 5, 3).forward
-        frames = rng.normal(size=(8, 5))
+        frames = rng.normal(size=(300, 5))
         full = lstm_scan(params, frames)
-        for t in (1, 4, 7):
+        for t in (0, 1, 4, 7, 127, 128, 129, 255):
             np.testing.assert_array_equal(lstm_scan(params, frames[: t + 1]), full[: t + 1])
+
+    def test_strided_input_matches_its_contiguous_copy(self):
+        """Reversed, strided and column-major inputs give the rows of their contiguous copies."""
+        params = init_scorer(5, 5, 3).forward
+        frames = np.random.default_rng(5).normal(size=(300, 10))
+        for view in (frames[::-1, :5], frames[:, ::2], frames[::2, 5:],
+                     np.asfortranarray(frames[:, :5])):
+            np.testing.assert_array_equal(
+                lstm_scan(params, view), lstm_scan(params, np.ascontiguousarray(view))
+            )
 
     def test_shape_error(self):
         params = init_scorer(0, 3, 2).forward
         with pytest.raises(ValueError):
             lstm_scan(params, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_named(self, bad):
+        frames = np.zeros((5, 3))
+        frames[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite value at frame 3"):
+            lstm_scan(init_scorer(0, 3, 2).forward, frames)
+
+    def test_overflow_on_finite_input_is_silent_or_named(self):
+        """A projection beyond float64 raises no warning; the rows are finite or frame 0 is named."""
+        params = LstmParams([[2, -2, 0], [0] * 3, [0] * 3, [0] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = lstm_scan(params, [[1e308, 1e308]])
+            except ValueError as exc:
+                assert "from frame 0" in str(exc)
+            else:
+                assert np.isfinite(out).all()
+
+    def test_hidden_state_that_overflows_names_the_first_frame(self):
+        """z_c = inf + -inf at frame 1 makes h NaN from there on; frame 1 is named, not frame 2."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite from frame 1: the cell overflowed"):
+                lstm_scan(OVERFLOWING_CELL, [[1], [1e307], [1]])
 
 
 class TestScoreImportance:
@@ -166,8 +242,8 @@ class TestScoreImportance:
         scorer = init_scorer(1, 4, 3)
         frame = np.random.default_rng(2).normal(size=(1, 4))
         zero = np.zeros(3)
-        h_f = _cell(scorer.forward.w, frame[0], zero, zero)[0]
-        h_b = _cell(scorer.backward.w, frame[0], zero, zero)[0]
+        h_f = step(scorer.forward.w, frame[0], zero, zero)[0]
+        h_b = step(scorer.backward.w, frame[0], zero, zero)[0]
         z = scorer.readout_w @ np.concatenate([h_f, h_b]) + scorer.readout_b
         expected = 1.0 / (1.0 + np.exp(-z))
         np.testing.assert_allclose(score_importance(scorer, frame), [expected], rtol=1e-15)
@@ -197,6 +273,30 @@ class TestScoreImportance:
             0.39936035986651636,
         ]
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
+
+    def test_backward_cell_scans_the_reversed_frames(self):
+        """Scores equal the readout over lstm_scan forwards and lstm_scan on frames[::-1]."""
+        scorer = init_scorer(7, 5, 4)
+        frames = np.random.default_rng(7).normal(size=(300, 5))
+        h_f = lstm_scan(scorer.forward, frames)
+        h_b = np.ascontiguousarray(lstm_scan(scorer.backward, frames[::-1])[::-1])
+        expected = sigmoid(h_f @ scorer.readout_w[:4] + h_b @ scorer.readout_w[4:] + scorer.readout_b)
+        np.testing.assert_array_equal(score_importance(scorer, frames), expected)
+
+    def test_non_finite_frame_named(self):
+        frames = np.zeros((6, 3))
+        frames[4, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite value at frame 4"):
+            score_importance(init_scorer(0, 3, 2), frames)
+
+    @pytest.mark.parametrize("frames, first", [([[1], [1], [1e307], [1]], 2),
+                                               ([[1e307], [1], [1], [1]], 0)])
+    def test_backward_overflow_names_the_frame_in_input_order(self, frames, first):
+        """The forward scan stays finite; the backward scan goes bad at `first`, counted as given."""
+        scorer = ImportanceScorer(OVERFLOWING_CELL, OVERFLOWING_CELL, np.zeros(4), 0.0)
+        assert np.isfinite(lstm_scan(OVERFLOWING_CELL, frames)).all()
+        with pytest.raises(ValueError, match=f"not finite from frame {first}:"):
+            score_importance(scorer, frames)
 
     def test_readout_shape_checked_before_the_scans(self):
         """A wrong readout is named even when the frames would also fail the scan."""

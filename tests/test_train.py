@@ -260,7 +260,7 @@ class TestSgdTrain:
             ("margin", float("inf"), "margin must be finite and non-negative, got inf"),
             ("learning_rate", float("nan"), "learning_rate must be finite and positive, got nan"),
             ("learning_rate", float("inf"), "learning_rate must be finite and positive, got inf"),
-            ("epochs", -2, "epochs must be non-negative, got -2"),
+            ("epochs", -2, "epochs must be a non-negative integer, got -2"),
         ],
     )
     def test_non_finite_or_negative_settings_rejected(self, field, value, message):
