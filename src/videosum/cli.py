@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io as vio
-from ._checks import check_real
+from ._checks import check_int, check_real
 from .metrics import keyshot_pr
 from .model import init_scorer, init_subnet, score_importance
 from .summarize import (
@@ -132,8 +132,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be at least 1, got {args.trials}")
+    check_int("trials", args.trials, 1)
     check_real("tolerance", args.tolerance, 0)
     errors = []
     for trial in range(args.trials):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_real
+from ._checks import check_int, check_real
 
 __all__ = [
     "normalize_intervals",
@@ -132,6 +132,5 @@ def speedup_deviation(desired: float, n_input: int, n_output: int) -> float:
     """|desired - n_input / n_output|, the gap to the achieved speed-up."""
     desired = check_real("desired speed-up", desired, 1)
     n_input = check_real("n_input", n_input, 0)
-    if n_output < 1:
-        raise ValueError("n_output must be at least 1")
+    n_output = check_int("n_output", n_output, 1)
     return abs(desired - n_input / n_output)

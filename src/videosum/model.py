@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 
 __all__ = [
     "DEFAULT_EMBED_DIM",
@@ -106,13 +106,25 @@ class ImportanceScorer:
 
     Two LSTM cells share input/hidden dims and run over the sequence in
     opposite directions; a linear readout over the concatenated hidden
-    states followed by a sigmoid yields one score per frame in (0, 1).
+    states followed by a sigmoid yields one score per frame in (0, 1).  The
+    readout must have one finite weight per hidden unit of the two cells and a
+    finite bias; a ValueError names the first bad weight's index.
     """
 
     forward: LstmParams
     backward: LstmParams
     readout_w: np.ndarray
     readout_b: float
+
+    def __post_init__(self):
+        w = self.readout_w = np.asarray(self.readout_w, dtype=float)
+        width = self.forward.hidden_dim + self.backward.hidden_dim
+        if w.shape != (width,):
+            raise ValueError(f"readout has shape {w.shape}, expected ({width},)")
+        if not np.isfinite(w).all():
+            index = np.flatnonzero(~np.isfinite(w))[0]
+            raise ValueError(f"readout has a non-finite weight at index {index}")
+        self.readout_b = check_real("readout_b", self.readout_b)
 
 
 # Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
@@ -187,9 +199,6 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     score_t = sigmoid(w . [h_f ; h_b] + b).
     """
     h_dim = scorer.forward.hidden_dim
-    width = h_dim + scorer.backward.hidden_dim
-    if scorer.readout_w.shape != (width,):
-        raise ValueError(f"readout has shape {scorer.readout_w.shape}, expected ({width},)")
     h_fwd = _scan(scorer.forward, frames, reverse=False)
     h_bwd = _scan(scorer.backward, frames, reverse=True)
     w = scorer.readout_w

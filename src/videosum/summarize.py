@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._checks import check_int, check_real
-from .model import Subnet, embed_frames
+from .model import Subnet, _forward
 
 __all__ = [
     "Segment",
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _MAX_SWAPS = 100  # PAM swap rounds before pam_iterations stops
+# Frame rows per forward pass of segment_features, so its activations do not grow with
+# the video; a longer segment is embedded in a pass of its own.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,49 @@ def uniform_segments(n_frames: int, seg_len: int) -> list[Segment]:
 def segment_features(
     net: Subnet, frames: np.ndarray, segments: Sequence[Segment]
 ) -> list[SegmentFeature]:
-    """Embed each segment's frame rows; output ordered by segment index."""
+    """Embed each segment's frame rows as `embed_frames` does; output ordered by segment index.
+
+    Segments may overlap, leave gaps or come in any order.  The rows of whole segments
+    are embedded in one forward pass of at most _BLOCK_ROWS rows, so a feature may differ
+    from `embed_frames` on the segment alone in the last bits.
+    """
     frames = np.asarray(frames, dtype=float)
-    n = frames.shape[0]
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
+    n, d = frames.shape
     for seg in segments:
         if seg.start < 0 or seg.end > n:
             raise ValueError(
                 f"segment {seg.index} range [{seg.start}, {seg.end}) outside "
                 f"0..{n} frames"
             )
-    ordered = sorted(segments, key=lambda s: s.index)
-    return [
-        SegmentFeature(segment=seg, feature=embed_frames(net, frames[seg.start : seg.end]))
-        for seg in ordered
-    ]
+        if seg.start >= seg.end:
+            raise ValueError(f"segment {seg.index} range [{seg.start}, {seg.end}) is empty")
+        if d != net.input_dim:
+            raise ValueError(f"segment {seg.index} has {d} columns, net expects {net.input_dim}")
+    out: list[SegmentFeature] = []
+    for block in _blocks(sorted(segments, key=lambda s: s.index)):
+        z2 = _forward(net, np.concatenate([frames[s.start : s.end] for s in block]))[1]
+        row = 0
+        for seg in block:
+            stop = row + seg.end - seg.start
+            out.append(SegmentFeature(segment=seg, feature=z2[row:stop].mean(axis=0)))
+            row = stop
+    return out
+
+
+def _blocks(segments: Sequence[Segment]) -> Iterator[list[Segment]]:
+    """Consecutive runs of `segments` of at most _BLOCK_ROWS rows in all, or one segment."""
+    block: list[Segment] = []
+    rows = 0
+    for seg in segments:
+        if block and rows + seg.end - seg.start > _BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(seg)
+        rows += seg.end - seg.start
+    if block:
+        yield block
 
 
 def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:

@@ -78,24 +78,20 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
 
 
 def _backward(
-    net: Subnet, x: np.ndarray, z1: np.ndarray, z2: np.ndarray, g_z2: np.ndarray
-) -> Subnet:
-    """Parameter gradients of the two-layer forward over the rows of x, given dL/dz2."""
-    g_a2 = g_z2 * (1.0 - z2**2)
-    g_a1 = (g_a2 @ net.w2) * (1.0 - z1**2)
-    return Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
+    net: Subnet, z1: np.ndarray, z2: np.ndarray, g_z2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g_a1, g_a2): dL/d(pre-activation) of both layers, one row per input row, given dL/dz2.
 
-
-def loss_gradients(
-    vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float = 1.0
-) -> tuple[float, Subnet, Subnet]:
-    """Pair loss and its exact gradient w.r.t. every weight and bias.
-
-    Returns (loss, grad_v, grad_d): the contrastive loss of the pair's
-    embeddings, then two Subnet containers holding the gradients of the
-    video and description nets (same shapes as the parameters).  At the
-    hinge point d == margin with label 0 the subgradient 0 is returned.
+    The parameter gradients over input rows x are g_a1.T @ x, the column sums of g_a1,
+    g_a2.T @ z1 and the column sums of g_a2.
     """
+    g_a2 = g_z2 * (1.0 - z2**2)
+    return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
+
+
+def _pair_deltas(vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float):
+    """The pair's loss and, for the video net then the description net, (x, z1, g_a1, g_a2):
+    that net's input rows, hidden activations and `_backward` output."""
     # Both nets embed the mean of their rows' outputs; the description is one row.
     sides = ((vnet, ex.segment), (dnet, ex.desc[None, :]))
     acts = [_forward(net, rows) for net, rows in sides]
@@ -115,9 +111,26 @@ def loss_gradients(
 
     # The pooled gradient is g_x for the video net and -g_x for the description
     # net; the mean pooling spreads it equally over that net's rows.
-    grad_v, grad_d = (
-        _backward(net, rows, z1, z2, np.tile(g / len(rows), (len(rows), 1)))
+    return loss, [
+        (rows, z1, *_backward(net, z1, z2, np.tile(g / len(rows), (len(rows), 1))))
         for (net, rows), (z1, z2), g in zip(sides, acts, (g_x, -g_x))
+    ]
+
+
+def loss_gradients(
+    vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float = 1.0
+) -> tuple[float, Subnet, Subnet]:
+    """Pair loss and its exact gradient w.r.t. every weight and bias.
+
+    Returns (loss, grad_v, grad_d): the contrastive loss of the pair's
+    embeddings, then two Subnet containers holding the gradients of the
+    video and description nets (same shapes as the parameters).  At the
+    hinge point d == margin with label 0 the subgradient 0 is returned.
+    """
+    loss, deltas = _pair_deltas(vnet, dnet, ex, margin)
+    grad_v, grad_d = (
+        Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
+        for x, z1, g_a1, g_a2 in deltas
     )
     return loss, grad_v, grad_d
 
@@ -158,6 +171,39 @@ def _copy_net(net: Subnet) -> Subnet:
     return Subnet(*(getattr(net, f.name).copy() for f in fields(Subnet)))
 
 
+# Rows of a one-row net's w1 gradient (an outer product) formed at a time by _step.
+_ROW_BLOCK = 16
+
+
+def _descend(w: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """w -= lr * g in place, scaling g in its own buffer."""
+    g *= lr
+    w -= g
+
+
+def _step(
+    net: Subnet, buf: Subnet, x: np.ndarray, z1: np.ndarray, g_a1: np.ndarray,
+    g_a2: np.ndarray, lr: float,
+) -> None:
+    """Subtract lr times the gradient `loss_gradients` builds from (x, z1, g_a1, g_a2),
+    forming each gradient in the preallocated arrays of `buf`.
+
+    Every gradient float is the same product or sum, scaled and subtracted in the same
+    order, so the update is bitwise `w -= lr * grad`.  For one input row the w1 gradient
+    is the outer product g_a1[0] x[0], formed _ROW_BLOCK rows at a time in `buf.w1`.
+    """
+    if len(x) == 1:
+        for s in range(0, net.hidden_dim, _ROW_BLOCK):
+            rows = net.w1[s : s + _ROW_BLOCK]
+            _descend(rows, np.multiply(g_a1[0, s : s + len(rows), None], x[0],
+                                       out=buf.w1[: len(rows)]), lr)
+    else:
+        _descend(net.w1, np.matmul(g_a1.T, x, out=buf.w1), lr)
+    _descend(net.b1, np.sum(g_a1, axis=0, out=buf.b1), lr)
+    _descend(net.w2, np.matmul(g_a2.T, z1, out=buf.w2), lr)
+    _descend(net.b2, np.sum(g_a2, axis=0, out=buf.b2), lr)
+
+
 def sgd_train(
     vnet: Subnet,
     dnet: Subnet,
@@ -169,23 +215,30 @@ def sgd_train(
     The input nets are not mutated; trained copies are returned together with
     the mean per-epoch loss history (loss recorded before each example's
     update).  Example order is reshuffled every epoch by a generator seeded
-    from cfg.seed, so the run is fully deterministic.
+    from cfg.seed, so the run is fully deterministic.  Each step updates the
+    copies in place from the same backward formula as `loss_gradients`; the
+    result is bitwise that of `w -= learning_rate * grad` with its gradients.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     vnet = _copy_net(vnet)
     dnet = _copy_net(dnet)
+    # One gradient buffer per parameter, reused by every step.  A description is one
+    # row, so the description net's w1 buffer holds only one block of rows.
+    vbuf = Subnet(*(np.empty_like(getattr(vnet, f.name)) for f in fields(Subnet)))
+    dbuf = Subnet(
+        np.empty((min(_ROW_BLOCK, dnet.hidden_dim), dnet.input_dim)),
+        *(np.empty_like(getattr(dnet, f.name)) for f in fields(Subnet)[1:]),
+    )
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            ex = dataset[idx]
-            loss, grad_v, grad_d = loss_gradients(vnet, dnet, ex, cfg.margin)
+            loss, deltas = _pair_deltas(vnet, dnet, dataset[idx], cfg.margin)
             total += loss
-            for net, grads in ((vnet, grad_v), (dnet, grad_d)):
-                for f in fields(Subnet):
-                    getattr(net, f.name)[...] -= cfg.learning_rate * getattr(grads, f.name)
+            for net, buf, delta in zip((vnet, dnet), (vbuf, dbuf), deltas):
+                _step(net, buf, *delta, cfg.learning_rate)
         history.append(total / len(dataset))
     return vnet, dnet, history
 

@@ -523,8 +523,8 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--trials", "0", "trials must be at least 1, got 0"),
-            ("--trials", "-3", "trials must be at least 1, got -3"),
+            ("--trials", "0", "trials must be a positive integer, got 0"),
+            ("--trials", "-3", "trials must be a positive integer, got -3"),
             ("--tolerance", "nan", "tolerance must be finite and non-negative, got nan"),
         ],
         ids=["trials-zero", "trials-negative", "tolerance-nan"],

@@ -1,6 +1,7 @@
 """Unit tests for keyshot precision/recall, jitter, and speed-up deviation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ class TestSpeedupDeviation:
     def test_zero_output_rejected(self):
         with pytest.raises(ValueError):
             speedup_deviation(8.0, 800, 0)
+
+    @pytest.mark.parametrize("n_output", [2.5, True, 2.0, "3"])
+    def test_output_count_follows_the_integer_rule(self, n_output):
+        """A fraction or a bool is not a frame count; 2.5 used to give 0.2 and True 4.0."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_output must be a positive integer, got {n_output!r}")):
+            speedup_deviation(3, 7, n_output)
+
+    def test_numpy_integer_output_count_accepted(self):
+        assert speedup_deviation(3, 7, np.int64(2)) == 0.5
 
     def test_desired_below_one_rejected(self):
         with pytest.raises(ValueError):

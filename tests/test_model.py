@@ -1,6 +1,7 @@
 """Unit tests for the numeric kernels: LSTM cell, scorer, embedding subnets."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -299,12 +300,29 @@ class TestScoreImportance:
             score_importance(scorer, frames)
 
     def test_readout_shape_checked_before_the_scans(self):
-        """A wrong readout is named even when the frames would also fail the scan."""
+        """A wrong readout is named when the scorer is built, before any frames are seen."""
         scorer = init_scorer(0, 4, 3)
-        scorer.readout_w = np.zeros(5)
-        for frames in (np.zeros((6, 4)), np.zeros((6, 9))):
-            with pytest.raises(ValueError, match=r"readout has shape \(5,\), expected \(6,\)"):
-                score_importance(scorer, frames)
+        with pytest.raises(ValueError, match=r"^readout has shape \(5,\), expected \(6,\)$"):
+            ImportanceScorer(scorer.forward, scorer.backward, np.zeros(5), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_readout_weight_named(self, bad):
+        scorer = init_scorer(0, 3, 2)
+        readout_w = scorer.readout_w.copy()
+        readout_w[[2, 3]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^readout has a non-finite weight at index 2$"):
+                ImportanceScorer(scorer.forward, scorer.backward, readout_w, scorer.readout_b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "0.5"])
+    def test_bad_readout_bias_rejected(self, bad):
+        """A NaN bias used to give NaN scores without an error."""
+        scorer = init_scorer(0, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"readout_b must be finite, got {bad!r}")):
+                ImportanceScorer(scorer.forward, scorer.backward, scorer.readout_w, bad)
 
     def test_scores_in_open_unit_interval(self):
         for seed in range(5):

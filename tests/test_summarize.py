@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +189,48 @@ class TestSegmentFeatures:
         net = init_subnet(0, 3, 4, 2)
         with pytest.raises(ValueError, match="outside"):
             segment_features(net, np.zeros((5, 3)), [Segment(0, 2, 8)])
+
+    @pytest.mark.parametrize("block_rows, passes_rows", [
+        (1, [4, 4, 7, 4, 6, 11, 40, 1]),
+        (9, [8, 7, 4, 6, 11, 40, 1]),
+        (12, [8, 11, 6, 11, 40, 1]),
+        (512, [77]),
+    ])
+    def test_blocks_match_embed_frames_per_segment(self, monkeypatch, block_rows, passes_rows):
+        """Unordered, gapped and overlapping segments, split over several forward passes.
+
+        A pass holds whole segments in index order, at most block_rows rows unless the
+        segment alone is longer."""
+        import videosum.summarize as summarize
+
+        forward, passes = summarize._forward, []
+        monkeypatch.setattr(summarize, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(summarize, "_forward",
+                            lambda net, rows: passes.append(len(rows)) or forward(net, rows))
+        net = init_subnet(3, 6, 5, 4)
+        frames = np.random.default_rng(3).normal(size=(40, 6))
+        segments = [Segment(4, 30, 36), Segment(0, 0, 4), Segment(2, 2, 9), Segment(7, 12, 13),
+                    Segment(1, 3, 7), Segment(5, 20, 31), Segment(3, 36, 40), Segment(6, 0, 40)]
+        feats = segment_features(net, frames, segments)
+        assert [sf.segment.index for sf in feats] == list(range(8))
+        for sf in feats:
+            want = embed_frames(net, frames[sf.segment.start : sf.segment.end])
+            np.testing.assert_allclose(sf.feature, want, rtol=0, atol=1e-14)
+        assert passes == passes_rows
+
+    def test_bad_width_names_the_segment(self):
+        net = init_subnet(0, 3, 4, 2)
+        with pytest.raises(ValueError, match=r"^segment 4 has 5 columns, net expects 3$"):
+            segment_features(net, np.zeros((8, 5)), [Segment(4, 0, 2), Segment(1, 2, 4)])
+
+    def test_empty_segment_names_the_segment(self):
+        """A Segment cannot be empty; a record with the same fields is rejected by name."""
+        net = init_subnet(0, 3, 4, 2)
+        with pytest.raises(ValueError, match=r"^segment 3: start 2 >= end 2$"):
+            Segment(3, 2, 2)
+        empty = SimpleNamespace(index=3, start=2, end=2)
+        with pytest.raises(ValueError, match=r"^segment 3 range \[2, 2\) is empty$"):
+            segment_features(net, np.zeros((8, 3)), [Segment(0, 0, 2), empty])
 
 
 class TestClusteringCost:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from videosum.model import Subnet, embed_frames, init_subnet
@@ -130,6 +130,26 @@ class TestLossGradients:
         y = embed_frames(dnet, ex.desc[None, :])
         assert loss_gradients(vnet, dnet, ex, margin)[0] == contrastive_loss(x, y, label, margin)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        frames=st.integers(2, 5),
+        label=st.integers(0, 1),
+        margin=st.floats(0.0, 3.0),
+    )
+    def test_matches_central_differences_property(self, seed, dims, frames, label, margin):
+        """Every gradient entry agrees with central differences, away from the hinge kink."""
+        video_dim, desc_dim, hidden, embed = dims
+        rng = np.random.default_rng(seed)
+        vnet = init_subnet(seed, video_dim, hidden, embed)
+        dnet = init_subnet(seed + 1, desc_dim, hidden, embed)
+        ex = PairExample(rng.normal(size=(frames, video_dim)), rng.normal(size=desc_dim), label)
+        x = embed_frames(vnet, ex.segment)
+        y = embed_frames(dnet, ex.desc[None, :])
+        assume(label or abs(margin - float((x - y) @ (x - y))) > 1e-3)
+        assert finite_diff_check(vnet, dnet, ex, margin, h=1e-5) <= 1e-4
+
 
 class TestFiniteDiffCheck:
     def test_zero_loss_configuration(self):
@@ -241,6 +261,52 @@ class TestSgdTrain:
             (pos if ex.label else neg).append(float((x - y) @ (x - y)))
         assert np.mean(pos) < np.mean(neg)
         assert history[-1] < history[0]
+
+    def test_bitwise_equal_to_the_update_over_loss_gradients(self):
+        """Three epochs equal `w -= lr * g` over loss_gradients bit for bit.
+
+        H = 37 leaves a partial last block of description rows; the dataset has a
+        one-frame segment, positive pairs, and negatives on both sides of the margin.
+        """
+        rng = np.random.default_rng(21)
+        vnet = init_subnet(21, 9, 37, 5)
+        dnet = init_subnet(22, 23, 37, 5)
+        segments = [rng.normal(size=(n, 9)) for n in (3, 1, 4, 2)]
+        descs = rng.normal(size=(3, 23))
+        labels = [(i, j, int(i % 3 == j)) for i in range(4) for j in range(3)]
+        dataset = sample_pairs(segments, descs, labels)
+        dists = [float(((embed_frames(vnet, ex.segment)
+                         - embed_frames(dnet, ex.desc[None, :])) ** 2).sum())
+                 for ex in dataset if not ex.label]
+        margin = float(np.median(dists))
+        cfg = TrainConfig(margin=margin, learning_rate=0.05, epochs=3, seed=5)
+        before = [getattr(net, name).copy() for net in (vnet, dnet) for name in PARAM_NAMES]
+
+        want_v, want_d = (Subnet(*(getattr(net, name).copy() for name in PARAM_NAMES))
+                          for net in (vnet, dnet))
+        order = np.random.default_rng(cfg.seed)
+        want_history, kinds = [], set()
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for idx in order.permutation(len(dataset)):
+                loss, grad_v, grad_d = loss_gradients(want_v, want_d, dataset[idx], margin)
+                kinds.add("positive" if dataset[idx].label else
+                          "inside" if loss > 0 else "outside")
+                total += loss
+                for net, grads in ((want_v, grad_v), (want_d, grad_d)):
+                    for name in PARAM_NAMES:
+                        getattr(net, name)[...] -= cfg.learning_rate * getattr(grads, name)
+            want_history.append(total / len(dataset))
+        assert kinds == {"positive", "inside", "outside"}
+
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        for got, want in ((got_v, want_v), (got_d, want_d)):
+            for name in PARAM_NAMES:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        after = [getattr(net, name) for net in (vnet, dnet) for name in PARAM_NAMES]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
 
     def test_empty_dataset_rejected(self):
         vnet, dnet, _ = random_case(0)
