@@ -130,6 +130,9 @@ class ImportanceScorer:
 # Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
 # block, so a frame's projection does not depend on how many frames follow it.
 _CHUNK = 128
+# Frames per block of score_importance: both directions are projected, then run side by
+# side and read out, one block at a time.  A multiple of _CHUNK.
+_BLOCK = 8 * _CHUNK
 
 
 def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -145,38 +148,64 @@ def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
     return ifo[2 * h_dim :] * np.tanh(c), c
 
 
-def _scan(params: LstmParams, frames, reverse: bool) -> np.ndarray:
-    """lstm_scan over the rows of `frames`, last row first if `reverse`; row t of the
-    result is always the hidden state at frame t, and errors name frames as given."""
+def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
+    """`frames` as a float matrix; a ValueError unless it is 2-D, finite and, if it has
+    rows, as wide as every cell's input.  A non-finite value names its frame."""
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
         raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
     n, d = frames.shape
-    if n > 0 and d != params.input_dim:
-        raise ValueError(f"frames have {d} columns, cell expects {params.input_dim}")
+    for cell in cells:
+        if n > 0 and d != cell.input_dim:
+            raise ValueError(f"frames have {d} columns, cell expects {cell.input_dim}")
     if not np.isfinite(frames).all():
         frame = np.flatnonzero(~np.isfinite(frames).all(axis=1))[0]
         raise ValueError(f"frames contain a non-finite value at frame {frame}")
+    return frames
 
-    w_x = params.w[:, :d]
-    w_h = np.ascontiguousarray(params.w[:, d:])
-    rows = np.zeros((_CHUNK, d))
-    h = c = np.zeros(params.hidden_dim)
-    hidden = np.empty((n, params.hidden_dim))
-    src, out = (frames[::-1], hidden[::-1]) if reverse else (frames, hidden)
-    # A step that overflows leaves NaN behind it; the finished rows are checked once.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, _CHUNK):
-            m = min(_CHUNK, n - s)
-            rows[:m] = src[s : s + m]
-            for t, zx in zip(range(s, s + m), rows @ w_x.T):
-                h, c = _cell(w_h, zx, h, c)
+
+class _Scan:
+    """One cell's scan over checked `frames` from a zero state, last frame first if
+    `reverse`, run as consecutive blocks of at most `block` steps (a multiple of _CHUNK).
+
+    `project(s, e)` computes the input projections of steps s..e-1; `recur(s, out)` then
+    runs those steps and writes their hidden states to the rows of `out`.
+    """
+
+    def __init__(self, params: LstmParams, frames: np.ndarray, reverse: bool, block: int):
+        n, d = frames.shape
+        self.n, self.reverse = n, reverse
+        self.src = frames[::-1] if reverse else frames
+        self.w_x = params.w[:, :d]
+        self.w_h = np.ascontiguousarray(params.w[:, d:])
+        self.rows = np.zeros((_CHUNK, d))
+        self.zx = np.empty((min(block, -(-n // _CHUNK) * _CHUNK), 4 * params.hidden_dim))
+        self.h = self.c = np.zeros(params.hidden_dim)
+
+    def project(self, s: int, e: int) -> None:
+        """One full _CHUNK-row GEMM per chunk of steps s..e-1; rows past e are stale."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(s, e, _CHUNK):
+                m = min(_CHUNK, e - k)
+                self.rows[:m] = self.src[k : k + m]
+                np.matmul(self.rows, self.w_x.T, out=self.zx[k - s : k - s + _CHUNK])
+
+    def recur(self, s: int, out: np.ndarray) -> None:
+        """Steps s..s+len(out)-1; a hidden state that is not finite raises a ValueError
+        naming its frame in input order."""
+        h, c = self.h, self.c
+        # A step that overflows leaves NaN behind it; the block's rows are checked once.
+        # np.errstate is per thread, so it is opened in the thread that runs the steps.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, zx in enumerate(self.zx[: len(out)]):
+                h, c = _cell(self.w_h, zx, h, c)
                 out[t] = h
-    bad = np.flatnonzero(~np.isfinite(hidden).all(axis=1))
-    if bad.size:
-        first = bad[-1] if reverse else bad[0]
-        raise ValueError(f"LSTM hidden state is not finite from frame {first}: the cell overflowed")
-    return hidden
+        self.h, self.c = h, c
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            step = s + bad[0]
+            first = self.n - 1 - step if self.reverse else step
+            raise ValueError(f"LSTM hidden state is not finite from frame {first}: the cell overflowed")
 
 
 def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
@@ -185,10 +214,18 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
     Returns a (T, hidden_dim) matrix whose row t is h_t.  An empty input
     yields an empty (0, hidden_dim) output.  Each chunk of frames is projected
     by one GEMM, then each step does one (4H, H) matvec on the hidden state.
-    A non-finite frame, or a hidden state that overflows, raises a ValueError
-    naming the frame.
+    A non-finite frame or weight, or a hidden state that overflows, raises a
+    ValueError; a frame is named by its index.
     """
-    return _scan(params, frames, reverse=False)
+    params.__post_init__()  # the weights may have been reassigned since construction
+    frames = _checked_frames(frames, params)
+    scan = _Scan(params, frames, reverse=False, block=_CHUNK)
+    hidden = np.empty((scan.n, params.hidden_dim))
+    for s in range(0, scan.n, _CHUNK):
+        e = min(s + _CHUNK, scan.n)
+        scan.project(s, e)
+        scan.recur(s, hidden[s:e])
+    return hidden
 
 
 def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray:
@@ -197,12 +234,51 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     The forward cell scans the sequence as given; the backward cell scans it
     last frame first, so that both hidden states at index t describe frame t.
     score_t = sigmoid(w . [h_f ; h_b] + b).
+
+    The scorer and the frames are checked first, as lstm_scan checks them.  The
+    two scans then run side by side, _BLOCK frames at a time: the calling thread
+    projects both blocks, one worker thread runs the backward steps while the
+    caller runs the forward ones, and each reads its block out with its half of
+    the readout.  The worker is joined before the call returns.  When both cells
+    overflow, the forward cell's error is raised.
     """
+    # Imported here, not with the module: concurrent.futures imports logging, which
+    # added 0.7 MB of resident memory to every process that imports videosum (CPython 3.11).
+    from concurrent.futures import ThreadPoolExecutor
+
+    for part in (scorer.forward, scorer.backward, scorer):
+        part.__post_init__()  # any of them may have been reassigned since construction
+    frames = _checked_frames(frames, scorer.forward, scorer.backward)
+    n = frames.shape[0]
     h_dim = scorer.forward.hidden_dim
-    h_fwd = _scan(scorer.forward, frames, reverse=False)
-    h_bwd = _scan(scorer.backward, frames, reverse=True)
-    w = scorer.readout_w
-    return sigmoid(h_fwd @ w[:h_dim] + h_bwd @ w[h_dim:] + scorer.readout_b)
+    halves = (scorer.readout_w[:h_dim], scorer.readout_w[h_dim:])
+    scans = [_Scan(cell, frames, reverse, _BLOCK)
+             for cell, reverse in ((scorer.forward, False), (scorer.backward, True))]
+    hidden = [np.empty((min(n, _BLOCK), cell.hidden_dim))
+              for cell in (scorer.forward, scorer.backward)]
+    act = np.empty((2, n))  # each direction's readout, in its own scan order
+
+    def run(k: int, s: int, e: int) -> None:
+        scans[k].recur(s, hidden[k][: e - s])
+        np.matmul(hidden[k][: e - s], halves[k], out=act[k, s:e])
+
+    backward_error = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for s in range(0, n, _BLOCK):
+            e = min(s + _BLOCK, n)
+            scans[0].project(s, e)
+            if backward_error is None:
+                scans[1].project(s, e)
+                job = worker.submit(run, 1, s, e)
+            run(0, s, e)  # an error here leaves the with block, which joins the worker
+            if backward_error is None:
+                try:
+                    job.result()
+                except ValueError as exc:  # held until the forward scan ends: its error wins
+                    backward_error = exc
+    if backward_error is not None:
+        raise backward_error
+    return sigmoid(act[0] + act[1, ::-1] + scorer.readout_b)
 
 
 def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,19 @@
 
 import math
 import re
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from videosum import model
 from videosum.model import (
+    _CHUNK,
     _cell,
     DEFAULT_DESC_DIM,
     DEFAULT_EMBED_DIM,
@@ -70,6 +77,14 @@ def concatenated_scan(w, frames):
         h = o * np.tanh(c)
         rows.append(h)
     return np.array(rows)
+
+
+def two_scan_scores(scorer, frames):
+    """The scores as the readout over one lstm_scan per direction, run one after the other."""
+    h_f = lstm_scan(scorer.forward, frames)
+    h_b = lstm_scan(scorer.backward, frames[::-1])[::-1]
+    w, h_dim = scorer.readout_w, scorer.forward.hidden_dim
+    return sigmoid(h_f @ w[:h_dim] + h_b @ w[h_dim:] + scorer.readout_b)
 
 
 # H = 2, D = 1.  Gates i, f, o saturate at 1; the candidate rows add 100 x to
@@ -185,6 +200,23 @@ class TestLstmScan:
         frames = rng.normal(size=(300, 5))
         full = lstm_scan(params, frames)
         for t in (0, 1, 4, 7, 127, 128, 129, 255):
+            np.testing.assert_array_equal(lstm_scan(params, frames[: t + 1]), full[: t + 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 300), d=st.integers(1, 6), h=st.integers(1, 5),
+           scale=st.sampled_from([0.1, 1.0, 4.0]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_concatenated_steps_property(self, n, d, h, scale, seed, data):
+        """Across chunk edges and weight scales, rows stay within 1e-12 of w @ [x ; h], and
+        truncating the input after a drawn frame t leaves rows 0..t bitwise unchanged."""
+        rng = np.random.default_rng(seed)
+        params = LstmParams(rng.uniform(-scale, scale, size=(4 * h, d + h)))
+        frames = rng.normal(size=(n, d))
+        full = lstm_scan(params, frames)
+        np.testing.assert_allclose(
+            full, concatenated_scan(params.w, frames).reshape(n, h), rtol=0, atol=1e-12
+        )
+        if n:
+            t = data.draw(st.integers(0, n - 1))
             np.testing.assert_array_equal(lstm_scan(params, frames[: t + 1]), full[: t + 1])
 
     def test_strided_input_matches_its_contiguous_copy(self):
@@ -323,6 +355,119 @@ class TestScoreImportance:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"readout_b must be finite, got {bad!r}")):
                 ImportanceScorer(scorer.forward, scorer.backward, scorer.readout_w, bad)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("readout_b", math.nan, "readout_b must be finite, got nan"),
+        ("readout_w", np.zeros(5), r"readout has shape \(5,\), expected \(6,\)"),
+    ])
+    def test_readout_reassigned_after_construction_is_checked(self, name, value, message):
+        """An assignment after construction is checked again before the scans start."""
+        scorer = init_scorer(0, 4, 3)
+        setattr(scorer, name, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                score_importance(scorer, np.zeros((3, 4)))
+
+    def test_gate_weight_changed_after_construction_is_checked(self):
+        scorer = init_scorer(0, 4, 3)
+        scorer.backward.w[2, 1] = math.nan
+        with pytest.raises(ValueError, match="^LSTM gate matrix has a non-finite weight at row 2, column 1$"):
+            score_importance(scorer, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 127])
+    def test_block_edges_match_two_scans(self, monkeypatch, n):
+        """With one chunk per block, scores stay within 1e-12 of the two scans run one after
+        the other, and a second call gives the same bits."""
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        scorer = init_scorer(9, 5, 4)
+        frames = np.random.default_rng(n).normal(size=(n, 5))
+        scores = score_importance(scorer, frames)
+        np.testing.assert_allclose(scores, two_scan_scores(scorer, frames), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(score_importance(scorer, frames), scores)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 300), d=st.integers(1, 6), h_f=st.integers(1, 5), h_b=st.integers(1, 5),
+           block=st.sampled_from([_CHUNK, 2 * _CHUNK, model._BLOCK]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_scans_property(self, n, d, h_f, h_b, block, seed):
+        """For drawn sizes and blocks, and cells of different widths, scores stay within 1e-12
+        of the two scans run one after the other."""
+        rng = np.random.default_rng(seed)
+        scorer = ImportanceScorer(
+            forward=init_scorer(seed, d, h_f).forward,
+            backward=init_scorer(seed, d, h_b).backward,
+            readout_w=rng.uniform(-1, 1, size=h_f + h_b),
+            readout_b=rng.uniform(-1, 1),
+        )
+        frames = rng.normal(size=(n, d))
+        with mock.patch.object(model, "_BLOCK", block):
+            scores = score_importance(scorer, frames)
+        np.testing.assert_allclose(scores, two_scan_scores(scorer, frames), rtol=1e-12, atol=0)
+
+    def test_backward_steps_run_on_one_worker_thread(self, monkeypatch):
+        """The caller runs every forward block; one other thread runs every backward block."""
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        recur, seen = model._Scan.recur, []
+
+        def spy(scan, s, out):
+            seen.append((scan.reverse, threading.get_ident()))
+            recur(scan, s, out)
+
+        monkeypatch.setattr(model._Scan, "recur", spy)
+        score_importance(init_scorer(0, 3, 2), np.zeros((300, 3)))
+        caller = threading.get_ident()
+        workers = {ident for reverse, ident in seen if reverse}
+        assert {ident for reverse, ident in seen if not reverse} == {caller}
+        assert len(workers) == 1 and caller not in workers
+        assert len(seen) == 6
+
+    def test_concurrent_calls_under_fast_thread_switching_give_the_same_bits(self, monkeypatch):
+        """Four callers at once, each with its own worker, switching threads every microsecond:
+        every result equals a lone call's, so no state is shared between calls."""
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        scorer = init_scorer(2, 5, 4)
+        frames = np.random.default_rng(2).normal(size=(300, 5))
+        expected = score_importance(scorer, frames)
+        results = [None] * 4
+
+        def call(k):
+            results[k] = score_importance(scorer, frames)
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for scores in results:
+            np.testing.assert_array_equal(scores, expected)
+
+    @pytest.mark.parametrize("overflow_at, first", [
+        # Frame 0 is the backward scan's last step, in its third block; the forward scan
+        # stays finite.
+        ([0], 0),
+        # The backward scan overflows at frame 280 in its first block, the forward scan at
+        # frame 201 in its second: the forward error wins, as when the scans ran in turn.
+        ([201, 280], 201),
+    ])
+    def test_overflow_in_a_later_block_is_named_and_leaves_no_thread(
+        self, monkeypatch, overflow_at, first
+    ):
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        frames = np.ones((300, 1))
+        frames[overflow_at] = 1e307
+        scorer = ImportanceScorer(OVERFLOWING_CELL, OVERFLOWING_CELL, np.zeros(4), 0.0)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"not finite from frame {first}:"):
+                score_importance(scorer, frames)
+        assert threading.active_count() == threads
 
     def test_scores_in_open_unit_interval(self):
         for seed in range(5):
