@@ -104,11 +104,12 @@ class Subnet:
 class ImportanceScorer:
     """Bidirectional LSTM frame scorer.
 
-    Two LSTM cells share input/hidden dims and run over the sequence in
-    opposite directions; a linear readout over the concatenated hidden
-    states followed by a sigmoid yields one score per frame in (0, 1).  The
-    readout must have one finite weight per hidden unit of the two cells and a
-    finite bias; a ValueError names the first bad weight's index.
+    Two LSTM cells run over the sequence in opposite directions; a linear
+    readout over the concatenated hidden states followed by a sigmoid yields
+    one score per frame in (0, 1).  The cells must take the same input width
+    and may differ in hidden width.  The readout must have one finite weight
+    per hidden unit of the two cells and a finite bias; a ValueError names the
+    first bad weight's index.
     """
 
     forward: LstmParams
@@ -117,6 +118,9 @@ class ImportanceScorer:
     readout_b: float
 
     def __post_init__(self):
+        if self.forward.input_dim != self.backward.input_dim:
+            raise ValueError(f"forward cell takes {self.forward.input_dim} inputs, "
+                             f"backward cell takes {self.backward.input_dim}")
         w = self.readout_w = np.asarray(self.readout_w, dtype=float)
         width = self.forward.hidden_dim + self.backward.hidden_dim
         if w.shape != (width,):

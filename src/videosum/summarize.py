@@ -328,6 +328,11 @@ def semantic_threshold_split(
     if not (np.isfinite(mu) and np.isfinite(sd)):
         raise ValueError(f"the mean and std of the scores overflow float64: {mu}, {sd}")
     inlier = np.abs(scores - mu) <= 2.0 * sd
+    # Exactly, at least three quarters of the scores lie within two deviations.  None
+    # does only when the squared deviations underflow (equal scores near 1e-192 give
+    # sd == 0 and a mean one ulp off); then no score is an outlier.
+    if not inlier.any():
+        inlier[:] = True
     lo, hi = scores[inlier].min(), scores[inlier].max()
     with np.errstate(over="ignore"):
         threshold = float((lo + hi) / 2.0)

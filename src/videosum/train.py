@@ -47,6 +47,12 @@ class PairExample:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
         if self.segment.ndim != 2 or self.segment.shape[0] == 0:
             raise ValueError("segment must be a non-empty 2-D frame matrix")
+        if not np.isfinite(self.segment).all():
+            frame = np.flatnonzero(~np.isfinite(self.segment).all(axis=1))[0]
+            raise ValueError(f"segment has a non-finite value at frame {frame}")
+        if not np.isfinite(self.desc).all():
+            index = np.flatnonzero(~np.isfinite(self.desc.ravel()))[0]
+            raise ValueError(f"description has a non-finite value at index {index}")
 
 
 @dataclass
@@ -89,9 +95,15 @@ def _backward(
     return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
 
 
-def _pair_deltas(vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float):
+def _pair_deltas(
+    vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float, skip_zero: bool = False
+):
     """The pair's loss and, for the video net then the description net, (x, z1, g_a1, g_a2):
-    that net's input rows, hidden activations and `_backward` output."""
+    that net's input rows, hidden activations and `_backward` output.
+
+    With `skip_zero`, a pooled gradient with no non-zero entry gives no deltas and no
+    backward pass: every parameter gradient would be +0 or -0.
+    """
     # Both nets embed the mean of their rows' outputs; the description is one row.
     sides = ((vnet, ex.segment), (dnet, ex.desc[None, :]))
     acts = [_forward(net, rows) for net, rows in sides]
@@ -108,6 +120,9 @@ def _pair_deltas(vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float):
         g_d = 0.0
 
     g_x = 2.0 * g_d * (x - y)
+    # NaN is non-zero here, so a pair that went NaN still takes its step.
+    if skip_zero and not g_x.any():
+        return loss, []
 
     # The pooled gradient is g_x for the video net and -g_x for the description
     # net; the mean pooling spreads it equally over that net's rows.
@@ -171,6 +186,16 @@ def _copy_net(net: Subnet) -> Subnet:
     return Subnet(*(getattr(net, f.name).copy() for f in fields(Subnet)))
 
 
+def _check_finite_net(name: str, net: Subnet) -> None:
+    """A ValueError naming the net, the field and the first non-finite weight's index."""
+    for f in fields(Subnet):
+        w = getattr(net, f.name)
+        if not np.isfinite(w).all():
+            index = np.argwhere(~np.isfinite(w))[0]
+            where = f"row {index[0]}, column {index[1]}" if w.ndim == 2 else f"index {index[0]}"
+            raise ValueError(f"{name} {f.name} has a non-finite weight at {where}")
+
+
 # Rows of a one-row net's w1 gradient (an outer product) formed at a time by _step.
 _ROW_BLOCK = 16
 
@@ -218,9 +243,25 @@ def sgd_train(
     from cfg.seed, so the run is fully deterministic.  Each step updates the
     copies in place from the same backward formula as `loss_gradients`; the
     result is bitwise that of `w -= learning_rate * grad` with its gradients.
+
+    An example whose pooled gradient 2 * g_d * (x - y) has no non-zero entry (a
+    negative pair at or beyond the margin, or two equal embeddings) adds its loss
+    and skips the backward pass and the update: its gradients are all +0 or -0,
+    and subtracting them leaves every finite weight as it is.  The one exception
+    is a -0.0 weight, which the full update could make +0.0 and a skipped step
+    leaves -0.0; init_subnet never draws one.  So that this holds, every weight
+    of both nets and every value of every example must be finite; otherwise a
+    ValueError names the first bad one.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
+    _check_finite_net("video net", vnet)
+    _check_finite_net("description net", dnet)
+    for i, ex in enumerate(dataset):
+        try:
+            ex.__post_init__()  # its arrays may have been changed since construction
+        except ValueError as exc:
+            raise ValueError(f"example {i}: {exc}") from None
     vnet = _copy_net(vnet)
     dnet = _copy_net(dnet)
     # One gradient buffer per parameter, reused by every step.  A description is one
@@ -235,7 +276,7 @@ def sgd_train(
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            loss, deltas = _pair_deltas(vnet, dnet, dataset[idx], cfg.margin)
+            loss, deltas = _pair_deltas(vnet, dnet, dataset[idx], cfg.margin, skip_zero=True)
             total += loss
             for net, buf, delta in zip((vnet, dnet), (vbuf, dbuf), deltas):
                 _step(net, buf, *delta, cfg.learning_rate)

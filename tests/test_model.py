@@ -337,6 +337,18 @@ class TestScoreImportance:
         with pytest.raises(ValueError, match=r"^readout has shape \(5,\), expected \(6,\)$"):
             ImportanceScorer(scorer.forward, scorer.backward, np.zeros(5), 0.0)
 
+    def test_cells_of_different_input_widths_rejected(self):
+        """No frames fit two cells of different input widths, so the scorer is refused."""
+        with pytest.raises(ValueError, match="^forward cell takes 3 inputs, backward cell takes 4$"):
+            ImportanceScorer(init_scorer(0, 3, 2).forward, init_scorer(0, 4, 2).backward,
+                             np.zeros(4), 0.0)
+
+    def test_cell_of_another_input_width_assigned_after_construction_is_checked(self):
+        scorer = init_scorer(0, 3, 2)
+        scorer.backward = init_scorer(0, 4, 2).backward
+        with pytest.raises(ValueError, match="^forward cell takes 3 inputs, backward cell takes 4$"):
+            score_importance(scorer, np.zeros((5, 3)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_readout_weight_named(self, bad):
         scorer = init_scorer(0, 3, 2)

@@ -343,6 +343,30 @@ class TestKmedoids:
         pts = np.array(coords, dtype=float).reshape(n, dim)
         assert list(pam_iterations(pts, k)) == list(reference_pam_iterations(pts, k))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pts=st.one_of(
+            arrays(float, st.tuples(st.integers(1, 25), st.integers(1, 3)),
+                   elements=st.floats(-1e3, 1e3)),
+            arrays(float, st.tuples(st.integers(1, 25), st.integers(1, 2)),
+                   elements=st.integers(-2, 2).map(float)),
+        ),
+        data=st.data(),
+    )
+    def test_every_swap_lowers_the_cost_and_no_single_swap_improves_the_end(self, pts, data):
+        """Costs fall strictly after each swap; every medoid/non-medoid exchange of the
+        final medoids costs at least as much, compared exactly (grid points make ties)."""
+        n = len(pts)
+        k = data.draw(st.integers(1, n))
+        steps = list(pam_iterations(pts, k))
+        costs = [cost for _, cost in steps]
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        final, final_cost = steps[-1]
+        for out in final:
+            for cand in sorted(set(range(n)) - set(final)):
+                trial = [x for x in final if x != out] + [cand]
+                assert clustering_cost(pts, trial) >= final_cost
+
     @pytest.mark.parametrize("n, k, dim", [(129, 5, 3), (257, 7, 2), (700, 4, 3)])
     def test_matches_reference_loop_across_summation_blocks(self, n, k, dim):
         """n past numpy's 128-element pairwise-summation block keeps row-sums bitwise equal."""
@@ -526,6 +550,13 @@ class TestSemanticThresholdSplit:
             inliers = scores[np.abs(scores - scores.mean()) <= 2 * scores.std()]
             assert inliers.min() <= threshold <= inliers.max()
 
+    def test_equal_scores_whose_deviations_underflow_are_all_semantic(self):
+        """The mean is one ulp off and its squared deviation underflows, so sd == 0 left
+        no inlier, and min() over none raised numpy's zero-size reduction error."""
+        score = 1.6369616873214545e-192
+        assert np.std(np.full(7, score)) == 0.0 != np.mean(np.full(7, score)) - score
+        assert semantic_threshold_split(np.full(7, score)) == (score, [(0, 7)], [])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             semantic_threshold_split(np.array([]))
@@ -549,6 +580,28 @@ class TestSemanticThresholdSplit:
         """Finite scores whose statistics overflow raise a ValueError; a warning would fail."""
         with pytest.raises(ValueError, match=f"^{needle}"):
             semantic_threshold_split(np.array(scores))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        arrays(float, st.integers(1, 60), elements=st.floats(-1e6, 1e6)),
+        arrays(float, st.integers(1, 60), elements=st.integers(-3, 3).map(float)),
+    ))
+    def test_ranges_partition_alternate_and_are_the_inliers_at_or_above(self, scores):
+        """The non-empty ranges of both lists tile [0, T) in alternation, and the semantic
+        frames are exactly the inliers scoring at or above the threshold."""
+        threshold, sem, non = semantic_threshold_split(scores)
+        tiles = sorted([(s, e, True) for s, e in sem] + [(s, e, False) for s, e in non])
+        assert tiles[0][0] == 0 and tiles[-1][1] == len(scores)
+        assert all(s < e for s, e, _ in tiles)
+        for (_, end, kind), (start, _, next_kind) in zip(tiles, tiles[1:]):
+            assert end == start and kind != next_kind
+        inlier = np.abs(scores - scores.mean()) <= 2 * scores.std()
+        inlier |= not inlier.any()  # none within two deviations: no score is an outlier
+        assert scores[inlier].min() <= threshold <= scores[inlier].max()
+        semantic = np.zeros(len(scores), dtype=bool)
+        for s, e in sem:
+            semantic[s:e] = True
+        assert np.array_equal(semantic, inlier & (scores >= threshold))
 
     @given(arrays(bool, st.integers(0, 40)))
     def test_runs_match_reference_loop(self, mask):

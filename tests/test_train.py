@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from videosum import train
 from videosum.model import Subnet, embed_frames, init_subnet
 from videosum.summarize import segment_features, uniform_segments
 from videosum.train import (
@@ -332,6 +333,177 @@ class TestSgdTrain:
     def test_non_finite_or_negative_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
+
+
+def reference_sgd(vnet, dnet, dataset, cfg):
+    """The `w -= lr * g` loop over loss_gradients, on copies of the nets."""
+    nets = [Subnet(*(getattr(net, name).copy() for name in PARAM_NAMES)) for net in (vnet, dnet)]
+    order = np.random.default_rng(cfg.seed)
+    history = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for idx in order.permutation(len(dataset)):
+            loss, *grads = loss_gradients(*nets, dataset[idx], cfg.margin)
+            total += loss
+            for net, grad in zip(nets, grads):
+                for name in PARAM_NAMES:
+                    getattr(net, name)[...] -= cfg.learning_rate * getattr(grad, name)
+        history.append(total / len(dataset))
+    return (*nets, history)
+
+
+def sq_dist(vnet, dnet, ex):
+    diff = embed_frames(vnet, ex.segment) - embed_frames(dnet, ex.desc[None, :])
+    return float(diff @ diff)
+
+
+def assert_same_bits(got, want):
+    for name in PARAM_NAMES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestZeroGradientSkip:
+    """A step whose pooled gradient 2 * g_d * (x - y) is zero runs no backward pass and
+    no update; every other step runs `_step` once per net."""
+
+    @staticmethod
+    def negative_pairs():
+        """(vnet, dnet, closest, rest, margin) for nine negative pairs, with the margin
+        between the two smallest distances: the closest pair is inside it, the rest beyond."""
+        rng = np.random.default_rng(54)
+        vnet = init_subnet(54, 6, 7, 3)
+        dnet = init_subnet(55, 5, 7, 3)
+        segments = [rng.normal(size=(n, 6)) for n in (1, 2, 4)]
+        pairs = sample_pairs(segments, rng.normal(size=(3, 5)),
+                             [(i, j, 0) for i in range(3) for j in range(3)])
+        pairs.sort(key=lambda ex: sq_dist(vnet, dnet, ex))
+        first, second = (sq_dist(vnet, dnet, ex) for ex in pairs[:2])
+        assert second - first > 0.1
+        return vnet, dnet, pairs[0], pairs[1:], (first + second) / 2
+
+    @staticmethod
+    def spy_on_step(monkeypatch):
+        """Record the net of every _step call, then run the real step."""
+        calls = []
+        real = train._step
+
+        def spy(net, *args):
+            calls.append(net)
+            real(net, *args)
+
+        monkeypatch.setattr(train, "_step", spy)
+        return calls
+
+    def test_negatives_beyond_the_margin_change_nothing(self, monkeypatch):
+        vnet, dnet, _, beyond, margin = self.negative_pairs()
+        calls = self.spy_on_step(monkeypatch)
+        got_v, got_d, history = sgd_train(
+            vnet, dnet, beyond, TrainConfig(margin=margin, learning_rate=0.5, epochs=3, seed=2))
+        assert calls == []
+        assert history == [0.0, 0.0, 0.0]
+        assert_same_bits(got_v, vnet)
+        assert_same_bits(got_d, dnet)
+
+    @pytest.mark.parametrize("added", ["positive", "inside"])
+    def test_one_step_per_net_for_each_example_with_a_gradient(self, monkeypatch, added):
+        vnet, dnet, inside, beyond, margin = self.negative_pairs()
+        extra = inside if added == "inside" else PairExample(inside.segment, inside.desc, 1)
+        dataset = beyond + [extra]
+        cfg = TrainConfig(margin=margin, learning_rate=1e-3, epochs=3, seed=7)
+        calls = self.spy_on_step(monkeypatch)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        assert calls == [got_v, got_d] * cfg.epochs
+        # The small steps leave every beyond-margin pair beyond the margin.
+        assert all(sq_dist(got_v, got_d, ex) > margin for ex in beyond)
+        want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    def test_equal_embeddings_inside_the_margin_skip_the_step(self, monkeypatch):
+        """A negative pair with x == y has loss `margin` but a zero pooled gradient."""
+        net = init_subnet(8, 5, 4, 3)
+        twin = Subnet(*(getattr(net, name).copy() for name in PARAM_NAMES))
+        desc = np.random.default_rng(8).normal(size=5)
+        ex = PairExample(desc[None, :], desc, 0)
+        calls = self.spy_on_step(monkeypatch)
+        got_v, got_d, history = sgd_train(
+            net, twin, [ex], TrainConfig(margin=0.75, learning_rate=0.5, epochs=2))
+        assert calls == []
+        assert history == [0.75, 0.75]
+        assert_same_bits(got_v, net)
+        assert_same_bits(got_d, twin)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        rows=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        labels=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        margin=st.floats(0.0, 3.0),
+        scale=st.sampled_from([1.0, 1e-170]),
+        epochs=st.integers(1, 2),
+    )
+    def test_bitwise_equal_to_the_update_over_loss_gradients_property(
+        self, seed, dims, rows, labels, margin, scale, epochs
+    ):
+        """Drawn dims, segments of 1 to 3 rows, labels and margins on both sides of the
+        hinge.  At scale 1e-170 the embeddings are so small that a positive pair's
+        squared distance underflows to a zero loss while its gradient is not zero."""
+        video_dim, desc_dim, hidden, embed = dims
+        rng = np.random.default_rng(seed)
+        vnet, dnet = (Subnet(*(scale * getattr(init_subnet(s, dim, hidden, embed), name)
+                               for name in PARAM_NAMES))
+                      for s, dim in ((seed, video_dim), (seed + 1, desc_dim)))
+        dataset = [PairExample(rng.normal(size=(n, video_dim)), rng.normal(size=desc_dim), label)
+                   for n, label in zip(rows, labels)]
+        cfg = TrainConfig(margin=margin, learning_rate=0.3, epochs=epochs, seed=seed)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+
+class TestSgdTrainRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, index, where", [
+        ("w1", (2, 1), "row 2, column 1"),
+        ("b1", (3,), "index 3"),
+        ("w2", (1, 0), "row 1, column 0"),
+        ("b2", (2,), "index 2"),
+    ])
+    @pytest.mark.parametrize("side", ["video", "description"])
+    def test_weight_named(self, side, field, index, where, bad):
+        vnet, dnet, ex = random_case(4)
+        net = vnet if side == "video" else dnet
+        getattr(net, field)[index] = bad
+        getattr(net, field)[-1] = bad  # a later bad weight is not the one named
+        with pytest.raises(ValueError,
+                           match=f"^{side} net {field} has a non-finite weight at {where}$"):
+            sgd_train(vnet, dnet, [ex], TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_example_value_named_at_construction(self, bad):
+        segment = np.zeros((4, 3))
+        segment[2, 1] = bad
+        with pytest.raises(ValueError, match="^segment has a non-finite value at frame 2$"):
+            PairExample(segment, np.zeros(2), 0)
+        desc = np.zeros(5)
+        desc[3] = bad
+        with pytest.raises(ValueError, match="^description has a non-finite value at index 3$"):
+            PairExample(np.zeros((1, 3)), desc, 1)
+
+    @pytest.mark.parametrize("array, message", [
+        ("segment", "^example 1: segment has a non-finite value at frame 2$"),
+        ("desc", "^example 1: description has a non-finite value at index 4$"),
+    ])
+    def test_example_changed_after_construction_named(self, array, message):
+        vnet, dnet, ex = random_case(5)
+        _, _, bad = random_case(6)
+        getattr(bad, array)[2 if array == "segment" else 4] = math.inf
+        with pytest.raises(ValueError, match=message):
+            sgd_train(vnet, dnet, [ex, bad], TrainConfig(epochs=1))
 
 
 def pinned_run(seed):
