@@ -258,7 +258,7 @@ def _member_array(where: str, raw: bytes) -> np.ndarray:
     if header is None or int.from_bytes(header[1], "little") != header.end() - 10:
         raise ValueError(f"{where} is not a float64 array in .npy format 1.0")
     shape = tuple(map(int, header[3].replace(b",", b" ").split()))
-    data = raw[header.end() :]
+    data = memoryview(raw)[header.end() :]  # a view: no second copy of the data bytes
     # Checked before any allocation: a corrupt header may claim a huge shape.
     if math.prod(shape) * 8 != len(data):
         raise ValueError(f"{where} declares shape {shape} but holds {len(data)} data bytes")

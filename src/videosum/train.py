@@ -95,38 +95,38 @@ def _backward(
     return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
 
 
-def _pair_deltas(
-    vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float, skip_zero: bool = False
-):
-    """The pair's loss and, for the video net then the description net, (x, z1, g_a1, g_a2):
-    that net's input rows, hidden activations and `_backward` output.
+def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
+    """(net, input rows) for the video net, then the description net.
 
-    With `skip_zero`, a pooled gradient with no non-zero entry gives no deltas and no
-    backward pass: every parameter gradient would be +0 or -0.
+    Both nets embed the mean of their rows' outputs; the description is one row.
     """
-    # Both nets embed the mean of their rows' outputs; the description is one row.
-    sides = ((vnet, ex.segment), (dnet, ex.desc[None, :]))
-    acts = [_forward(net, rows) for net, rows in sides]
-    x, y = (z2.mean(axis=0) for _, z2 in acts)
+    return (vnet, ex.segment), (dnet, ex.desc[None, :])
 
-    loss = contrastive_loss(x, y, ex.label, margin)
 
+def _loss_and_pooled_gradient(
+    x: np.ndarray, y: np.ndarray, label: int, margin: float
+) -> tuple[float, np.ndarray]:
+    """The pair's loss and dL/dx for embeddings x and y; dL/dy is its negation."""
+    loss = contrastive_loss(x, y, label, margin)
     # dL/dd: 1 for positive pairs, -1 inside the hinge, 0 outside (and at d == margin).
-    if ex.label:
+    if label:
         g_d = 1.0
     elif loss > 0.0:
         g_d = -1.0
     else:
         g_d = 0.0
+    return loss, 2.0 * g_d * (x - y)
 
-    g_x = 2.0 * g_d * (x - y)
-    # NaN is non-zero here, so a pair that went NaN still takes its step.
-    if skip_zero and not g_x.any():
-        return loss, []
 
-    # The pooled gradient is g_x for the video net and -g_x for the description
-    # net; the mean pooling spreads it equally over that net's rows.
-    return loss, [
+def _deltas(sides, acts, g_x: np.ndarray):
+    """For the video net then the description net, (x, z1, g_a1, g_a2): that net's input
+    rows, hidden activations and `_backward` output, given the activations `acts` of
+    `sides` and the pooled gradient g_x.
+
+    The pooled gradient is g_x for the video net and -g_x for the description net; the
+    mean pooling spreads it equally over that net's rows.
+    """
+    return [
         (rows, z1, *_backward(net, z1, z2, np.tile(g / len(rows), (len(rows), 1))))
         for (net, rows), (z1, z2), g in zip(sides, acts, (g_x, -g_x))
     ]
@@ -142,10 +142,12 @@ def loss_gradients(
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
     """
-    loss, deltas = _pair_deltas(vnet, dnet, ex, margin)
+    sides = _sides(vnet, dnet, ex)
+    acts = [_forward(net, rows) for net, rows in sides]
+    loss, g_x = _loss_and_pooled_gradient(*(z2.mean(axis=0) for _, z2 in acts), ex.label, margin)
     grad_v, grad_d = (
         Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
-        for x, z1, g_a1, g_a2 in deltas
+        for x, z1, g_a1, g_a2 in _deltas(sides, acts, g_x)
     )
     return loss, grad_v, grad_d
 
@@ -229,6 +231,20 @@ def _step(
     _descend(net.b2, np.sum(g_a2, axis=0, out=buf.b2), lr)
 
 
+def _pooled(kept: dict, net: Subnet, rows: np.ndarray) -> np.ndarray:
+    """The mean of `_forward(net, rows)`'s output rows, computed once while `kept` lives.
+
+    Inputs are the same when they are the same memory: the same net, data address,
+    shape and strides.  Each entry holds its `rows`, so no other array can take that
+    address while the entry lives.
+    """
+    key = (id(net), rows.__array_interface__["data"][0], rows.shape, rows.strides)
+    entry = kept.get(key)
+    if entry is None:
+        entry = kept[key] = (rows, _forward(net, rows)[1].mean(axis=0))
+    return entry[1]
+
+
 def sgd_train(
     vnet: Subnet,
     dnet: Subnet,
@@ -252,6 +268,14 @@ def sgd_train(
     leaves -0.0; init_subnet never draws one.  So that this holds, every weight
     of both nets and every value of every example must be finite; otherwise a
     ValueError names the first bad one.
+
+    Between two updates the weights do not change, so each segment and each
+    description is embedded once and its embedding reused until the next update;
+    an update runs the pair's two forward passes again for its backward pass.
+    Inputs count as the same when they are the same memory (net, data address,
+    shape and strides), as the views `sample_pairs` hands out are; a kept
+    embedding holds its input alive, and no input may be changed in place while
+    sgd_train runs.
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -273,13 +297,23 @@ def sgd_train(
     )
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
+    kept: dict = {}  # pooled embeddings under the current weights
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            loss, deltas = _pair_deltas(vnet, dnet, dataset[idx], cfg.margin, skip_zero=True)
+            ex = dataset[idx]
+            sides = _sides(vnet, dnet, ex)
+            loss, g_x = _loss_and_pooled_gradient(
+                *(_pooled(kept, net, rows) for net, rows in sides), ex.label, cfg.margin
+            )
             total += loss
-            for net, buf, delta in zip((vnet, dnet), (vbuf, dbuf), deltas):
+            # NaN is non-zero here, so a pair that went NaN still takes its step.
+            if not g_x.any():
+                continue
+            acts = [_forward(net, rows) for net, rows in sides]
+            for (net, _), buf, delta in zip(sides, (vbuf, dbuf), _deltas(sides, acts, g_x)):
                 _step(net, buf, *delta, cfg.learning_rate)
+            kept.clear()
         history.append(total / len(dataset))
     return vnet, dnet, history
 

@@ -652,3 +652,26 @@ def test_unset_options_take_library_defaults(tmp_path, capsys):
     code, out, err = run(capsys, "gradcheck")
     assert code == 0, err
     assert json.loads(out) == {"trials": 5, "max_rel_error": max(errors), "tolerance": 1e-4}
+
+
+def test_score_lstm_and_fastforward_bytes_do_not_depend_on_blas_threads(tmp_path, child_env):
+    """`score-lstm -> fastforward` writes the same files on one BLAS thread and on the
+    default count.  1100 frames span two of score_importance's 1024-frame blocks."""
+    features = tmp_path / "f.vsf"
+    write_matrix(features, np.random.default_rng(9).normal(size=(1100, 128)), MAGIC_FEATURES)
+    written = []
+    for threads in ("1", None):
+        env = {k: v for k, v in child_env.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                                 "OMP_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        out.mkdir()
+        for argv in (["score-lstm", "--features", str(features), "--out", str(out / "s.vsf")],
+                     ["fastforward", "--scores", str(out / "s.vsf"), "--speedup", "4",
+                      "--max-skip", "8", "--out", str(out / "ff.json")]):
+            proc = subprocess.run([sys.executable, "-m", "videosum", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        written.append([(out / name).read_bytes() for name in ("s.vsf", "ff.json")])
+    assert written[0] == written[1]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from videosum.io import (
     MAGIC_DESCS,
@@ -44,6 +45,25 @@ class TestMatrixFormat:
         back = read_matrix(path, MAGIC_FEATURES)
         assert back.shape == (5, 7)
         np.testing.assert_array_equal(back, matrix.astype(np.float32).astype(np.float64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        matrix=arrays(np.float32, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        magic=st.sampled_from([MAGIC_FEATURES, MAGIC_DESCS]),
+        transpose=st.booleans(),
+    )
+    def test_round_trip_is_bitwise_property(self, tmp_path_factory, matrix, magic, transpose):
+        """Drawn shapes (empty ones too), 32-bit values from signed zeros and subnormals to
+        the largest finite ones, and column-major input: every value reads back bit for bit."""
+        path = tmp_path_factory.mktemp("matrix") / "m.bin"
+        matrix = matrix.astype(np.float64)
+        if transpose:
+            matrix = matrix.T
+        write_matrix(path, matrix, magic)
+        back = read_matrix(path, magic)
+        assert back.shape == matrix.shape
+        assert back.tobytes() == np.ascontiguousarray(matrix).tobytes()
 
     def test_empty_matrix_is_header_only(self, tmp_path):
         path = tmp_path / "empty.vsf"
@@ -258,6 +278,31 @@ class TestCheckpoint:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(v2, name), getattr(vnet, name))
             np.testing.assert_array_equal(getattr(d2, name), getattr(dnet, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 5)] * 4), fortran=st.booleans(), data=st.data())
+    def test_round_trip_is_bitwise_property(self, tmp_path_factory, dims, fortran, data):
+        """Drawn dims and finite float64 values, signed zeros and subnormals included, with
+        row- or column-major weight matrices: every field loads bit for bit as an owned,
+        writeable, row-major array."""
+        video_dim, desc_dim, hidden, embed = dims
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vnet, dnet = (
+            Subnet(*(data.draw(arrays(np.float64, shape, elements=finite))
+                     for shape in ((hidden, dim), (hidden,), (embed, hidden), (embed,))))
+            for dim in (video_dim, desc_dim)
+        )
+        if fortran:
+            for net in (vnet, dnet):
+                net.w1, net.w2 = np.asfortranarray(net.w1), np.asfortranarray(net.w2)
+        path = tmp_path_factory.mktemp("ckpt") / "m.npz"
+        save_checkpoint(path, vnet, dnet)
+        for got, want in zip(load_checkpoint(path), (vnet, dnet)):
+            for f in fields(Subnet):
+                arr = getattr(got, f.name)
+                assert arr.shape == getattr(want, f.name).shape
+                assert arr.tobytes() == np.ascontiguousarray(getattr(want, f.name)).tobytes()
+                assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
 
     def test_forward_output_unchanged_after_round_trip(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -639,6 +639,26 @@ class TestSegmentSpeedups:
         with pytest.raises(ValueError, match="infeasible"):
             segment_speedups(100, 1, 4.0, 2.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        len_s=st.floats(0, 1e12, allow_subnormal=False),
+        len_ns=st.floats(0, 1e12, allow_subnormal=False),
+        target=st.floats(1, 100),
+        share=st.floats(0, 1),
+    )
+    def test_parts_fill_the_output_budget_property(self, len_s, len_ns, target, share):
+        """len_s / rho_s + len_ns / rho_ns equals (len_s + len_ns) / target within 1e-9
+        relative; when the semantic part alone fills the budget, the call is infeasible."""
+        rho_s = min(target, 1.0 + share * (target - 1.0))
+        budget = (len_s + len_ns) / target
+        if not len_s / rho_s < budget:
+            with pytest.raises(ValueError, match="^infeasible"):
+                segment_speedups(len_s, len_ns, target, rho_s)
+            return
+        rho_ns = segment_speedups(len_s, len_ns, target, rho_s)
+        assert rho_ns > 0
+        assert math.isclose(len_s / rho_s + len_ns / rho_ns, budget, rel_tol=1e-9)
+
     def test_precondition_validation(self):
         with pytest.raises(ValueError):
             segment_speedups(10, 10, 0.5, 0.5)

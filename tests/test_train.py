@@ -438,28 +438,146 @@ class TestZeroGradientSkip:
     @given(
         seed=st.integers(0, 2**32 - 2),
         dims=st.tuples(*[st.integers(1, 4)] * 4),
-        rows=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-        labels=st.lists(st.integers(0, 1), min_size=1, max_size=4),
+        rows=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        n_descs=st.integers(1, 3),
+        records=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 1)),
+                         min_size=1, max_size=6),
+        shared=st.booleans(),
         margin=st.floats(0.0, 3.0),
         scale=st.sampled_from([1.0, 1e-170]),
         epochs=st.integers(1, 2),
     )
     def test_bitwise_equal_to_the_update_over_loss_gradients_property(
-        self, seed, dims, rows, labels, margin, scale, epochs
+        self, seed, dims, rows, n_descs, records, shared, margin, scale, epochs
     ):
-        """Drawn dims, segments of 1 to 3 rows, labels and margins on both sides of the
-        hinge.  At scale 1e-170 the embeddings are so small that a positive pair's
-        squared distance underflows to a zero loss while its gradient is not zero."""
+        """Drawn dims, pools of segments of 1 to 3 rows and of descriptions, records,
+        labels and margins on both sides of the hinge.  With `shared` the examples are
+        the views `sample_pairs` hands out, so examples share arrays; otherwise each
+        example owns copies.  At scale 1e-170 the embeddings are so small that a
+        positive pair's squared distance underflows to a zero loss while its gradient
+        is not zero."""
         video_dim, desc_dim, hidden, embed = dims
         rng = np.random.default_rng(seed)
         vnet, dnet = (Subnet(*(scale * getattr(init_subnet(s, dim, hidden, embed), name)
                                for name in PARAM_NAMES))
                       for s, dim in ((seed, video_dim), (seed + 1, desc_dim)))
-        dataset = [PairExample(rng.normal(size=(n, video_dim)), rng.normal(size=desc_dim), label)
-                   for n, label in zip(rows, labels)]
+        segments = [rng.normal(size=(n, video_dim)) for n in rows]
+        descs = rng.normal(size=(n_descs, desc_dim))
+        dataset = sample_pairs(segments, descs, [(i % len(rows), j % n_descs, label)
+                                                 for i, j, label in records])
+        if not shared:
+            dataset = [PairExample(ex.segment.copy(), ex.desc.copy(), ex.label) for ex in dataset]
         cfg = TrainConfig(margin=margin, learning_rate=0.3, epochs=epochs, seed=seed)
         got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
         want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+
+class TestEmbeddingReuse:
+    """Between two updates sgd_train embeds each input once; inputs are the same when
+    they are the same memory."""
+
+    @staticmethod
+    def spy_on_forward(monkeypatch):
+        """Record (net, rows) of every _forward call, then run the real forward."""
+        calls = []
+        real = train._forward
+
+        def spy(net, rows):
+            calls.append((net, rows))
+            return real(net, rows)
+
+        monkeypatch.setattr(train, "_forward", spy)
+        return calls
+
+    def test_each_input_embedded_once_while_no_update(self, monkeypatch):
+        """3 segments x 4 descriptions, every pair a negative beyond a zero margin:
+        7 forward passes over 3 epochs, where each example would take 2 per epoch."""
+        rng = np.random.default_rng(3)
+        vnet, dnet = init_subnet(3, 6, 5, 3), init_subnet(4, 7, 5, 3)
+        segments = [rng.normal(size=(n, 6)) for n in (2, 3, 1)]
+        dataset = sample_pairs(segments, rng.normal(size=(4, 7)),
+                               [(i, j, 0) for i in range(3) for j in range(4)])
+        calls = self.spy_on_forward(monkeypatch)
+        got_v, got_d, history = sgd_train(
+            vnet, dnet, dataset, TrainConfig(margin=0.0, learning_rate=0.5, epochs=3, seed=1))
+        assert len(calls) == 7
+        assert sorted((net is got_v, len(rows)) for net, rows in calls) == [
+            (False, 1)] * 4 + [(True, 1), (True, 2), (True, 3)]
+        assert history == [0.0, 0.0, 0.0]
+        assert_same_bits(got_v, vnet)
+        assert_same_bits(got_d, dnet)
+
+    def test_each_input_embedded_once_per_weight_version(self, monkeypatch):
+        """The calls replayed by hand: an example embeds each of its two inputs not yet
+        embedded since the last update; one that updates (here, the positive pairs)
+        runs its two forward passes again and starts a new weight version."""
+        rng = np.random.default_rng(12)
+        vnet, dnet = init_subnet(12, 6, 5, 3), init_subnet(13, 7, 5, 3)
+        records = [(i, j, int(i == j == 1)) for i in range(3) for j in range(3)]
+        dataset = sample_pairs([rng.normal(size=(n, 6)) for n in (2, 3, 1)],
+                               rng.normal(size=(3, 7)), records)
+        cfg = TrainConfig(margin=0.0, learning_rate=1e-3, epochs=4, seed=6)
+        order = np.random.default_rng(cfg.seed)
+        want_calls, seen = 0, set()
+        for _ in range(cfg.epochs):
+            for idx in order.permutation(len(dataset)):
+                seg, desc, label = records[idx]
+                want_calls += len({("video", seg), ("description", desc)} - seen)
+                seen |= {("video", seg), ("description", desc)}
+                if label:
+                    want_calls += 2
+                    seen = set()
+        calls = self.spy_on_forward(monkeypatch)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        assert len(calls) == want_calls < 2 * len(dataset) * cfg.epochs
+        want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    def test_inputs_sharing_an_address_are_told_apart_by_shape_and_net(self):
+        """frames[0:4] and frames[0:8] start at one address, and a description is also
+        the one-frame segment of a video net of its width; each keeps its own embedding."""
+        rng = np.random.default_rng(31)
+        vnet, dnet = init_subnet(31, 5, 6, 3), init_subnet(32, 5, 6, 3)
+        frames = rng.normal(size=(8, 5))
+        descs = rng.normal(size=(2, 5))
+        dataset = sample_pairs([frames[0:4], frames[0:8], descs[0][None, :]], descs,
+                               [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0), (2, 0, 1), (2, 1, 0)])
+        assert dataset[0].segment.ctypes.data == dataset[1].segment.ctypes.data
+        cfg = TrainConfig(margin=0.0, learning_rate=0.2, epochs=6, seed=3)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    def test_dataset_building_fresh_arrays_trains_like_the_list(self):
+        """A Sequence whose every __getitem__ builds new arrays: a freed array's address
+        may be taken by the next one, which must not reuse its embedding."""
+
+        class Fresh:
+            def __init__(self, examples):
+                self.examples = examples
+
+            def __len__(self):
+                return len(self.examples)
+
+            def __getitem__(self, i):
+                ex = self.examples[i]
+                return PairExample(ex.segment.copy(), ex.desc.copy(), ex.label)
+
+        rng = np.random.default_rng(41)
+        vnet, dnet = init_subnet(41, 5, 6, 3), init_subnet(42, 4, 6, 3)
+        dataset = sample_pairs([rng.normal(size=(3, 5)) for _ in range(4)],
+                               rng.normal(size=(4, 4)),
+                               [(i, j, int(i == j)) for i in range(4) for j in range(4)])
+        cfg = TrainConfig(margin=0.5, learning_rate=0.2, epochs=3, seed=8)
+        got_v, got_d, history = sgd_train(vnet, dnet, Fresh(dataset), cfg)
+        want_v, want_d, want_history = sgd_train(vnet, dnet, dataset, cfg)
         assert history == want_history
         assert_same_bits(got_v, want_v)
         assert_same_bits(got_d, want_d)
