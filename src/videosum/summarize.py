@@ -166,15 +166,45 @@ def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> flo
     return float(_sq_dists(arr, idx).min(axis=1).sum())
 
 
-def _sq_dists(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Squared distances from every point to the points `cols`, one point's row at a time:
-    the same pairwise sums over D as an n x m x D broadcast, without that temporary."""
-    targets = arr[cols]
-    with np.errstate(over="ignore"):
-        d2 = np.array([((p - targets) ** 2).sum(axis=1) for p in arr])
+def _sq_dists_to(p: np.ndarray, targets: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """The one per-pair rule: out[j] = ((p - targets[j]) ** 2).sum(), numpy's pairwise
+    sum over D, the same floats as an n x m x D broadcast.  `buf` is shaped like targets."""
+    np.subtract(p, targets, out=buf)
+    np.square(buf, out=buf)
+    np.sum(buf, axis=1, out=out)
+
+
+def _check_sq_dists(d2: np.ndarray) -> np.ndarray:
     if not np.isfinite(d2).all():
         raise ValueError("squared distances between points overflow float64")
     return d2
+
+
+def _sq_dists(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Squared distances from every point to the points `cols`, one point's row at a time."""
+    targets = arr[cols]
+    buf = np.empty_like(targets)
+    d2 = np.empty((arr.shape[0], targets.shape[0]))
+    with np.errstate(over="ignore"):
+        for p, row in zip(arr, d2):
+            _sq_dists_to(p, targets, buf, row)
+    return _check_sq_dists(d2)
+
+
+def _all_sq_dists(arr: np.ndarray) -> np.ndarray:
+    """The n x n matrix of `_sq_dists(arr, range(n))`, each pair computed once.
+
+    Row i gets the upper entries i+1..n-1; `d2 += d2.T` then fills the lower half
+    exactly, because each lower entry is 0.0 before the add and (a-b)**2 == (b-a)**2.
+    """
+    n = arr.shape[0]
+    buf = np.empty_like(arr)
+    d2 = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            _sq_dists_to(arr[i], arr[i + 1 :], buf[: n - i - 1], d2[i, i + 1 :])
+    d2 += d2.T
+    return _check_sq_dists(d2)
 
 
 def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[int], float]]:
@@ -189,35 +219,55 @@ def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    d2 = _sq_dists(arr, range(n))
-
-    # (a-b)**2 == (b-a)**2 exactly, so d2 is symmetric and row c of np.minimum(v, d2)
-    # sums to the same float as column c: one row-sum per candidate scores them all.
+    d2 = _all_sq_dists(arr)
+    # d2 is symmetric, so row c of np.minimum(v, d2) sums to the same float as column c:
+    # one row-sum per candidate scores them all.  Every length-n row is summed in the
+    # same pairwise tree, whichever buffer holds it.
+    buf = np.empty((n, n))
+    sums = np.empty(n)
 
     # Build: nearest[i] = distance from i to its closest chosen medoid.
     medoids: list[int] = []
     nearest = np.full(n, np.inf)
     for _ in range(k):
-        costs = np.minimum(nearest, d2).sum(axis=1)
-        costs[medoids] = np.inf
-        best = int(np.argmin(costs))
+        np.sum(np.minimum(nearest, d2, out=buf), axis=1, out=sums)
+        sums[medoids] = np.inf
+        best = int(np.argmin(sums))
         medoids.append(best)
-        nearest = np.minimum(nearest, d2[best])
+        np.minimum(nearest, d2[best], out=nearest)
     medoids.sort()
     cost = float(nearest.sum())
     yield list(medoids), cost
 
-    # Swap: scan in ascending (medoid, candidate) order, keep the best strict
-    # improvement; first encountered wins among equals (argmin takes the first).
+    # Swap: the best strict improvement; among equal costs the first pair in ascending
+    # (medoid, candidate) order.  rest[j] is each point's distance to its nearest medoid
+    # other than medoids[j], exact from the nearest and second-nearest (min does not
+    # round).  rest[j] >= nearest, and rounding and addition are monotone, so
+    # base[c] = sum(min(nearest, d2[c])) is at most the cost of every swap bringing in c:
+    # a candidate with base[c] > best cannot win, and only the others get a trial row.
+    base = np.empty(n)
     for _ in range(_MAX_SWAPS):
+        rows = d2[medoids]
+        first = np.argmin(rows, axis=0)
+        nearest = rows.min(axis=0)
+        second = np.partition(rows, 1, axis=0)[1] if k > 1 else np.full(n, np.inf)
+        rest = np.where(first == np.arange(k)[:, None], second, nearest)
+        np.sum(np.minimum(nearest, d2, out=buf), axis=1, out=base)
+        base[medoids] = np.inf
         best_swap, best_cost = None, cost
-        for m in medoids:
-            rest = d2[[x for x in medoids if x != m]].min(axis=0, initial=np.inf)
-            trial = np.minimum(rest, d2).sum(axis=1)
-            trial[medoids] = np.inf
-            cand = int(np.argmin(trial))
-            if trial[cand] < best_cost:
-                best_swap, best_cost = (m, cand), float(trial[cand])
+        for j in np.argsort(rest.sum(axis=1), kind="stable"):  # cheapest removal first
+            cands = np.flatnonzero(base <= best_cost)
+            if not cands.size:
+                break
+            # cands are in range; mode="clip" only spares take a buffered copy of out.
+            trial = np.take(d2, cands, axis=0, out=buf[: cands.size], mode="clip")
+            np.sum(np.minimum(trial, rest[j], out=trial), axis=1, out=sums[: cands.size])
+            at = int(np.argmin(sums[: cands.size]))
+            swap, trial_cost = (medoids[j], int(cands[at])), float(sums[at])
+            if trial_cost < best_cost or (
+                trial_cost == best_cost and best_swap is not None and swap < best_swap
+            ):
+                best_swap, best_cost = swap, trial_cost
         if best_swap is None:
             return
         out, inn = best_swap

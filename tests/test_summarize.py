@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from videosum.model import embed_frames, init_subnet
 from videosum.summarize import (
+    _all_sq_dists,
     _runs,
     _sq_dists,
     Roi,
@@ -111,6 +112,19 @@ float_points = arrays(
 grid_points = arrays(
     float, st.tuples(st.integers(1, 14), st.integers(1, 3)), elements=st.integers(-3, 3).map(float)
 )
+
+
+@st.composite
+def planted_grid_clusters(draw):
+    """Up to 150 grid points, each a small offset from one of a few grid centres: clear
+    clusters, so that a swap round can rule most candidates out, and many equal costs."""
+    dim = draw(st.integers(1, 3))
+    centres = draw(arrays(float, (draw(st.integers(1, 8)), dim),
+                          elements=st.integers(-20, 20).map(float)))
+    n = draw(st.integers(len(centres), 150))
+    which = draw(arrays(np.intp, n, elements=st.integers(0, len(centres) - 1)))
+    offsets = draw(arrays(float, (n, dim), elements=st.integers(-2, 2).map(float)))
+    return centres[which] + offsets
 
 
 def reference_runs(mask):
@@ -298,6 +312,29 @@ class TestSqDists:
         assert np.array_equal(_sq_dists(pts, cols), broadcast_sq_dists(pts, cols))
 
 
+class TestAllSqDists:
+    @staticmethod
+    def check(pts):
+        d2 = _all_sq_dists(pts)
+        n = len(pts)
+        for start in range(0, n, 8):  # eight columns at a time bound the oracle's memory
+            cols = list(range(start, min(start + 8, n)))
+            assert np.array_equal(d2[:, cols], broadcast_sq_dists(pts, cols))
+        assert np.array_equal(d2, d2.T)
+        assert np.array_equal(np.diag(d2), np.zeros(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pts=st.one_of(float_points, grid_points))
+    def test_bitwise_equal_to_broadcast_symmetric_zero_diagonal(self, pts):
+        self.check(pts)
+
+    @pytest.mark.parametrize("dim", [1, 300, 1000])
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_bitwise_equal_to_broadcast_at_scale(self, n, dim):
+        """n and D past numpy's 128-element pairwise-summation block."""
+        self.check(np.random.default_rng(n * dim).normal(size=(n, dim)))
+
+
 class TestKmedoids:
     def test_k_equals_n_selects_everything(self):
         pts = np.random.default_rng(0).normal(size=(5, 2))
@@ -372,6 +409,24 @@ class TestKmedoids:
         """n past numpy's 128-element pairwise-summation block keeps row-sums bitwise equal."""
         pts = np.random.default_rng(n).normal(size=(n, dim))
         assert list(pam_iterations(pts, k)) == list(reference_pam_iterations(pts, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pts=planted_grid_clusters(), data=st.data())
+    def test_matches_reference_loop_on_planted_grid_clusters(self, pts, data):
+        """Sizes at which the swap rounds rule candidates out, with equal costs to break."""
+        k = data.draw(st.integers(1, min(len(pts), 16)))
+        assert list(pam_iterations(pts, k)) == list(reference_pam_iterations(pts, k))
+
+    def test_swap_that_ties_the_best_only_after_rounding_is_kept(self):
+        """Sums near 3.4e10 (ulp 3.8e-6) round off what the 2**-10 offsets tell apart, so
+        swaps (2, 4) and (3, 6) cost the same float.  Medoid 3 is the cheaper to remove and is tried first; candidate 4's
+        bound equals that best cost, and it must still be tried for medoid 2."""
+        centres = [[1, 4], [-1, -2], [0, 3], [-3, -2], [0, 3], [2, -1], [-3, -2], [-3, -2]]
+        offsets = [[-2, 3], [3, -3], [3, -3], [3, 2], [2, -2], [2, 3], [3, 0], [0, -3]]
+        pts = np.array(centres) * 2.0**17 + np.array(offsets) * 2.0**-10
+        steps = list(pam_iterations(pts, 4))
+        assert steps == list(reference_pam_iterations(pts, 4))
+        assert [medoids for medoids, _ in steps[:2]] == [[1, 2, 3, 5], [1, 3, 4, 5]]
 
     def test_overflowing_distances_rejected(self):
         pts = np.array([[0.0], [1e200], [2e200]])
