@@ -134,22 +134,40 @@ class ImportanceScorer:
 # Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
 # block, so a frame's projection does not depend on how many frames follow it.
 _CHUNK = 128
-# Frames per block of score_importance: both directions are projected, then run side by
-# side and read out, one block at a time.  A multiple of _CHUNK.
+# Frames per block of score_importance: each direction projects its block, runs it and
+# reads it out, side by side with the other.  A multiple of _CHUNK.
 _BLOCK = 8 * _CHUNK
+# OpenBLAS (0.3.x) runs a GEMM of at most this many multiply-adds on the calling thread.
+# A chunk's GEMM above it wakes a BLAS worker, which then spins beside the scan threads;
+# where a _TILE_ROWS x _TILE_COLS tile stays within it, the chunk is multiplied as a stack
+# of such tiles instead, with the same bytes.  Inputs wider than 128 keep the one GEMM:
+# a tile within the bound would be smaller, and OpenBLAS sums such products in another
+# order.  The bound matters for speed only.
+_ONE_THREAD_MACS = 2**18
+_TILE_ROWS, _TILE_COLS = 32, 64
 
 
-def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One unchecked step to (h', c'): c' = i * tanh(z_c) + f * c, h' = o * tanh(c').
+def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray, z: np.ndarray) -> None:
+    """One unchecked step, in place: c <- i * tanh(z_c) + f * c, then h <- o * tanh(c).
 
-    z = zx + w_h @ h, where zx = W_x x is the frame's input projection; i, f, o are the
-    sigmoids of its first three gate blocks.
+    z = zx + w_h @ h is written to the (4H,) buffer `z`, where zx = W_x x is the frame's
+    input projection; i, f, o are the sigmoids 1 / (1 + exp(-z)) of its first three gate
+    blocks, written over them.
     """
     h_dim = h.shape[0]
-    z = zx + w_h @ h
-    ifo = sigmoid(z[: 3 * h_dim])
-    c = ifo[:h_dim] * np.tanh(z[3 * h_dim :]) + ifo[h_dim : 2 * h_dim] * c
-    return ifo[2 * h_dim :] * np.tanh(c), c
+    np.matmul(w_h, h, out=z)
+    z += zx
+    ifo, z_c = z[: 3 * h_dim], z[3 * h_dim :]
+    np.negative(ifo, out=ifo)
+    np.exp(ifo, out=ifo)
+    ifo += 1.0
+    np.divide(1.0, ifo, out=ifo)
+    np.tanh(z_c, out=z_c)
+    z_c *= ifo[:h_dim]
+    c *= ifo[h_dim : 2 * h_dim]
+    c += z_c
+    np.tanh(c, out=h)
+    h *= ifo[2 * h_dim :]
 
 
 def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
@@ -173,38 +191,51 @@ class _Scan:
     `reverse`, run as consecutive blocks of at most `block` steps (a multiple of _CHUNK).
 
     `project(s, e)` computes the input projections of steps s..e-1; `recur(s, out)` then
-    runs those steps and writes their hidden states to the rows of `out`.
+    runs those steps and writes their hidden states to the rows of `out`.  Every buffer
+    is allocated here, once per scan.
     """
 
     def __init__(self, params: LstmParams, frames: np.ndarray, reverse: bool, block: int):
         n, d = frames.shape
+        gates = 4 * params.hidden_dim
         self.n, self.reverse = n, reverse
         self.src = frames[::-1] if reverse else frames
-        self.w_x = params.w[:, :d]
+        w_x = params.w[:, :d]
         self.w_h = np.ascontiguousarray(params.w[:, d:])
         self.rows = np.zeros((_CHUNK, d))
-        self.zx = np.empty((min(block, -(-n // _CHUNK) * _CHUNK), 4 * params.hidden_dim))
-        self.h = self.c = np.zeros(params.hidden_dim)
+        self.zx = np.empty((min(block, -(-n // _CHUNK) * _CHUNK), gates))
+        self.h, self.c = np.zeros(params.hidden_dim), np.zeros(params.hidden_dim)
+        self.z = np.empty(gates)
+        tiled = (_CHUNK * gates * d > _ONE_THREAD_MACS >= _TILE_ROWS * _TILE_COLS * d
+                 and gates % _TILE_COLS == 0)
+        # Views of the chunk, the weights and zx as stacks of (m, d) @ (d, cols) products.
+        m, cols = (_TILE_ROWS, _TILE_COLS) if tiled else (_CHUNK, gates)
+        self.tile_rows = m
+        self.rows_tiles = self.rows.reshape(_CHUNK // m, 1, m, d)
+        self.w_tiles = w_x.reshape(gates // cols, cols, d).transpose(0, 2, 1)
+        self.zx_tiles = self.zx.reshape(-1, m, gates // cols, cols).transpose(0, 2, 1, 3)
 
     def project(self, s: int, e: int) -> None:
-        """One full _CHUNK-row GEMM per chunk of steps s..e-1; rows past e are stale."""
+        """One stacked matmul per full _CHUNK-row chunk of steps s..e-1; rows past e are
+        stale."""
+        per_chunk = _CHUNK // self.tile_rows
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(s, e, _CHUNK):
                 m = min(_CHUNK, e - k)
                 self.rows[:m] = self.src[k : k + m]
-                np.matmul(self.rows, self.w_x.T, out=self.zx[k - s : k - s + _CHUNK])
+                i = (k - s) // self.tile_rows
+                np.matmul(self.rows_tiles, self.w_tiles, out=self.zx_tiles[i : i + per_chunk])
 
     def recur(self, s: int, out: np.ndarray) -> None:
         """Steps s..s+len(out)-1; a hidden state that is not finite raises a ValueError
         naming its frame in input order."""
-        h, c = self.h, self.c
+        w_h, h, c, z = self.w_h, self.h, self.c, self.z
         # A step that overflows leaves NaN behind it; the block's rows are checked once.
         # np.errstate is per thread, so it is opened in the thread that runs the steps.
         with np.errstate(over="ignore", invalid="ignore"):
             for t, zx in enumerate(self.zx[: len(out)]):
-                h, c = _cell(self.w_h, zx, h, c)
+                _cell(w_h, zx, h, c, z)
                 out[t] = h
-        self.h, self.c = h, c
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if bad.size:
             step = s + bad[0]
@@ -241,9 +272,9 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
 
     The scorer and the frames are checked first, as lstm_scan checks them.  The
     two scans then run side by side, _BLOCK frames at a time: the calling thread
-    projects both blocks, one worker thread runs the backward steps while the
-    caller runs the forward ones, and each reads its block out with its half of
-    the readout.  The worker is joined before the call returns.  When both cells
+    projects, runs and reads out the forward block while one worker thread does
+    the same for the backward block, each reading out with its half of the
+    readout.  The worker is joined before the call returns.  When both cells
     overflow, the forward cell's error is raised.
     """
     # Imported here, not with the module: concurrent.futures imports logging, which
@@ -263,6 +294,7 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     act = np.empty((2, n))  # each direction's readout, in its own scan order
 
     def run(k: int, s: int, e: int) -> None:
+        scans[k].project(s, e)
         scans[k].recur(s, hidden[k][: e - s])
         np.matmul(hidden[k][: e - s], halves[k], out=act[k, s:e])
 
@@ -270,9 +302,7 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     with ThreadPoolExecutor(max_workers=1) as worker:
         for s in range(0, n, _BLOCK):
             e = min(s + _BLOCK, n)
-            scans[0].project(s, e)
             if backward_error is None:
-                scans[1].project(s, e)
                 job = worker.submit(run, 1, s, e)
             run(0, s, e)  # an error here leaves the with block, which joins the worker
             if backward_error is None:
@@ -286,9 +316,16 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
 
 
 def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden and output activations (z1, z2), one row per input row of x."""
-    z1 = np.tanh(x @ net.w1.T + net.b1)
-    return z1, np.tanh(z1 @ net.w2.T + net.b2)
+    """Hidden and output activations (z1, z2), one row per input row of x.
+
+    Each product is taken weights first, (w @ x.T).T: in OpenBLAS 0.3.31 its bytes did not
+    depend on the thread count at most widths tried, where those of x @ w.T often did.
+    The bias is added into a row-major result, the layout callers reduce over.
+    """
+    z1 = np.add((net.w1 @ x.T).T, net.b1, order="C")
+    np.tanh(z1, out=z1)
+    z2 = np.add((net.w2 @ z1.T).T, net.b2, order="C")
+    return z1, np.tanh(z2, out=z2)
 
 
 def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:

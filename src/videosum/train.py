@@ -157,12 +157,15 @@ def finite_diff_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Relative error per parameter uses the denominator
-    max(|analytic|, |numeric|, 1e-8).  A NaN error is returned at once, so it
-    fails every tolerance.
+    The error of a parameter is (|analytic - numeric| - r) / max(|analytic|,
+    |numeric|, 1e-8), or 0 if that is negative.  r = eps * max(|up|, |down|) / h
+    is the rounding error of the central difference (up - down) / (2h): each
+    loss is rounded to about eps times its size, so a smaller gap is not
+    resolved.  A NaN error is returned at once, so it fails every tolerance.
     """
     h = check_real("step h", h, positive=True)
     _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
+    eps = np.finfo(float).eps
     worst = 0.0
     for net, grads in ((vnet, grad_v), (dnet, grad_d)):
         for f in fields(Subnet):
@@ -176,8 +179,9 @@ def finite_diff_check(
                 down = loss_gradients(vnet, dnet, ex, margin)[0]
                 theta[idx] = orig
                 numeric = (up - down) / (2.0 * h)
+                rounding = eps * max(abs(up), abs(down)) / h
                 a = analytic[idx]
-                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                err = (abs(a - numeric) - rounding) / max(abs(a), abs(numeric), 1e-8)
                 if math.isnan(err):
                     return err
                 worst = max(worst, err)

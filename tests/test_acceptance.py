@@ -58,8 +58,8 @@ def test_a2_lstm_oracle():
         w = rng.uniform(-2, 2, size=(4, 2))
         h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
         params = LstmParams(w)
-        h, c = _cell(params.w[:, 1:], params.w[:, :1] @ np.array([x]), np.array([h_prev]),
-                     np.array([c_prev]))
+        h, c = np.array([h_prev]), np.array([c_prev])
+        _cell(params.w[:, 1:], params.w[:, :1] @ np.array([x]), h, c, np.empty(4))
         zc = w[3][0] * x + w[3][1] * h_prev
         c_ref = sig(w[0][0] * x + w[0][1] * h_prev) * math.tanh(zc)
         c_ref += sig(w[1][0] * x + w[1][1] * h_prev) * c_prev
@@ -74,14 +74,14 @@ def test_a2_lstm_oracle():
         params = LstmParams(
             np.vstack([rng.uniform(-bound, bound, size=(h_dim, d + h_dim)) for _ in range(4)])
         )
-        h = c = np.zeros(h_dim)
+        h, c, z = np.zeros(h_dim), np.zeros(h_dim), np.empty(4 * h_dim)
         for _ in range(4):
             x = rng.normal(size=d)
             xh = np.concatenate([x, h])
             for w in np.split(params.w, 4)[:3]:
                 gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                 ranges_ok &= bool(np.all(gate > 0) and np.all(gate < 1))
-            h, c = _cell(params.w[:, d:], params.w[:, :d] @ x, h, c)
+            _cell(params.w[:, d:], params.w[:, :d] @ x, h, c, z)
             ranges_ok &= bool(np.all(h > -1) and np.all(h < 1))
 
     ok = worst <= 1e-12 and ranges_ok

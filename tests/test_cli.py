@@ -675,3 +675,32 @@ def test_score_lstm_and_fastforward_bytes_do_not_depend_on_blas_threads(tmp_path
             assert proc.returncode == 0, proc.stderr
         written.append([(out / name).read_bytes() for name in ("s.vsf", "ff.json")])
     assert written[0] == written[1]
+
+
+def test_train_and_summarize_bytes_do_not_depend_on_blas_threads(tmp_path, child_env):
+    """`gen-synth -> train -> summarize` writes the same files on one BLAS thread and on the
+    default count.  The nets are the train bench's 1024 -> 256 -> 300 on 36-frame segments:
+    OpenBLAS threads GEMMs that wide, and never those of small test dims."""
+    names = ("f.vsf", "t.json", "d.vsd", "p.txt", "m.npz", "s.json")
+    written = []
+    for threads in ("1", None):
+        env = {k: v for k, v in child_env.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                                 "OMP_NUM_THREADS")}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        out.mkdir()
+        f, t, d, p, m, s = (str(out / name) for name in names)
+        for argv in (["gen-synth", "--seed", "0", "--n-events", "4", "--frames-per-event", "32",
+                      "--gap-frames", "4", "--dim", "1024", "--features", f, "--truth", t,
+                      "--descs", d, "--labels", p],
+                     ["train", "--features", f, "--descs", d, "--pairs", p, "--seg-len", "36",
+                      "--hidden", "256", "--embed-dim", "300", "--lr", "0.01", "--epochs", "1",
+                      "--out", m],
+                     ["summarize", "--features", f, "--model", m, "--seg-len", "4", "--k", "5",
+                      "--out", s]):
+            proc = subprocess.run([sys.executable, "-m", "videosum", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        written.append({name: (out / name).read_bytes() for name in names})
+    assert written[0] == written[1]
