@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 import zipfile
@@ -239,6 +240,8 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
 
 
 # The header numpy writes for a float64 array: magic, version 1.0, header length, header text.
+# A member's data bytes are read into its array this many at a time.
+_READ_CHUNK = 1 << 20
 _NPY_HEADER = re.compile(
     rb"(?s)\x93NUMPY\x01\x00(..)\{'descr': '<f8', 'fortran_order': (False|True), "
     rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
@@ -252,21 +255,33 @@ def _check_nets_agree(vnet: Subnet, dnet: Subnet) -> None:
             raise ValueError(f"{what} dims differ: video {video} vs description {description}")
 
 
-def _member_array(where: str, raw: bytes) -> np.ndarray:
-    """The float64 array in one .npy member, as an owned, writeable array."""
-    header = _NPY_HEADER.match(raw)
-    if header is None or int.from_bytes(header[1], "little") != header.end() - 10:
+def _member_array(where: str, fh, size: int) -> np.ndarray:
+    """The float64 array in one open .npy member of `size` bytes, as an owned, writeable
+    array.  The data bytes are read straight into the array, _READ_CHUNK at a time, so a
+    large member is never held twice."""
+    head = fh.read(10)
+    if len(head) == 10:
+        head += fh.read(int.from_bytes(head[8:], "little"))
+    header = _NPY_HEADER.fullmatch(head)
+    if header is None:
         raise ValueError(f"{where} is not a float64 array in .npy format 1.0")
     shape = tuple(map(int, header[3].replace(b",", b" ").split()))
-    data = memoryview(raw)[header.end() :]  # a view: no second copy of the data bytes
     # Checked before any allocation: a corrupt header may claim a huge shape.
-    if math.prod(shape) * 8 != len(data):
-        raise ValueError(f"{where} declares shape {shape} but holds {len(data)} data bytes")
-    order = "F" if header[2] == b"True" else "C"
-    return np.frombuffer(data, dtype="<f8").reshape(shape, order=order).copy()
+    if math.prod(shape) * 8 != size - len(head):
+        raise ValueError(f"{where} declares shape {shape} but holds {size - len(head)} data bytes")
+    fortran = header[2] == b"True"
+    arr = np.empty(shape[::-1] if fortran else shape, dtype="<f8")
+    view = memoryview(arr.reshape(-1)).cast("B")
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got : got + _READ_CHUNK])
+        if not n:
+            raise ValueError(f"{where} declares shape {shape} but holds {got} data bytes")
+        got += n
+    return np.ascontiguousarray(arr.T) if fortran else arr
 
 
-def _read_net(zf: zipfile.ZipFile, which: str) -> Subnet:
+def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
     """One net's fields as finite arrays: 2-D, 1-D, 2-D and 1-D, with consistent shapes."""
     arrays = []
     for f, ndim in zip(fields(Subnet), (2, 1, 2, 1)):
@@ -274,7 +289,13 @@ def _read_net(zf: zipfile.ZipFile, which: str) -> Subnet:
         info = zf.getinfo(f"{which}.{f.name}.npy")
         if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
             raise ValueError(f"{where} is compressed or encrypted")
-        arr = _member_array(where, zf.read(info))
+        # The array is allocated before its bytes are read, so a size the archive cannot
+        # hold is rejected first.
+        if info.file_size > archive_bytes:
+            raise ValueError(f"{where} claims {info.file_size} bytes in a "
+                             f"{archive_bytes}-byte archive")
+        with zf.open(info) as member:
+            arr = _member_array(where, member, info.file_size)
         if arr.ndim != ndim:
             raise ValueError(f"{where} is {arr.ndim}-D, expected {ndim}-D")
         if not np.isfinite(arr).all():
@@ -319,7 +340,8 @@ def load_checkpoint(path) -> tuple[Subnet, Subnet]:
                         raise ValueError(f"unexpected member {name!r}")
                     if name not in names:
                         raise ValueError(f"missing member {name!r}")
-                vnet, dnet = _read_net(zf, "video"), _read_net(zf, "description")
+                size = os.fstat(fh.fileno()).st_size
+                vnet, dnet = _read_net(zf, "video", size), _read_net(zf, "description", size)
             _check_nets_agree(vnet, dnet)
         except (zipfile.BadZipFile, EOFError, OSError, NotImplementedError) as exc:
             raise ValueError(f"{path}: not a checkpoint archive: {exc}") from None

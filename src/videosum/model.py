@@ -138,13 +138,17 @@ _CHUNK = 128
 # reads it out, side by side with the other.  A multiple of _CHUNK.
 _BLOCK = 8 * _CHUNK
 # OpenBLAS (0.3.x) runs a GEMM of at most this many multiply-adds on the calling thread.
-# A chunk's GEMM above it wakes a BLAS worker, which then spins beside the scan threads;
-# where a _TILE_ROWS x _TILE_COLS tile stays within it, the chunk is multiplied as a stack
-# of such tiles instead, with the same bytes.  Inputs wider than 128 keep the one GEMM:
-# a tile within the bound would be smaller, and OpenBLAS sums such products in another
-# order.  The bound matters for speed only.
+# A chunk's GEMM above it wakes a BLAS worker, which then spins beside the scan threads.
+# For hidden widths in _TILED_HIDDEN and inputs of at most 128 columns, such a chunk is
+# multiplied as a stack of _TILE_ROWS x _TILE_COLS tiles within the bound instead, with
+# the same bytes.  The rule matters for speed only, and each edge was measured (2 vCPUs,
+# SkylakeX kernels): below H = 192 a step's work is mostly outside BLAS and tiles gained
+# little or nothing; from H = 352 on, OpenBLAS threads the (4H, H) recurrent product, so its
+# worker wakes at every step anyway; a tile within the bound for a wider input would be
+# smaller, and OpenBLAS sums such products in another order.
 _ONE_THREAD_MACS = 2**18
 _TILE_ROWS, _TILE_COLS = 32, 64
+_TILED_HIDDEN = range(192, 352)
 
 
 def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray, z: np.ndarray) -> None:
@@ -207,7 +211,7 @@ class _Scan:
         self.h, self.c = np.zeros(params.hidden_dim), np.zeros(params.hidden_dim)
         self.z = np.empty(gates)
         tiled = (_CHUNK * gates * d > _ONE_THREAD_MACS >= _TILE_ROWS * _TILE_COLS * d
-                 and gates % _TILE_COLS == 0)
+                 and gates % _TILE_COLS == 0 and params.hidden_dim in _TILED_HIDDEN)
         # Views of the chunk, the weights and zx as stacks of (m, d) @ (d, cols) products.
         m, cols = (_TILE_ROWS, _TILE_COLS) if tiled else (_CHUNK, gates)
         self.tile_rows = m
@@ -318,12 +322,12 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
 def _forward(net: Subnet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden and output activations (z1, z2), one row per input row of x.
 
-    Each product is taken weights first, (w @ x.T).T: in OpenBLAS 0.3.31 its bytes did not
-    depend on the thread count at most widths tried, where those of x @ w.T often did.
-    The bias is added into a row-major result, the layout callers reduce over.
+    The second product is taken weights first, (w2 @ z1.T).T: in OpenBLAS 0.3.31 its bytes
+    did not depend on the thread count at the train bench's widths, where those of
+    z1 @ w2.T did.  Its bias is added into a row-major result, the layout callers reduce
+    over.
     """
-    z1 = np.add((net.w1 @ x.T).T, net.b1, order="C")
-    np.tanh(z1, out=z1)
+    z1 = np.tanh(x @ net.w1.T + net.b1)
     z2 = np.add((net.w2 @ z1.T).T, net.b2, order="C")
     return z1, np.tanh(z2, out=z2)
 

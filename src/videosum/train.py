@@ -158,10 +158,11 @@ def finite_diff_check(
     """Max relative error between analytic and central-difference gradients.
 
     The error of a parameter is (|analytic - numeric| - r) / max(|analytic|,
-    |numeric|, 1e-8), or 0 if that is negative.  r = eps * max(|up|, |down|) / h
-    is the rounding error of the central difference (up - down) / (2h): each
-    loss is rounded to about eps times its size, so a smaller gap is not
-    resolved.  A NaN error is returned at once, so it fails every tolerance.
+    |numeric|, 1e-8), where r = eps * max(|up|, |down|) / h is the rounding
+    error of the central difference (up - down) / (2h): each loss is rounded to
+    about eps times its size, so a smaller gap is not resolved.  The largest
+    error is returned, and never less than 0.  A NaN error is returned at once,
+    so it fails every tolerance.
     """
     h = check_real("step h", h, positive=True)
     _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)

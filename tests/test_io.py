@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import time
+import tracemalloc
 import zipfile
 from dataclasses import fields
 from io import BytesIO
@@ -442,6 +443,45 @@ class TestCheckpoint:
         needle = f"^{re.escape(str(path))}: video net field 'b1' {needle}"
         with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
+
+    def test_member_larger_than_the_archive_rejected(self, tmp_path):
+        """A directory entry may claim more bytes than the whole file holds, with a header
+        to match; that is rejected before the member's array is allocated."""
+        path = tmp_path / "ckpt.json"
+        claim = npy_member("{'descr': '<f8', 'fortran_order': False, 'shape': (16777216,), }")
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, value in members(*seeded_nets()).items():
+                raw = BytesIO()
+                np.lib.format.write_array(raw, value)
+                zf.writestr(f"{name}.npy", claim if name == "video.b1" else raw.getvalue())
+        data = bytearray(path.read_bytes())
+        # The central directory entry: its name starts 46 bytes in, after the compressed
+        # and uncompressed sizes at 20 and 24.
+        entry = data.rindex(b"video.b1.npy") - 46
+        assert data[entry : entry + 4] == b"PK\x01\x02"
+        size = len(claim) - 8 + 8 * 16777216
+        data[entry + 20 : entry + 28] = struct.pack("<II", size, size)
+        path.write_bytes(bytes(data))
+        needle = (f"^{re.escape(str(path))}: video net field 'b1' claims {size} bytes in a "
+                  f"{len(data)}-byte archive")
+        with pytest.raises(ValueError, match=needle):
+            load_checkpoint(path)
+
+    def test_load_holds_each_member_once(self, tmp_path):
+        """Members are read straight into their arrays: with an 8 MB w1, loading peaks near
+        the arrays' own size, not at twice the largest member."""
+        path = tmp_path / "ckpt.json"
+        vnet, dnet = init_subnet(0, 1024, 1024, 4), init_subnet(1, 9, 1024, 4)
+        save_checkpoint(path, vnet, dnet)
+        total = sum(a.nbytes for a in members(vnet, dnet).values())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded[0].w1, vnet.w1)
+        assert peak < total + 4 * 2**20
 
     def test_compressed_member_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -504,11 +504,12 @@ class TestScoreImportance:
             assert np.all(scores > 0) and np.all(scores < 1)
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(0, 300), d=st.sampled_from([1, 5, 128]), h=st.sampled_from([1, 3, 16]),
+    @given(n=st.integers(0, 300), d=st.sampled_from([1, 5, 128]), h=st.sampled_from([1, 3, 192]),
            seed=st.integers(0, 2**32 - 1))
     def test_inputs_left_unchanged_and_calls_repeat_property(self, n, d, h, seed):
         """lstm_scan and score_importance leave the frames, the gate weights and the readout
-        bitwise unchanged, and a second call gives the same bytes.  (128, 16) is tiled."""
+        bitwise unchanged, and a second call gives the same bytes.  H = 192 tiles for
+        D = 5 and 128."""
         scorer = init_scorer(seed, d, h)
         frames = np.random.default_rng(seed).normal(size=(n, d))
         inputs = (frames, scorer.forward.w, scorer.backward.w, scorer.readout_w)
@@ -520,8 +521,9 @@ class TestScoreImportance:
 
 
 # (D, H) at which a chunk's 128 x D x 4H input projection is beyond OpenBLAS's one-thread
-# bound, so it is multiplied as a stack of 32 x 64 tiles: one and two tiles across the gates.
-TILED_DIMS = [(128, 16), (64, 32)]
+# bound, so it is multiplied as a stack of 32 x 64 tiles: the tile rule's narrowest hidden
+# width at its widest input, and an odd input width.
+TILED_DIMS = [(128, 192), (5, 256)]
 
 
 class TestTiledProjection:
@@ -531,6 +533,11 @@ class TestTiledProjection:
     def test_these_dims_tile(self, d, h):
         scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False, _CHUNK)
         assert scan.tile_rows == model._TILE_ROWS < _CHUNK
+
+    @pytest.mark.parametrize("d, h", [(128, 176), (128, 352), (2, 256), (129, 256)])
+    def test_dims_past_each_edge_keep_the_gemm(self, d, h):
+        scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False, _CHUNK)
+        assert scan.tile_rows == _CHUNK
 
     @pytest.mark.parametrize("d, h", TILED_DIMS)
     @pytest.mark.parametrize("n", [31, 32, 33, 1100])

@@ -140,7 +140,8 @@ class TestLossGradients:
         margin=st.floats(0.0, 3.0),
     )
     # video w2[0, 1] is 3.6619e-8 analytic, 3.6615e-8 numeric: a gap of 3.7e-12, below the
-    # central difference's rounding error eps * |loss| / h = 2.2e-11 (loss 0.985).
+    # central difference's rounding error eps * max(|loss(+h)|, |loss(-h)|) / h = 2.2e-11
+    # (both losses near 0.985).
     @example(seed=145, dims=(2, 3, 3, 2), frames=3, label=0, margin=1.0)
     def test_matches_central_differences_property(self, seed, dims, frames, label, margin):
         """Every gradient entry agrees with central differences, away from the hinge kink."""
