@@ -1,4 +1,4 @@
-"""The one rule for a real-valued setting or document number, and the one for an integer."""
+"""The one rule for a real setting or document number, an integer, an array and an interval."""
 
 from __future__ import annotations
 
@@ -45,3 +45,43 @@ def check_int(name: str, value, low: int) -> int:
             else "a positive integer" if low == 1
             else f"an integer of at least {low}")
     raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def as_floats(name: str, value) -> np.ndarray:
+    """`np.asarray(value, dtype=float)`; a ValueError starting with `name` if that fails,
+    as for an int beyond the float64 range, an entry that is not a number or ragged rows."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of real numbers: {exc}") from None
+
+
+def first_non_finite(arr: np.ndarray) -> tuple | None:
+    """The index of the first entry of `arr` in row-major order that is not finite, or None."""
+    finite = np.isfinite(arr)
+    return None if finite.all() else np.unravel_index(np.argmin(finite), arr.shape)
+
+
+def check_finite(subject: str, arr: np.ndarray, *, by_row: bool = False) -> np.ndarray:
+    """`arr` if every entry is finite, else a ValueError "<subject> at <where>" naming the
+    first that is not: "frame i" if `by_row`, else "row r, column c" or "index i" (row-major)."""
+    at = first_non_finite(arr if arr.ndim == 2 else arr.reshape(-1))
+    if at is None:
+        return arr
+    where = (f"frame {at[0]}" if by_row else f"index {at[0]}" if len(at) == 1
+             else f"row {at[0]}, column {at[1]}")
+    raise ValueError(f"{subject} at {where}")
+
+
+def check_interval(where: str, record) -> tuple:
+    """(start, end) of one interval record, each bound through `check_real`; a ValueError
+    starting with `where` unless the record is a pair with start < end."""
+    try:  # text or a mapping of two items unpacks, but is no pair
+        start, end = None if isinstance(record, (str, dict)) else record
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} is not a [start, end] pair") from None
+    start = check_real(f"{where}: start", start)
+    end = check_real(f"{where}: end", end)
+    if start >= end:
+        raise ValueError(f"{where}: start {start} >= end {end}")
+    return start, end

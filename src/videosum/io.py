@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_real
+from ._checks import as_floats, check_finite, check_interval, first_non_finite
 from .model import Subnet
 from .summarize import Roi, Segment, semantic_score
 
@@ -81,16 +81,16 @@ def read_matrix(path, expected_magic: bytes) -> np.ndarray:
             f"for a {rows} x {cols} matrix"
         )
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
-    if not np.isfinite(values).all():
-        row, col = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"{path}: non-finite value {values[row, col]} at row {row}, column {col}")
+    at = first_non_finite(values)
+    if at is not None:
+        raise ValueError(f"{path}: non-finite value {values[at]} at row {at[0]}, column {at[1]}")
     return values
 
 
 def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
     """Write a matrix in the binary layout; values narrow to 32-bit floats."""
     _check_magic(magic)
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = as_floats("matrix", matrix)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
     # nan fails the comparison too, so this rejects every value that is not a finite float32.
@@ -139,17 +139,8 @@ def read_intervals(path) -> list[tuple[int, int]]:
     (records,) = _fields(path, _read_json(path), "intervals")
     if not isinstance(records, list):
         raise ValueError(f"{path}: intervals must be a list of [start, end] pairs")
-    out = []
-    for rec_no, pair in enumerate(records):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"{path}: interval record {rec_no} is not a [start, end] pair")
-        start, end = pair
-        check_real(f"{path}: interval record {rec_no}: start", start)
-        check_real(f"{path}: interval record {rec_no}: end", end)
-        if start >= end:
-            raise ValueError(f"{path}: interval record {rec_no}: start {start} >= end {end}")
-        out.append((start, end))
-    return out
+    return [check_interval(f"{path}: interval record {rec_no}", pair)
+            for rec_no, pair in enumerate(records)]
 
 
 def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
@@ -298,9 +289,7 @@ def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
             arr = _member_array(where, member, info.file_size)
         if arr.ndim != ndim:
             raise ValueError(f"{where} is {arr.ndim}-D, expected {ndim}-D")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{where} holds a non-finite value")
-        arrays.append(arr)
+        arrays.append(check_finite(f"{where} holds a non-finite value", arr))
     net = Subnet(*arrays)
     hidden, embed = net.hidden_dim, net.embed_dim
     expected = ((hidden, net.input_dim), (hidden,), (embed, hidden), (embed,))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import as_floats, check_int, check_interval, check_real, first_non_finite
 
 __all__ = [
     "normalize_intervals",
@@ -29,19 +29,13 @@ Interval = tuple[int, int]
 def normalize_intervals(intervals: Sequence[Sequence[float]]) -> list[Interval]:
     """Sort intervals and merge overlapping or adjacent ones.
 
-    The union of covered frames is preserved.  Any record with a bound that
-    is not a finite float64 value (NaN, an infinity or an int beyond the
-    float64 range) or with start >= end is rejected with its position in the
-    input.
+    The union of covered frames is preserved.  Any record that is not a pair,
+    has a bound that is not a finite float64 value (NaN, an infinity or an int
+    beyond the float64 range) or has start >= end is rejected with its
+    position in the input.
     """
-    cleaned = []
-    for rec_no, (start, end) in enumerate(intervals):
-        start = check_real(f"interval record {rec_no}: start", start)
-        end = check_real(f"interval record {rec_no}: end", end)
-        if start >= end:
-            raise ValueError(f"interval record {rec_no}: start {start} >= end {end}")
-        cleaned.append((start, end))
-    cleaned.sort()
+    cleaned = sorted(check_interval(f"interval record {rec_no}", record)
+                     for rec_no, record in enumerate(intervals))
     merged: list[Interval] = []
     for start, end in cleaned:
         if merged and start <= merged[-1][1]:
@@ -104,15 +98,14 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
     `track` holds one (x, y) location per output frame; at least two points
     are required.
     """
-    pts = np.asarray(track, dtype=float)
+    pts = as_floats("track", track)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"track must be an (n, 2) array, got shape {pts.shape}")
     if pts.shape[0] < 2:
         raise ValueError("track needs at least 2 points")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        point = np.flatnonzero(~finite)[0]
-        raise ValueError(f"track point {point} is not finite: {pts[point].tolist()}")
+    at = first_non_finite(pts)
+    if at is not None:
+        raise ValueError(f"track point {at[0]} is not finite: {pts[at[0]].tolist()}")
     with np.errstate(over="ignore"):
         steps = np.diff(pts, axis=0)
         dists = np.hypot(steps[:, 0], steps[:, 1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import as_floats, check_finite, check_int, check_real, first_non_finite
 
 __all__ = [
     "DEFAULT_EMBED_DIM",
@@ -41,7 +41,7 @@ def sigmoid(z):
     """Logistic function; large negative z saturates to exactly 0.0 without a warning."""
     # exp(-z) -> inf is the right limit; a rearranged form would move outputs by an ulp.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+        return 1.0 / (1.0 + np.exp(-as_floats("z", z)))
 
 
 @dataclass
@@ -55,14 +55,12 @@ class LstmParams:
     w: np.ndarray
 
     def __post_init__(self):
-        w = self.w = np.asarray(self.w, dtype=float)
+        w = self.w = as_floats("w", self.w)
         if w.ndim != 2 or w.shape[0] % 4 or not 0 < w.shape[0] // 4 < w.shape[1]:
             raise ValueError(
                 f"LSTM gate matrix has shape {w.shape}, expected (4H, D+H) with H, D >= 1"
             )
-        if not np.isfinite(w).all():
-            row, col = np.argwhere(~np.isfinite(w))[0]
-            raise ValueError(f"LSTM gate matrix has a non-finite weight at row {row}, column {col}")
+        check_finite("LSTM gate matrix has a non-finite weight", w)
 
     @property
     def hidden_dim(self) -> int:
@@ -121,13 +119,11 @@ class ImportanceScorer:
         if self.forward.input_dim != self.backward.input_dim:
             raise ValueError(f"forward cell takes {self.forward.input_dim} inputs, "
                              f"backward cell takes {self.backward.input_dim}")
-        w = self.readout_w = np.asarray(self.readout_w, dtype=float)
+        w = self.readout_w = as_floats("readout_w", self.readout_w)
         width = self.forward.hidden_dim + self.backward.hidden_dim
         if w.shape != (width,):
             raise ValueError(f"readout has shape {w.shape}, expected ({width},)")
-        if not np.isfinite(w).all():
-            index = np.flatnonzero(~np.isfinite(w))[0]
-            raise ValueError(f"readout has a non-finite weight at index {index}")
+        check_finite("readout has a non-finite weight", w)
         self.readout_b = check_real("readout_b", self.readout_b)
 
 
@@ -177,17 +173,14 @@ def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray, z: np.n
 def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
     """`frames` as a float matrix; a ValueError unless it is 2-D, finite and, if it has
     rows, as wide as every cell's input.  A non-finite value names its frame."""
-    frames = np.asarray(frames, dtype=float)
+    frames = as_floats("frames", frames)
     if frames.ndim != 2:
         raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
     n, d = frames.shape
     for cell in cells:
         if n > 0 and d != cell.input_dim:
             raise ValueError(f"frames have {d} columns, cell expects {cell.input_dim}")
-    if not np.isfinite(frames).all():
-        frame = np.flatnonzero(~np.isfinite(frames).all(axis=1))[0]
-        raise ValueError(f"frames contain a non-finite value at frame {frame}")
-    return frames
+    return check_finite("frames contain a non-finite value", frames, by_row=True)
 
 
 class _Scan:
@@ -240,9 +233,9 @@ class _Scan:
             for t, zx in enumerate(self.zx[: len(out)]):
                 _cell(w_h, zx, h, c, z)
                 out[t] = h
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if bad.size:
-            step = s + bad[0]
+        at = first_non_finite(out)
+        if at is not None:
+            step = s + at[0]
             first = self.n - 1 - step if self.reverse else step
             raise ValueError(f"LSTM hidden state is not finite from frame {first}: the cell overflowed")
 
@@ -336,15 +329,16 @@ def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:
     """Mean over the rows of tanh(W2 tanh(W1 x + b1) + b2); each component lies in (-1, 1).
 
     A segment's rows are its frames; a description vector `v` is embedded as the
-    one-row segment `v[None, :]`.  Row order does not matter; no rows raise.
+    one-row segment `v[None, :]`.  Row order does not matter; no rows or a non-finite one raise.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = as_floats("rows", rows)
     if rows.ndim != 2:
         raise ValueError(f"segment must be 2-D, got shape {rows.shape}")
     if rows.shape[0] == 0:
         raise ValueError("cannot embed an empty segment")
     if rows.shape[1] != net.input_dim:
         raise ValueError(f"segment has {rows.shape[1]} columns, net expects {net.input_dim}")
+    check_finite("segment has a non-finite value", rows, by_row=True)
     return _forward(net, rows)[1].mean(axis=0)
 
 

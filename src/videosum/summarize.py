@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import check_int, check_real
-from .model import Subnet, _forward
+from ._checks import as_floats, check_finite, check_int, check_real, first_non_finite
+from .model import Subnet, _checked_frames, _forward
 
 __all__ = [
     "Segment",
@@ -101,13 +101,11 @@ def segment_features(
 ) -> list[SegmentFeature]:
     """Embed each segment's frame rows as `embed_frames` does; output ordered by segment index.
 
-    Segments may overlap, leave gaps or come in any order.  The rows of whole segments
-    are embedded in one forward pass of at most _BLOCK_ROWS rows, so a feature may differ
-    from `embed_frames` on the segment alone in the last bits.
+    Segments may overlap, leave gaps or come in any order; every frame must be finite.  The
+    rows of whole segments are embedded in one forward pass of at most _BLOCK_ROWS rows, so
+    a feature may differ from `embed_frames` on the segment alone in the last bits.
     """
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 2:
-        raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
+    frames = _checked_frames(frames)
     n, d = frames.shape
     for seg in segments:
         if seg.start < 0 or seg.end > n:
@@ -145,12 +143,12 @@ def _blocks(segments: Sequence[Segment]) -> Iterator[list[Segment]]:
 
 
 def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    arr = as_floats("points", points)
     if arr.ndim != 2:
         raise ValueError(f"points must form a 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        point, col = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"point {point} has a non-finite coordinate at column {col}")
+    at = first_non_finite(arr)
+    if at is not None:
+        raise ValueError(f"point {at[0]} has a non-finite coordinate at column {at[1]}")
     return arr
 
 
@@ -350,12 +348,6 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _check_finite_scores(scores: np.ndarray) -> None:
-    if not np.isfinite(scores).all():
-        frame = np.flatnonzero(~np.isfinite(scores))[0]
-        raise ValueError(f"scores contain a non-finite value at frame {frame}")
-
-
 def semantic_threshold_split(
     scores: np.ndarray,
 ) -> tuple[float, list[tuple[int, int]], list[tuple[int, int]]]:
@@ -367,10 +359,10 @@ def semantic_threshold_split(
     threshold are semantic, everything else (outliers included) is not.
     The two range lists partition [0, T).
     """
-    scores = np.asarray(scores, dtype=float).reshape(-1)
+    scores = as_floats("scores", scores).reshape(-1)
     if scores.size == 0:
         raise ValueError("scores must contain at least one frame")
-    _check_finite_scores(scores)
+    check_finite("scores contain a non-finite value", scores, by_row=True)
     # Partial sums of finite scores can overflow to +inf and -inf, whose sum is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = scores.mean()
@@ -430,12 +422,12 @@ def speedup_frame_selection(
     predecessors the smallest index wins.  Both endpoints are always kept.
     Both weights must be non-negative.
     """
-    scores = np.asarray(scores, dtype=float).reshape(-1)
+    scores = as_floats("scores", scores).reshape(-1)
     t = scores.size
     if t < 2:
         raise ValueError("need at least 2 frames")
     max_skip = check_int("max_skip", max_skip, 1)
-    _check_finite_scores(scores)
+    check_finite("scores contain a non-finite value", scores, by_row=True)
     rho = check_real("rho", rho, 1)
     lambda_speed = check_real("lambda_speed", lambda_speed, 0)
     lambda_sem = check_real("lambda_sem", lambda_sem, 0)

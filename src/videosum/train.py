@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import as_floats, check_finite, check_int, check_real
 from .model import Subnet, _forward
 
 __all__ = [
@@ -32,6 +32,17 @@ __all__ = [
     "sample_pairs",
 ]
 
+
+def _check_label(label) -> int:
+    """A pair label as the int 0 or 1; anything else, a bool or 1.0 included, raises."""
+    try:
+        if check_int("label", label, 0) <= 1:
+            return int(label)
+    except ValueError:
+        pass
+    raise ValueError(f"label must be 0 or 1, got {label!r}")
+
+
 @dataclass
 class PairExample:
     """One training pair: raw segment frames, description vector, 0/1 label."""
@@ -41,18 +52,12 @@ class PairExample:
     label: int
 
     def __post_init__(self):
-        self.segment = np.asarray(self.segment, dtype=float)
-        self.desc = np.asarray(self.desc, dtype=float)
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+        self.segment = as_floats("segment", self.segment)
+        self.desc = check_finite("description has a non-finite value", as_floats("desc", self.desc))
+        self.label = _check_label(self.label)
         if self.segment.ndim != 2 or self.segment.shape[0] == 0:
             raise ValueError("segment must be a non-empty 2-D frame matrix")
-        if not np.isfinite(self.segment).all():
-            frame = np.flatnonzero(~np.isfinite(self.segment).all(axis=1))[0]
-            raise ValueError(f"segment has a non-finite value at frame {frame}")
-        if not np.isfinite(self.desc).all():
-            index = np.flatnonzero(~np.isfinite(self.desc.ravel()))[0]
-            raise ValueError(f"description has a non-finite value at index {index}")
+        check_finite("segment has a non-finite value", self.segment, by_row=True)
 
 
 @dataclass
@@ -71,11 +76,12 @@ class TrainConfig:
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:
     """label * d(x, y) + (1 - label) * max(0, margin - d), d = squared distance."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = as_floats("x", x)
+    y = as_floats("y", y)
     if x.shape != y.shape:
         raise ValueError(f"embedding shapes differ: {x.shape} vs {y.shape}")
     margin = check_real("margin", margin, 0)
+    label = _check_label(label)
     diff = x - y
     d = float(diff @ diff)
     if label:
@@ -193,16 +199,6 @@ def _copy_net(net: Subnet) -> Subnet:
     return Subnet(*(getattr(net, f.name).copy() for f in fields(Subnet)))
 
 
-def _check_finite_net(name: str, net: Subnet) -> None:
-    """A ValueError naming the net, the field and the first non-finite weight's index."""
-    for f in fields(Subnet):
-        w = getattr(net, f.name)
-        if not np.isfinite(w).all():
-            index = np.argwhere(~np.isfinite(w))[0]
-            where = f"row {index[0]}, column {index[1]}" if w.ndim == 2 else f"index {index[0]}"
-            raise ValueError(f"{name} {f.name} has a non-finite weight at {where}")
-
-
 # Rows of a one-row net's w1 gradient (an outer product) formed at a time by _step.
 _ROW_BLOCK = 16
 
@@ -284,8 +280,9 @@ def sgd_train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    _check_finite_net("video net", vnet)
-    _check_finite_net("description net", dnet)
+    for name, net in (("video net", vnet), ("description net", dnet)):
+        for f in fields(Subnet):
+            check_finite(f"{name} {f.name} has a non-finite weight", getattr(net, f.name))
     for i, ex in enumerate(dataset):
         try:
             ex.__post_init__()  # its arrays may have been changed since construction
@@ -332,23 +329,21 @@ def sample_pairs(
 
     `segments` holds one frame matrix per video segment, `descs` one
     description vector per row.  Records are consumed in order; no synthetic
-    negatives are invented.  Out-of-range indices raise with the offending
-    record spelled out.
+    negatives are invented.  Both indices must be non-negative integers in
+    range; a bad index, label or example raises with its record named.
     """
-    descs = np.asarray(descs, dtype=float)
+    descs = as_floats("descs", descs)
     out: list[PairExample] = []
     for rec_no, (seg_idx, desc_idx, label) in enumerate(labels):
-        if not 0 <= seg_idx < len(segments):
-            raise ValueError(
-                f"label record {rec_no}: segment index {seg_idx} out of range "
-                f"(have {len(segments)} segments)"
-            )
-        if not 0 <= desc_idx < descs.shape[0]:
-            raise ValueError(
-                f"label record {rec_no}: description index {desc_idx} out of range "
-                f"(have {descs.shape[0]} descriptions)"
-            )
-        if label not in (0, 1):
-            raise ValueError(f"label record {rec_no}: label must be 0 or 1, got {label}")
-        out.append(PairExample(segment=segments[seg_idx], desc=descs[desc_idx], label=label))
+        where = f"label record {rec_no}"
+        for what, index, have in (("segment", seg_idx, len(segments)),
+                                  ("description", desc_idx, len(descs))):
+            if check_int(f"{where}: {what} index", index, 0) >= have:
+                raise ValueError(
+                    f"{where}: {what} index {index} out of range (have {have} {what}s)"
+                )
+        try:
+            out.append(PairExample(segment=segments[seg_idx], desc=descs[desc_idx], label=label))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return out

@@ -1,30 +1,60 @@
-"""The number rule and the integer rule, applied at every entry point that takes one.
+"""The number, integer, array and interval rules, applied at every entry point that takes one.
 
 A real-valued setting or document number must be a number other than a bool that
 float64 holds, within the parameter's range; an integer setting must be an int
 other than a bool, at least its lower bound.  A rejection is one ValueError,
 "<name> must be <rule>, got <value>", with the file first for a document; a NumPy
 scalar behaves exactly like the Python number it holds.
+
+An array input must convert to float64: an int beyond the float64 range, an entry
+that is not a number or ragged rows raise one ValueError that starts with the
+argument's name.  Where an entry must be finite, the error names the first bad one
+by frame or index.  A float32 array gives the same bits as its float64 copy.  An
+interval record must be a pair, and a pair label's indices and its 0-or-1 label
+follow the integer rule.
 """
 
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from videosum.io import read_intervals, read_rois
-from videosum.metrics import normalize_intervals, speedup_deviation
-from videosum.model import init_scorer, init_subnet
+from videosum.io import MAGIC_FEATURES, read_intervals, read_rois, write_matrix
+from videosum.metrics import jitter_amount, keyshot_pr, normalize_intervals, speedup_deviation
+from videosum.model import (
+    ImportanceScorer,
+    LstmParams,
+    embed_frames,
+    init_scorer,
+    init_subnet,
+    lstm_scan,
+    score_importance,
+    sigmoid,
+)
 from videosum.summarize import (
     Roi,
+    clustering_cost,
+    kmedoids,
+    segment_features,
     segment_speedups,
     semantic_score,
+    semantic_threshold_split,
     speedup_frame_selection,
     uniform_segments,
 )
 from videosum.synth import SynthSpec, synth_generate
-from videosum.train import PairExample, TrainConfig, contrastive_loss, finite_diff_check
+from videosum.train import (
+    PairExample,
+    TrainConfig,
+    contrastive_loss,
+    finite_diff_check,
+    loss_gradients,
+    sample_pairs,
+)
 
 BAD = [math.nan, math.inf, -math.inf, 10**400, -10**400, True, "1", np.float32("nan")]
 SCORES = np.linspace(0.0, 1.0, 9)
@@ -191,3 +221,167 @@ def test_seed_must_be_a_non_negative_integer(make):
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {shown}$"):
             make(bad)
     make(np.int64(3))
+
+
+VNET, DNET = init_subnet(0, 3, 4, 2), init_subnet(1, 2, 4, 2)
+SCORER = init_scorer(0, 3, 2)
+FRAMES = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+DESC = np.array([0.25, -0.5])
+
+
+def _written(matrix) -> bytes:
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.vsf"
+        write_matrix(path, matrix, MAGIC_FEATURES)
+        return path.read_bytes()
+
+
+def _pairs(descs):
+    return [vars(ex) for ex in sample_pairs([FRAMES], descs, [(0, 1, 1), (0, 0, 0)])]
+
+
+# The argument's name, the call on it, a valid value, and the error for a NaN at
+# (1, 1) of a matrix or 1 of a vector (None where NaN computes to NaN).
+ARRAYS = [
+    ("rows", lambda a: embed_frames(VNET, a), FRAMES,
+     "segment has a non-finite value at frame 1"),
+    ("frames", lambda a: [sf.feature for sf in segment_features(VNET, a, uniform_segments(4, 2))],
+     FRAMES, "frames contain a non-finite value at frame 1"),
+    ("frames", lambda a: lstm_scan(SCORER.forward, a), FRAMES,
+     "frames contain a non-finite value at frame 1"),
+    ("frames", lambda a: score_importance(SCORER, a), FRAMES,
+     "frames contain a non-finite value at frame 1"),
+    ("points", lambda a: clustering_cost(a, [0]), FRAMES[:, :2],
+     "point 1 has a non-finite coordinate at column 1"),
+    ("points", lambda a: kmedoids(a, 2), FRAMES[:, :2],
+     "point 1 has a non-finite coordinate at column 1"),
+    ("scores", semantic_threshold_split, SCORES, "scores contain a non-finite value at frame 1"),
+    ("scores", lambda a: speedup_frame_selection(a, 2, 3), SCORES,
+     "scores contain a non-finite value at frame 1"),
+    ("track", jitter_amount, FRAMES[:, :2],
+     f"track point 1 is not finite: {[float(FRAMES[1, 0]), math.nan]}"),
+    ("segment", lambda a: loss_gradients(VNET, DNET, PairExample(a, DESC, 0)), FRAMES,
+     "segment has a non-finite value at frame 1"),
+    ("desc", lambda a: loss_gradients(VNET, DNET, PairExample(FRAMES, a, 1)), DESC,
+     "description has a non-finite value at index 1"),
+    ("descs", _pairs, np.array([DESC, -DESC]),
+     "label record 0: description has a non-finite value at index 1"),
+    ("x", lambda a: contrastive_loss(a, DESC, 1), -DESC, None),
+    ("y", lambda a: contrastive_loss(DESC, a, 1), -DESC, None),
+    ("w", lambda a: lstm_scan(LstmParams(a), FRAMES), SCORER.forward.w,
+     "LSTM gate matrix has a non-finite weight at row 1, column 1"),
+    ("readout_w", lambda a: score_importance(
+        ImportanceScorer(SCORER.forward, SCORER.backward, a, SCORER.readout_b), FRAMES),
+     SCORER.readout_w, "readout has a non-finite weight at index 1"),
+    ("matrix", _written, FRAMES, "value nan at row 1, column 1 is not a finite 32-bit float"),
+    ("z", sigmoid, SCORES, None),
+]
+
+
+def _with_entry(valid: np.ndarray, entry) -> list:
+    """`valid` as nested lists, with `entry` at (1, 1) of a matrix or 1 of a vector."""
+    rows = valid.tolist()
+    if valid.ndim == 2:
+        rows[1][1] = entry
+    else:
+        rows[1] = entry
+    return rows
+
+
+def _bits(value):
+    """Every bit of a result: an array or a number by its bytes, containers entry by entry."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+@pytest.mark.parametrize(
+    "arg, call, valid, nan_error", ARRAYS,
+    ids=[f"{i}-{row[0]}" for i, row in enumerate(ARRAYS)],
+)
+def test_array_argument_follows_the_array_rule(arg, call, valid, nan_error):
+    ragged = valid.tolist()
+    if valid.ndim == 2:
+        ragged[0].append(0.5)
+    else:
+        ragged[1] = [0.5, 0.5]
+    for bad in [*(_with_entry(valid, entry) for entry in (10**400, "x", {})), ragged]:
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(f"{arg} must be an array of real numbers: ")
+        assert exc.value.__cause__ is None
+        assert exc.value.__context__ is None or exc.value.__suppress_context__
+    with_nan = np.array(_with_entry(valid, math.nan))
+    if nan_error is None:
+        assert np.isnan(call(with_nan)).any()
+    else:
+        with pytest.raises(ValueError) as exc:
+            call(with_nan)
+        assert str(exc.value) == nan_error
+    as_float32 = valid.astype(np.float32)
+    assert _bits(call(as_float32)) == _bits(call(as_float32.astype(np.float64)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: normalize_intervals([(1, 2, 3)]), lambda: normalize_intervals([5]),
+     lambda: normalize_intervals(["ab"]), lambda: keyshot_pr([[0, 1]], [[0]])],
+    ids=["three-items", "number", "text", "keyshot-one-item"],
+)
+def test_interval_record_must_be_a_pair(call):
+    with pytest.raises(ValueError, match=r"^interval record 0 is not a \[start, end\] pair$"):
+        call()
+
+
+@pytest.mark.parametrize("record", [[1, 2, 3], [1], 5, "ab", {"a": 1, "b": 2}, None])
+def test_interval_document_record_must_be_a_pair(tmp_path, record):
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps({"intervals": [[0, 2], record]}))
+    with pytest.raises(ValueError) as exc:
+        read_intervals(path)
+    assert str(exc.value) == f"{path}: interval record 1 is not a [start, end] pair"
+
+
+def test_interval_numpy_rows_are_pairs():
+    assert normalize_intervals(np.array([[3, 5], [0, 2]])) == [(0, 2), (3, 5)]
+    assert normalize_intervals(np.array([[3.5, 5.0]])) == [(3.5, 5.0)]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ((0.5, 0, 1), "segment index must be a non-negative integer, got 0.5"),
+        ((0, 1.0, 1), "description index must be a non-negative integer, got 1.0"),
+        ((-1, 0, 1), "segment index must be a non-negative integer, got -1"),
+        ((0, 0, True), "label must be 0 or 1, got True"),
+        ((0, 0, 1.0), "label must be 0 or 1, got 1.0"),
+        ((0, 0, 2), "label must be 0 or 1, got 2"),
+    ],
+)
+def test_pair_label_record_follows_the_integer_rule(record, message):
+    with pytest.raises(ValueError) as exc:
+        sample_pairs([FRAMES], np.eye(2), [(0, 1, 1), record])
+    assert str(exc.value) == f"label record 1: {message}"
+
+
+@pytest.mark.parametrize("label", [1.0, True, 2, -1, "1", None, np.float64(0.0)])
+def test_pair_label_must_be_0_or_1(label):
+    for call in (lambda: PairExample(FRAMES, DESC, label),
+                 lambda: contrastive_loss(DESC, -DESC, label)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"label must be 0 or 1, got {label!r}"
+
+
+def test_numpy_integer_label_and_indices_act_as_ints():
+    ex = sample_pairs([FRAMES], np.eye(2), [(np.int64(0), np.int64(1), np.int64(1))])[0]
+    assert type(ex.label) is int
+    assert _bits(vars(ex)) == _bits(vars(PairExample(FRAMES, [0.0, 1.0], 1)))
+    assert contrastive_loss(DESC, -DESC, np.int64(0)) == contrastive_loss(DESC, -DESC, 0)

@@ -501,6 +501,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=needle):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, index, where", [
+        ("w1", (1, 2), "row 1, column 2"), ("b2", (1,), "index 1"),
+    ])
+    def test_non_finite_value_named_by_its_index(self, tmp_path, field, index, where):
+        path = tmp_path / "ckpt.npz"
+        arrays = members(*seeded_nets())
+        arrays[f"video.{field}"] = arrays[f"video.{field}"].copy()
+        arrays[f"video.{field}"][index] = np.nan
+        arrays[f"video.{field}"][-1] = np.inf  # a later bad value is not the one named
+        write_archive(path, arrays)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: video net field {field!r} holds a non-finite value at {where}"
+        )
+
     def test_json_checkpoint_rejected(self, tmp_path):
         """The earlier JSON checkpoint format is not read."""
         path = tmp_path / "ckpt.json"
