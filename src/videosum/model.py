@@ -130,8 +130,9 @@ class ImportanceScorer:
 # Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
 # block, so a frame's projection does not depend on how many frames follow it.
 _CHUNK = 128
-# Frames per block of score_importance: each direction projects its block, runs it and
-# reads it out, side by side with the other.  A multiple of _CHUNK.
+# Frames per block of a scan: it projects the block's chunks, then runs its steps into one
+# buffer of hidden states, which lstm_scan copies out and score_importance reads out.  A
+# multiple of _CHUNK.
 _BLOCK = 8 * _CHUNK
 # OpenBLAS (0.3.x) runs a GEMM of at most this many multiply-adds on the calling thread.
 # A chunk's GEMM above it wakes a BLAS worker, which then spins beside the scan threads.
@@ -185,22 +186,24 @@ def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
 
 class _Scan:
     """One cell's scan over checked `frames` from a zero state, last frame first if
-    `reverse`, run as consecutive blocks of at most `block` steps (a multiple of _CHUNK).
+    `reverse`.
 
-    `project(s, e)` computes the input projections of steps s..e-1; `recur(s, out)` then
-    runs those steps and writes their hidden states to the rows of `out`.  Every buffer
-    is allocated here, once per scan.
+    Iterating it runs the scan and yields (s, rows) for each block of at most _BLOCK
+    steps from step s: `project` computes the block's input projections, `recur` runs
+    its steps, and `rows` holds their hidden states until the next block overwrites
+    them.  Every buffer is allocated here, once per scan.
     """
 
-    def __init__(self, params: LstmParams, frames: np.ndarray, reverse: bool, block: int):
+    def __init__(self, params: LstmParams, frames: np.ndarray, reverse: bool):
         n, d = frames.shape
         gates = 4 * params.hidden_dim
         self.n, self.reverse = n, reverse
         self.src = frames[::-1] if reverse else frames
         w_x = params.w[:, :d]
         self.w_h = np.ascontiguousarray(params.w[:, d:])
-        self.rows = np.zeros((_CHUNK, d))
-        self.zx = np.empty((min(block, -(-n // _CHUNK) * _CHUNK), gates))
+        self.chunk = np.zeros((_CHUNK, d))
+        self.zx = np.empty((min(_BLOCK, -(-n // _CHUNK) * _CHUNK), gates))
+        self.hidden = np.empty((min(_BLOCK, n), params.hidden_dim))
         self.h, self.c = np.zeros(params.hidden_dim), np.zeros(params.hidden_dim)
         self.z = np.empty(gates)
         tiled = (_CHUNK * gates * d > _ONE_THREAD_MACS >= _TILE_ROWS * _TILE_COLS * d
@@ -208,9 +211,17 @@ class _Scan:
         # Views of the chunk, the weights and zx as stacks of (m, d) @ (d, cols) products.
         m, cols = (_TILE_ROWS, _TILE_COLS) if tiled else (_CHUNK, gates)
         self.tile_rows = m
-        self.rows_tiles = self.rows.reshape(_CHUNK // m, 1, m, d)
+        self.chunk_tiles = self.chunk.reshape(_CHUNK // m, 1, m, d)
         self.w_tiles = w_x.reshape(gates // cols, cols, d).transpose(0, 2, 1)
         self.zx_tiles = self.zx.reshape(-1, m, gates // cols, cols).transpose(0, 2, 1, 3)
+
+    def __iter__(self):
+        for s in range(0, self.n, _BLOCK):
+            e = min(s + _BLOCK, self.n)
+            self.project(s, e)
+            rows = self.hidden[: e - s]
+            self.recur(s, rows)
+            yield s, rows
 
     def project(self, s: int, e: int) -> None:
         """One stacked matmul per full _CHUNK-row chunk of steps s..e-1; rows past e are
@@ -219,9 +230,9 @@ class _Scan:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(s, e, _CHUNK):
                 m = min(_CHUNK, e - k)
-                self.rows[:m] = self.src[k : k + m]
+                self.chunk[:m] = self.src[k : k + m]
                 i = (k - s) // self.tile_rows
-                np.matmul(self.rows_tiles, self.w_tiles, out=self.zx_tiles[i : i + per_chunk])
+                np.matmul(self.chunk_tiles, self.w_tiles, out=self.zx_tiles[i : i + per_chunk])
 
     def recur(self, s: int, out: np.ndarray) -> None:
         """Steps s..s+len(out)-1; a hidden state that is not finite raises a ValueError
@@ -245,18 +256,16 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
 
     Returns a (T, hidden_dim) matrix whose row t is h_t.  An empty input
     yields an empty (0, hidden_dim) output.  Each chunk of frames is projected
-    by one GEMM, then each step does one (4H, H) matvec on the hidden state.
-    A non-finite frame or weight, or a hidden state that overflows, raises a
-    ValueError; a frame is named by its index.
+    by one GEMM, then each step does one (4H, H) matvec on the hidden state;
+    each block of hidden states is copied into the result.  A non-finite frame
+    or weight, or a hidden state that overflows, raises a ValueError; a frame
+    is named by its index.
     """
     params.__post_init__()  # the weights may have been reassigned since construction
     frames = _checked_frames(frames, params)
-    scan = _Scan(params, frames, reverse=False, block=_CHUNK)
-    hidden = np.empty((scan.n, params.hidden_dim))
-    for s in range(0, scan.n, _CHUNK):
-        e = min(s + _CHUNK, scan.n)
-        scan.project(s, e)
-        scan.recur(s, hidden[s:e])
+    hidden = np.empty((frames.shape[0], params.hidden_dim))
+    for s, rows in _Scan(params, frames, reverse=False):
+        hidden[s : s + len(rows)] = rows
     return hidden
 
 
@@ -268,11 +277,11 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     score_t = sigmoid(w . [h_f ; h_b] + b).
 
     The scorer and the frames are checked first, as lstm_scan checks them.  The
-    two scans then run side by side, _BLOCK frames at a time: the calling thread
-    projects, runs and reads out the forward block while one worker thread does
-    the same for the backward block, each reading out with its half of the
-    readout.  The worker is joined before the call returns.  When both cells
-    overflow, the forward cell's error is raised.
+    two scans then run side by side and never wait for each other: the calling
+    thread runs the forward scan while one worker thread runs the backward scan,
+    each reading every block out with its half of the readout.  The worker is
+    joined before the call returns.  When both cells overflow, the forward
+    cell's error is raised, after the backward scan has ended.
     """
     # Imported here, not with the module: concurrent.futures imports logging, which
     # added 0.7 MB of resident memory to every process that imports videosum (CPython 3.11).
@@ -281,34 +290,20 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     for part in (scorer.forward, scorer.backward, scorer):
         part.__post_init__()  # any of them may have been reassigned since construction
     frames = _checked_frames(frames, scorer.forward, scorer.backward)
-    n = frames.shape[0]
     h_dim = scorer.forward.hidden_dim
     halves = (scorer.readout_w[:h_dim], scorer.readout_w[h_dim:])
-    scans = [_Scan(cell, frames, reverse, _BLOCK)
+    scans = [_Scan(cell, frames, reverse)
              for cell, reverse in ((scorer.forward, False), (scorer.backward, True))]
-    hidden = [np.empty((min(n, _BLOCK), cell.hidden_dim))
-              for cell in (scorer.forward, scorer.backward)]
-    act = np.empty((2, n))  # each direction's readout, in its own scan order
+    act = np.empty((2, frames.shape[0]))  # each direction's readout, in its own scan order
 
-    def run(k: int, s: int, e: int) -> None:
-        scans[k].project(s, e)
-        scans[k].recur(s, hidden[k][: e - s])
-        np.matmul(hidden[k][: e - s], halves[k], out=act[k, s:e])
+    def run(k: int) -> None:
+        for s, rows in scans[k]:
+            np.matmul(rows, halves[k], out=act[k, s : s + len(rows)])
 
-    backward_error = None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for s in range(0, n, _BLOCK):
-            e = min(s + _BLOCK, n)
-            if backward_error is None:
-                job = worker.submit(run, 1, s, e)
-            run(0, s, e)  # an error here leaves the with block, which joins the worker
-            if backward_error is None:
-                try:
-                    job.result()
-                except ValueError as exc:  # held until the forward scan ends: its error wins
-                    backward_error = exc
-    if backward_error is not None:
-        raise backward_error
+        backward = worker.submit(run, 1)
+        run(0)  # an error here leaves the with block, which joins the worker: it wins
+        backward.result()
     return sigmoid(act[0] + act[1, ::-1] + scorer.readout_b)
 
 

@@ -155,7 +155,7 @@ def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
 def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> float:
     """Sum over points of the squared distance to the nearest medoid point."""
     arr = _as_points(points)
-    idx = sorted(set(int(m) for m in medoids))
+    idx = sorted({check_int("medoid index", m, 0) for m in medoids})
     if not idx:
         raise ValueError("medoid set must be non-empty")
     for m in idx:
@@ -215,7 +215,8 @@ def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[
     """
     arr = _as_points(points)
     n = arr.shape[0]
-    if not 1 <= k <= n:
+    k = check_int("k", k, 1)
+    if k > n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
     d2 = _all_sq_dists(arr)
     # d2 is symmetric, so row c of np.minimum(v, d2) sums to the same float as column c:

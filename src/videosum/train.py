@@ -53,7 +53,10 @@ class PairExample:
 
     def __post_init__(self):
         self.segment = as_floats("segment", self.segment)
-        self.desc = check_finite("description has a non-finite value", as_floats("desc", self.desc))
+        desc = as_floats("desc", self.desc)
+        if desc.ndim != 1 or desc.size == 0:
+            raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
+        self.desc = check_finite("description has a non-finite value", desc)
         self.label = _check_label(self.label)
         if self.segment.ndim != 2 or self.segment.shape[0] == 0:
             raise ValueError("segment must be a non-empty 2-D frame matrix")
@@ -75,7 +78,7 @@ class TrainConfig:
 
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:
-    """label * d(x, y) + (1 - label) * max(0, margin - d), d = squared distance."""
+    """label * d(x, y) + (1 - label) * max(0, margin - d), d = squared distance; NaN if d is."""
     x = as_floats("x", x)
     y = as_floats("y", y)
     if x.shape != y.shape:
@@ -86,7 +89,7 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
     d = float(diff @ diff)
     if label:
         return d
-    return max(0.0, margin - d)
+    return 0.0 if d >= margin else margin - d  # a NaN d fails the test and stays NaN
 
 
 def _backward(
@@ -333,6 +336,8 @@ def sample_pairs(
     range; a bad index, label or example raises with its record named.
     """
     descs = as_floats("descs", descs)
+    if descs.ndim != 2:
+        raise ValueError(f"descs must be a 2-D matrix, got shape {descs.shape}")
     out: list[PairExample] = []
     for rec_no, (seg_idx, desc_idx, label) in enumerate(labels):
         where = f"label record {rec_no}"

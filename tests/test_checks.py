@@ -37,7 +37,10 @@ from videosum.model import (
 )
 from videosum.summarize import (
     Roi,
+    Segment,
+    SegmentFeature,
     clustering_cost,
+    generate_summary,
     kmedoids,
     segment_features,
     segment_speedups,
@@ -183,6 +186,11 @@ INT_PARAMETERS = [
     ("input_dim must be a positive integer", lambda v: init_subnet(0, v, 3, 2), 1),
     ("hidden_dim must be a positive integer", lambda v: init_subnet(0, 3, v, 2), 1),
     ("embed_dim must be a positive integer", lambda v: init_subnet(0, 3, 4, v), 1),
+    ("k must be a positive integer", lambda v: kmedoids(FRAMES[:, :2], v), 1),
+    ("k must be a positive integer", lambda v: generate_summary(
+        [SegmentFeature(Segment(i, 2 * i, 2 * i + 2), p) for i, p in enumerate(FRAMES)], v), 1),
+    ("medoid index must be a non-negative integer",
+     lambda v: clustering_cost(FRAMES[:, :2], [1, v]), 0),
 ]
 
 
@@ -327,6 +335,30 @@ def test_array_argument_follows_the_array_rule(arg, call, valid, nan_error):
         assert str(exc.value) == nan_error
     as_float32 = valid.astype(np.float32)
     assert _bits(call(as_float32)) == _bits(call(as_float32.astype(np.float64)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PairExample(FRAMES, np.float64(1.0), 1),
+         "desc must be a non-empty 1-D vector, got shape ()"),
+        (lambda: PairExample(FRAMES, [], 1),
+         "desc must be a non-empty 1-D vector, got shape (0,)"),
+        (lambda: PairExample(FRAMES, [DESC], 1),
+         "desc must be a non-empty 1-D vector, got shape (1, 2)"),
+        (lambda: sample_pairs([FRAMES], 5.0, [(0, 0, 1)]),
+         "descs must be a 2-D matrix, got shape ()"),
+        (lambda: sample_pairs([FRAMES], DESC, [(0, 0, 1)]),
+         "descs must be a 2-D matrix, got shape (2,)"),
+        (lambda: sample_pairs([FRAMES], np.zeros((1, 0)), [(0, 0, 1)]),
+         "label record 0: desc must be a non-empty 1-D vector, got shape (0,)"),
+    ],
+    ids=["0-d-desc", "empty-desc", "2-d-desc", "0-d-descs", "1-d-descs", "empty-description"],
+)
+def test_description_shape_is_checked(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,16 @@ class TestLstmScan:
             t = cut % n
             np.testing.assert_array_equal(lstm_scan(params, frames[: t + 1]), full[: t + 1])
 
+    @pytest.mark.parametrize("h", [4, 256])  # H = 256 tiles the projection at D = 5
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, n, h):
+        """Blocks of one chunk give the same bytes as the default blocks, across their edges."""
+        params = init_scorer(n, 5, h).forward
+        frames = np.random.default_rng(n).normal(size=(n, 5))
+        rows = lstm_scan(params, frames)
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        assert lstm_scan(params, frames).tobytes() == rows.tobytes()
+
     def test_strided_input_matches_its_contiguous_copy(self):
         """Reversed, strided and column-major inputs give the rows of their contiguous copies."""
         params = init_scorer(5, 5, 3).forward
@@ -448,6 +458,23 @@ class TestScoreImportance:
         assert len(workers) == 1 and caller not in workers
         assert len(seen) == 6
 
+    def test_forward_scan_never_waits_for_a_backward_block(self, monkeypatch):
+        """Every backward block waits until the forward scan has run its last block: the
+        call ends with all waits met only if the forward scan runs on alone."""
+        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+        recur, forward_done, waits = model._Scan.recur, threading.Event(), []
+
+        def spy(scan, s, out):
+            if scan.reverse:
+                waits.append(forward_done.wait(timeout=5))
+            recur(scan, s, out)
+            if not scan.reverse and s + len(out) == scan.n:
+                forward_done.set()
+
+        monkeypatch.setattr(model._Scan, "recur", spy)
+        score_importance(init_scorer(0, 3, 2), np.zeros((2 * _CHUNK + 1, 3)))
+        assert waits == [True] * 3
+
     def test_concurrent_calls_under_fast_thread_switching_give_the_same_bits(self, monkeypatch):
         """Four callers at once, each with its own worker, switching threads every microsecond:
         every result equals a lone call's, so no state is shared between calls."""
@@ -531,12 +558,12 @@ class TestTiledProjection:
 
     @pytest.mark.parametrize("d, h", TILED_DIMS)
     def test_these_dims_tile(self, d, h):
-        scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False, _CHUNK)
+        scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False)
         assert scan.tile_rows == model._TILE_ROWS < _CHUNK
 
     @pytest.mark.parametrize("d, h", [(128, 176), (128, 352), (2, 256), (129, 256)])
     def test_dims_past_each_edge_keep_the_gemm(self, d, h):
-        scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False, _CHUNK)
+        scan = model._Scan(init_scorer(0, d, h).forward, np.zeros((1, d)), False)
         assert scan.tile_rows == _CHUNK
 
     @pytest.mark.parametrize("d, h", TILED_DIMS)

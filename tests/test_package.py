@@ -95,3 +95,31 @@ def test_arrays_convert_only_through_the_array_rule():
              for hit in _dtype_conversions(path)]
     assert sorted(set(found) - set(DTYPE_CONVERSIONS)) == []
     assert sorted(set(DTYPE_CONVERSIONS) - set(found)) == []  # no stale exception
+
+
+CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing", "subprocess", "_thread")
+
+
+def _concurrency_imports(path: Path) -> list[str]:
+    """Each import in `path` of a module that starts threads or processes, as "file:line name"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] in CONCURRENCY_MODULES]
+    return found
+
+
+def test_only_the_model_module_imports_threads_or_processes():
+    """The library starts no thread or process but score_importance's one worker per call,
+    so no module other than model.py may import concurrent.futures, threading,
+    multiprocessing or subprocess."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    paths = [path for path in sorted(root.glob("*.py")) if path.name != "model.py"]
+    assert paths
+    assert [hit for path in paths for hit in _concurrency_imports(path)] == []

@@ -73,6 +73,11 @@ class TestContrastiveLoss:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_nan_embedding_gives_nan(self, label):
+        """A NaN distance is not beyond the margin: both labels give NaN, not 0.0."""
+        assert math.isnan(contrastive_loss([math.nan, -0.5], [0.25, -0.5], label))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             contrastive_loss(np.zeros(3), np.zeros(2), 1)
