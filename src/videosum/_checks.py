@@ -13,6 +13,10 @@ def check_real(name: str, value, low=-math.inf, high=math.inf, *, positive: bool
 
     A NumPy scalar becomes the Python number it holds, so callers compute as on that number.
     """
+    # The common case, a float that passes, skips the general rule below.
+    if type(value) is float and low <= value <= high and math.isfinite(value) and (
+            value > 0 or not positive):
+        return value
     if isinstance(value, np.generic):
         value = value.item()
     try:

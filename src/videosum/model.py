@@ -148,27 +148,46 @@ _TILE_ROWS, _TILE_COLS = 32, 64
 _TILED_HIDDEN = range(192, 352)
 
 
-def _cell(w_h: np.ndarray, zx: np.ndarray, h: np.ndarray, c: np.ndarray, z: np.ndarray) -> None:
-    """One unchecked step, in place: c <- i * tanh(z_c) + f * c, then h <- o * tanh(c).
+def _signed(w: np.ndarray) -> np.ndarray:
+    """A copy of the (4H, cols) gate rows `w` with the i, f and o rows negated.
 
-    z = zx + w_h @ h is written to the (4H,) buffer `z`, where zx = W_x x is the frame's
-    input projection; i, f, o are the sigmoids 1 / (1 + exp(-z)) of its first three gate
-    blocks, written over them.
+    A product with these rows is exactly the negated product with `w`, in whatever order
+    BLAS sums it, so the step takes exp(-z) of the three sigmoid gates without a negation.
     """
-    h_dim = h.shape[0]
-    np.matmul(w_h, h, out=z)
-    z += zx
-    ifo, z_c = z[: 3 * h_dim], z[3 * h_dim :]
+    w = np.array(w)
+    ifo = w[: 3 * (w.shape[0] // 4)]
     np.negative(ifo, out=ifo)
-    np.exp(ifo, out=ifo)
-    ifo += 1.0
-    np.divide(1.0, ifo, out=ifo)
-    np.tanh(z_c, out=z_c)
-    z_c *= ifo[:h_dim]
-    c *= ifo[h_dim : 2 * h_dim]
-    c += z_c
-    np.tanh(c, out=h)
-    h *= ifo[2 * h_dim :]
+    return w
+
+
+def _cell(w_h: np.ndarray, zc: np.ndarray):
+    """The one step, unchecked and in place: step(zx, h, out) sets c <- i * tanh(z_c) + f * c,
+    then out <- o * tanh(c).
+
+    `w_h` holds the recurrent rows and `zx` the frame's input projection, both sign-folded
+    by `_signed`; `zc` is a (5H,) buffer [z | c] whose last H entries hold the cell state.
+    The step writes zx + w_h @ h, which is [-z_i | -z_f | -z_o | z_c], to its first 4H
+    entries, then the sigmoids i, f, o = 1 / (1 + exp(-z)) over the first three gate
+    blocks.  `h` is read only by the product, so `out` may be `h`.  The views are made
+    here, once per cell.
+    """
+    h_dim = w_h.shape[1]
+    z, ifo, z_c, c = zc[: 4 * h_dim], zc[: 3 * h_dim], zc[3 * h_dim : 4 * h_dim], zc[4 * h_dim :]
+    i_f, o, t_c = zc[: 2 * h_dim], zc[2 * h_dim : 3 * h_dim], zc[3 * h_dim :]
+
+    def step(zx: np.ndarray, h: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(w_h, h, out=z)
+        np.add(z, zx, out=z)
+        np.exp(ifo, out=ifo)
+        np.add(ifo, 1.0, out=ifo)
+        np.divide(1.0, ifo, out=ifo)
+        np.tanh(z_c, out=z_c)
+        np.multiply(t_c, i_f, out=t_c)  # [tanh(z_c) | c] * [i | f]
+        np.add(c, z_c, out=c)
+        np.tanh(c, out=out)
+        np.multiply(out, o, out=out)
+
+    return step
 
 
 def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
@@ -199,13 +218,12 @@ class _Scan:
         gates = 4 * params.hidden_dim
         self.n, self.reverse = n, reverse
         self.src = frames[::-1] if reverse else frames
-        w_x = params.w[:, :d]
-        self.w_h = np.ascontiguousarray(params.w[:, d:])
+        w_x = _signed(params.w[:, :d])
+        self.step = _cell(_signed(params.w[:, d:]), np.zeros(5 * params.hidden_dim))
         self.chunk = np.zeros((_CHUNK, d))
         self.zx = np.empty((min(_BLOCK, -(-n // _CHUNK) * _CHUNK), gates))
         self.hidden = np.empty((min(_BLOCK, n), params.hidden_dim))
-        self.h, self.c = np.zeros(params.hidden_dim), np.zeros(params.hidden_dim)
-        self.z = np.empty(gates)
+        self.h = np.zeros(params.hidden_dim)  # then the last hidden row of the last block
         tiled = (_CHUNK * gates * d > _ONE_THREAD_MACS >= _TILE_ROWS * _TILE_COLS * d
                  and gates % _TILE_COLS == 0 and params.hidden_dim in _TILED_HIDDEN)
         # Views of the chunk, the weights and zx as stacks of (m, d) @ (d, cols) products.
@@ -237,17 +255,19 @@ class _Scan:
     def recur(self, s: int, out: np.ndarray) -> None:
         """Steps s..s+len(out)-1; a hidden state that is not finite raises a ValueError
         naming its frame in input order."""
-        w_h, h, c, z = self.w_h, self.h, self.c, self.z
+        step, h = self.step, self.h
         # A step that overflows leaves NaN behind it; the block's rows are checked once.
         # np.errstate is per thread, so it is opened in the thread that runs the steps.
+        # Each step writes its hidden state straight into its row, the next step's h.
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, zx in enumerate(self.zx[: len(out)]):
-                _cell(w_h, zx, h, c, z)
-                out[t] = h
+            for zx, row in zip(self.zx, out):
+                step(zx, h, row)
+                h = row
+        self.h = h
         at = first_non_finite(out)
         if at is not None:
-            step = s + at[0]
-            first = self.n - 1 - step if self.reverse else step
+            t = s + at[0]
+            first = self.n - 1 - t if self.reverse else t
             raise ValueError(f"LSTM hidden state is not finite from frame {first}: the cell overflowed")
 
 

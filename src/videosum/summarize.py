@@ -10,6 +10,7 @@ the retained frames by a shortest path over a skip-bounded frame graph.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -155,6 +156,10 @@ def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
 def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> float:
     """Sum over points of the squared distance to the nearest medoid point."""
     arr = _as_points(points)
+    try:
+        medoids = list(medoids)
+    except TypeError:
+        raise ValueError(f"medoids must be an iterable of point indices, got {medoids!r}") from None
     idx = sorted({check_int("medoid index", m, 0) for m in medoids})
     if not idx:
         raise ValueError("medoid set must be non-empty")
@@ -206,18 +211,25 @@ def _all_sq_dists(arr: np.ndarray) -> np.ndarray:
 
 
 def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[int], float]]:
-    """Yield (medoids, cost) after the build phase and after every swap.
+    """An iterator of (medoids, cost) after the build phase and after every swap.
 
     Build greedily adds the point whose inclusion minimizes the cost; swap
     repeatedly performs the best strictly-improving medoid/non-medoid
     exchange, at most _MAX_SWAPS times.  All ties break toward the lowest point
     index, so the sequence is fully deterministic and the cost never increases.
+    The arguments are checked when it is called, before any iteration.
     """
     arr = _as_points(points)
     n = arr.shape[0]
     k = check_int("k", k, 1)
     if k > n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
+    return _pam(arr, k)
+
+
+def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
+    """The body of `pam_iterations` on checked points and k."""
+    n = arr.shape[0]
     d2 = _all_sq_dists(arr)
     # d2 is symmetric, so row c of np.minimum(v, d2) sums to the same float as column c:
     # one row-sum per candidate scores them all.  Every length-n row is summed in the
@@ -292,6 +304,13 @@ def generate_summary(segfeats: Sequence[SegmentFeature], k: int) -> list[Segment
     return sorted((segfeats[i].segment for i in chosen), key=lambda s: s.start)
 
 
+@functools.lru_cache(maxsize=64)
+def _default_sigma(frame_w: float, frame_h: float) -> float:
+    """A quarter of the frame diagonal, computed once per checked frame size."""
+    with np.errstate(over="ignore"):  # an infinite diagonal fails semantic_score's sigma rule
+        return 0.25 * float(np.hypot(frame_w, frame_h))
+
+
 def semantic_score(
     rois: Sequence[Roi],
     frame_w: float,
@@ -307,11 +326,10 @@ def semantic_score(
     frame_w = check_real("frame_w", frame_w, positive=True)
     frame_h = check_real("frame_h", frame_h, positive=True)
     if sigma is None:
-        with np.errstate(over="ignore"):  # an infinite diagonal fails the sigma rule below
-            sigma = 0.25 * float(np.hypot(frame_w, frame_h))
+        sigma = _default_sigma(frame_w, frame_h)
     else:
         sigma = check_real("sigma", sigma, positive=True)
-    # So that sigma**2 in the loop neither overflows nor divides by zero.
+    # So that sigma**2 neither overflows nor divides by zero.
     if not 0 < 2.0 * sigma * sigma < math.inf:
         raise ValueError(
             f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
@@ -323,12 +341,14 @@ def semantic_score(
             "frame_w * frame_h underflows to 0"
         )
     cx, cy = frame_w / 2.0, frame_h / 2.0
+    spread, frame_area = 2.0 * sigma**2, frame_w * frame_h
     total = 0.0
     try:
         for roi in rois:
-            dist2 = (roi.center[0] - cx) ** 2 + (roi.center[1] - cy) ** 2
-            centrality = float(np.exp(-dist2 / (2.0 * sigma**2)))
-            size = min(max(roi.area / (frame_w * frame_h), 0.0), 1.0)
+            x, y = roi.center
+            dist2 = (x - cx) ** 2 + (y - cy) ** 2
+            centrality = float(np.exp(-dist2 / spread))
+            size = min(max(roi.area / frame_area, 0.0), 1.0)
             total += roi.confidence * centrality * size
     except OverflowError:
         raise ValueError(
@@ -421,7 +441,8 @@ def speedup_frame_selection(
     lambda_speed * ((j - i) - rho)^2 + lambda_sem * (max_score - score_j).
     Forward dynamic programming from frame 0 to frame T-1; among equal-cost
     predecessors the smallest index wins.  Both endpoints are always kept.
-    Both weights must be non-negative.
+    Both weights must be non-negative.  With lambda_sem == 0 the node term is
+    0.0 whatever the scores; otherwise a score range beyond float64 raises.
     """
     scores = as_floats("scores", scores).reshape(-1)
     t = scores.size
@@ -440,18 +461,30 @@ def speedup_frame_selection(
         speed = [lambda_speed * (skip - rho) ** 2 for skip in range(min(max_skip, t - 1) + 1)]
     except OverflowError:
         raise ValueError(overflow) from None
-    s_max = scores.max()
-    dist = np.full(t, np.inf)
+    # The path runs on Python floats: the same IEEE additions and comparisons as on
+    # float64 scalars, at a fraction of the cost per edge.  Each frame's node term is
+    # computed once; with lambda_sem == 0 it is 0.0 whatever the scores.
+    scores = scores.tolist()
+    if lambda_sem == 0:
+        node = [0.0] * t
+    else:
+        s_min, s_max = min(scores), max(scores)
+        if s_max - s_min == math.inf:
+            raise ValueError(f"the score range [{s_min}, {s_max}] overflows float64 "
+                             f"with lambda_sem={lambda_sem}")
+        node = [lambda_sem * (s_max - s) for s in scores]
+    dist = [math.inf] * t
     dist[0] = 0.0
-    prev = np.full(t, -1, dtype=int)
-    with np.errstate(over="ignore"):  # an overflowing path cost is inf, never a predecessor
-        for j in range(1, t):
-            node_cost = lambda_sem * (s_max - scores[j])
-            for i in range(max(0, j - max_skip), j):
-                cand = dist[i] + speed[j - i] + node_cost
-                if cand < dist[j]:
-                    dist[j] = cand
-                    prev[j] = i
+    prev = [-1] * t
+    for j in range(1, t):
+        # An overflowing path cost is inf, never a predecessor; the strict < keeps the
+        # smallest index among equal costs.
+        best, arg, node_j = math.inf, -1, node[j]
+        for i in range(max(0, j - max_skip), j):
+            cand = dist[i] + speed[j - i] + node_j
+            if cand < best:
+                best, arg = cand, i
+        dist[j], prev[j] = best, arg
 
     path = [t - 1]
     while path[-1] != 0:
@@ -460,6 +493,6 @@ def speedup_frame_selection(
                 f"no finite-cost path reaches frame {path[-1]}: "
                 f"{overflow}, lambda_sem={lambda_sem}"
             )
-        path.append(int(prev[path[-1]]))
+        path.append(prev[path[-1]])
     path.reverse()
     return path

@@ -339,8 +339,12 @@ def sample_pairs(
     if descs.ndim != 2:
         raise ValueError(f"descs must be a 2-D matrix, got shape {descs.shape}")
     out: list[PairExample] = []
-    for rec_no, (seg_idx, desc_idx, label) in enumerate(labels):
+    for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"
+        try:  # text or a mapping of three items unpacks, but is no triple
+            seg_idx, desc_idx, label = None if isinstance(record, (str, bytes, dict)) else record
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} is not a (segment, description, label) triple") from None
         for what, index, have in (("segment", seg_idx, len(segments)),
                                   ("description", desc_idx, len(descs))):
             if check_int(f"{where}: {what} index", index, 0) >= have:

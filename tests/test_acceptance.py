@@ -13,7 +13,7 @@ import numpy as np
 from videosum.cli import cli_dispatch
 from videosum.io import MAGIC_FEATURES, load_checkpoint, read_matrix, save_checkpoint, write_matrix
 from videosum.metrics import keyshot_pr
-from videosum.model import _cell, LstmParams, embed_frames, init_subnet
+from videosum.model import _cell, _signed, LstmParams, embed_frames, init_subnet
 from videosum.summarize import (
     SegmentFeature,
     clustering_cost,
@@ -58,8 +58,9 @@ def test_a2_lstm_oracle():
         w = rng.uniform(-2, 2, size=(4, 2))
         h_prev, c_prev, x = rng.uniform(-1, 1, size=3)
         params = LstmParams(w)
-        h, c = np.array([h_prev]), np.array([c_prev])
-        _cell(params.w[:, 1:], params.w[:, :1] @ np.array([x]), h, c, np.empty(4))
+        h, buf = np.array([h_prev]), np.array([0.0, 0.0, 0.0, 0.0, c_prev])  # [z | c]
+        _cell(_signed(params.w[:, 1:]), buf)(_signed(params.w[:, :1]) @ np.array([x]), h, h)
+        c = buf[4:]
         zc = w[3][0] * x + w[3][1] * h_prev
         c_ref = sig(w[0][0] * x + w[0][1] * h_prev) * math.tanh(zc)
         c_ref += sig(w[1][0] * x + w[1][1] * h_prev) * c_prev
@@ -74,14 +75,15 @@ def test_a2_lstm_oracle():
         params = LstmParams(
             np.vstack([rng.uniform(-bound, bound, size=(h_dim, d + h_dim)) for _ in range(4)])
         )
-        h, c, z = np.zeros(h_dim), np.zeros(h_dim), np.empty(4 * h_dim)
+        h, buf = np.zeros(h_dim), np.zeros(5 * h_dim)  # [z | c]
+        step = _cell(_signed(params.w[:, d:]), buf)
         for _ in range(4):
             x = rng.normal(size=d)
             xh = np.concatenate([x, h])
             for w in np.split(params.w, 4)[:3]:
                 gate = 1.0 / (1.0 + np.exp(-(w @ xh)))
                 ranges_ok &= bool(np.all(gate > 0) and np.all(gate < 1))
-            _cell(params.w[:, d:], params.w[:, :d] @ x, h, c, z)
+            step(_signed(params.w[:, :d]) @ x, h, h)
             ranges_ok &= bool(np.all(h > -1) and np.all(h < 1))
 
     ok = worst <= 1e-12 and ranges_ok

@@ -1,5 +1,6 @@
 """Unit tests for the numeric kernels: LSTM cell, scorer, embedding subnets."""
 
+import hashlib
 import math
 import re
 import sys
@@ -16,6 +17,7 @@ from videosum import model
 from videosum.model import (
     _CHUNK,
     _cell,
+    _signed,
     DEFAULT_DESC_DIM,
     DEFAULT_EMBED_DIM,
     DEFAULT_HIDDEN_DIM,
@@ -60,12 +62,12 @@ def make_1d_params(w_i, w_f, w_o, w_c):
 
 
 def step(w, x, h, c):
-    """One step on [x ; h]: the kernel takes the recurrent block and the input projection,
-    and updates copies of (h, c) in place."""
-    d = x.shape[0]
-    h, c = np.array(h, dtype=float), np.array(c, dtype=float)
-    _cell(w[:, d:], w[:, :d] @ x, h, c, np.empty(w.shape[0]))
-    return h, c
+    """One step on [x ; h]: the kernel takes the sign-folded recurrent block and input
+    projection, and updates copies of (h, c) in place, c in its [z | c] buffer."""
+    d, gates, w = x.shape[0], w.shape[0], _signed(w)
+    h, zc = np.array(h, dtype=float), np.concatenate([np.empty(gates), np.asarray(c, dtype=float)])
+    _cell(w[:, d:], zc)(w[:, :d] @ x, h, h)
+    return h, zc[gates:]
 
 
 def concatenated_scan(w, frames, forced=None):
@@ -585,6 +587,44 @@ class TestTiledProjection:
         w = scorer.readout_w
         expected = sigmoid(h_f @ w[:h] + h_b @ w[h:] + scorer.readout_b)
         np.testing.assert_array_equal(score_importance(scorer, frames), expected)
+
+
+def _numeric_environment():
+    """numpy's version, its BLAS build's version and the SIMD extensions it found; None
+    before numpy 1.26, whose show_config has no dict mode."""
+    try:
+        cfg = np.show_config(mode="dicts")
+    except TypeError:
+        return None
+    return (np.__version__, cfg["Build Dependencies"]["blas"].get("version"),
+            tuple(cfg["SIMD Extensions"]["found"]))
+
+
+# sha256 of the scores and of the forward cell's lstm_scan rows, 1100 frames at one tiled
+# and one untiled shape, recorded on 1 and 2 OpenBLAS threads before the step was rewritten
+# with sign-folded gate rows.  The bytes depend on the BLAS kernels and on numpy's SIMD
+# loops for exp and tanh, so they are pinned for the environment they were recorded in.
+PINNED_ENVIRONMENT = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+PINNED_LSTM_BYTES = {
+    (128, 256): ("639d85eccdc36343f627f117f01858cb030dc330b171182c88623f444a999816",
+                 "9afef118fab09e3b1b7775ee30778f57c6c74a22d42a092d8b67f9cdf2a606a6"),
+    (300, 100): ("81b43d8f9cf4164d76e312b95f2b89e170933112f15694efa1517f69c8b355a1",
+                 "b585e9c248027716364282e115579a3898298aeb72c82f707e637e3dbd654727"),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("d, h", sorted(PINNED_LSTM_BYTES))
+    def test_scores_and_rows_keep_their_recorded_bytes(self, d, h):
+        if _numeric_environment() != PINNED_ENVIRONMENT:
+            pytest.skip(f"pins recorded with {PINNED_ENVIRONMENT}, not {_numeric_environment()}")
+        scorer = init_scorer(7, d, h)
+        tiled = model._Scan(scorer.forward, np.zeros((1, d)), False).tile_rows < _CHUNK
+        assert tiled == (h == 256)  # one tiled shape, one untiled
+        frames = np.random.default_rng([d, h]).normal(size=(1100, d))
+        got = (hashlib.sha256(score_importance(scorer, frames).tobytes()).hexdigest(),
+               hashlib.sha256(lstm_scan(scorer.forward, frames).tobytes()).hexdigest())
+        assert got == PINNED_LSTM_BYTES[d, h]
 
 
 class TestEmbedFrames:

@@ -151,6 +151,43 @@ def path_cost(scores, path, rho, max_skip, lambda_speed, lambda_sem):
     )
 
 
+def float64_scalar_path(scores, rho, max_skip, lambda_speed, lambda_sem):
+    """The shortest path by a forward loop over float64 scalars, with `dist` and `prev` in
+    numpy arrays; a path that `speedup_frame_selection` returns must equal it exactly."""
+    scores = np.asarray(scores, dtype=float)
+    t = scores.size
+    speed = [lambda_speed * (skip - rho) ** 2 for skip in range(min(max_skip, t - 1) + 1)]
+    s_max = scores.max()
+    dist = np.full(t, np.inf)
+    dist[0] = 0.0
+    prev = np.full(t, -1, dtype=int)
+    for j in range(1, t):
+        node_cost = lambda_sem * (s_max - scores[j])
+        for i in range(max(0, j - max_skip), j):
+            cand = dist[i] + speed[j - i] + node_cost
+            if cand < dist[j]:
+                dist[j] = cand
+                prev[j] = i
+    path = [t - 1]
+    while path[-1] != 0:
+        path.append(int(prev[path[-1]]))
+    return path[::-1]
+
+
+def per_roi_score(rois, frame_w, frame_h, sigma=None):
+    """The semantic score summed one ROI at a time, every term computed in the loop."""
+    if sigma is None:
+        sigma = 0.25 * float(np.hypot(frame_w, frame_h))
+    cx, cy = frame_w / 2.0, frame_h / 2.0
+    total = 0.0
+    for roi in rois:
+        dist2 = (roi.center[0] - cx) ** 2 + (roi.center[1] - cy) ** 2
+        centrality = float(np.exp(-dist2 / (2.0 * sigma**2)))
+        size = min(max(roi.area / (frame_w * frame_h), 0.0), 1.0)
+        total += roi.confidence * centrality * size
+    return total
+
+
 class TestUniformSegments:
     def test_exact_division(self):
         segs = uniform_segments(10, 5)
@@ -286,6 +323,10 @@ class TestClusteringCost:
     def test_overflowing_distances_rejected(self):
         with pytest.raises(ValueError, match="squared distances between points overflow float64"):
             clustering_cost([[0.0], [1e200]], [0])
+
+    def test_medoid_set_that_is_no_iterable_rejected(self):
+        with pytest.raises(ValueError, match="^medoids must be an iterable of point indices, got 3$"):
+            clustering_cost(np.zeros((4, 2)), 3)
 
     @settings(max_examples=200, deadline=None)
     @given(pts=st.one_of(float_points, grid_points), data=st.data())
@@ -447,6 +488,20 @@ class TestKmedoids:
         with pytest.raises(ValueError):
             kmedoids(pts, 5)
 
+    @pytest.mark.parametrize(
+        "points, k, needle",
+        [
+            (np.zeros((4, 2)), "a", "^k must be a positive integer, got 'a'$"),
+            (np.zeros((4, 2)), 5, r"^k must lie in 1\.\.4, got 5$"),
+            ([[0.0], [math.nan]], 1, "^point 1 has a non-finite coordinate at column 0$"),
+        ],
+        ids=["text-k", "k-above-n", "non-finite-point"],
+    )
+    def test_pam_iterations_checks_its_arguments_when_called(self, points, k, needle):
+        """The error comes from the call itself, before the iterator is advanced."""
+        with pytest.raises(ValueError, match=needle):
+            pam_iterations(points, k)
+
 
 class TestGenerateSummary:
     @staticmethod
@@ -526,6 +581,31 @@ class TestSemanticScore:
         roi = Roi(confidence=1.0, center=(0.0, 0.0), area=100 * 80)
         sigma = 0.25 * math.hypot(100, 80)
         assert semantic_score([roi], 100, 80) == semantic_score([roi], 100, 80, sigma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.tuples(st.one_of(st.integers(1, 4000), st.floats(1.0, 4000.0)),
+                                 st.one_of(st.integers(1, 4000), st.floats(1.0, 4000.0))),
+                       min_size=1, max_size=3),
+        frames=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 2.0),
+                                   st.floats(-1.0, 2.0), st.floats(0.0, 2.0)), max_size=5),
+            ),
+            min_size=1, max_size=8,
+        ),
+        sigma=st.one_of(st.none(), st.floats(0.5, 3000.0)),
+    )
+    def test_bits_equal_the_per_roi_formula(self, sizes, frames, sigma):
+        """Frames of a few sizes, in any order, so each default sigma is reused; ROI centers
+        and areas are drawn relative to the frame."""
+        for which, drawn in frames:
+            w, h = sizes[which % len(sizes)]
+            rois = [Roi(confidence=c, center=(x * w, y * h), area=a * w * h)
+                    for c, x, y, a in drawn]
+            got = semantic_score(rois, w, h, sigma)
+            assert got.hex() == per_roi_score(rois, w, h, sigma).hex()
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -783,6 +863,33 @@ class TestSpeedupFrameSelection:
         got = path_cost(scores, sel, rho, max_skip, lambda_speed, lambda_sem)
         want = brute_force_path_cost(scores, rho, max_skip, lambda_speed, lambda_sem)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=60),
+        max_skip=st.integers(1, 12),
+        rho=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]), st.floats(1.0, 8.0)),
+        lambda_speed=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 2.0)),
+        lambda_sem=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 2.0)),
+    )
+    def test_path_equals_the_float64_scalar_loop(
+        self, scores, max_skip, rho, lambda_speed, lambda_sem
+    ):
+        """The exact path, not only its cost: scores of three values make equal-cost
+        predecessors common, and the smallest index must win each tie."""
+        assert speedup_frame_selection(scores, rho, max_skip, lambda_speed, lambda_sem) == (
+            float64_scalar_path(scores, rho, max_skip, lambda_speed, lambda_sem)
+        )
+
+    def test_zero_semantic_weight_ignores_the_score_range(self):
+        """Every edge cost is finite: with lambda_sem = 0 a score range beyond float64 adds
+        nothing, so 0 * inf never makes a NaN."""
+        assert speedup_frame_selection([1e308, -1e308, 0.0], 2.0, 1, 1.0, 0.0) == [0, 1, 2]
+
+    def test_overflowing_score_range_named(self):
+        needle = "the score range [-1e+308, 1e+308] overflows float64 with lambda_sem=0.5"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            speedup_frame_selection([1e308, -1e308, 0.0], 2.0, 2, 1.0, 0.5)
 
     def test_structural_constraints(self):
         for seed in range(10):

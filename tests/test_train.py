@@ -701,3 +701,11 @@ class TestSamplePairs:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="label must be 0 or 1"):
             sample_pairs([np.ones((1, 2))], np.eye(2), [(0, 0, 2)])
+
+    @pytest.mark.parametrize("record", [(0, 1), 5, (0, 1, 1, 0), "011", None],
+                             ids=["pair", "int", "quadruple", "text", "none"])
+    def test_record_that_is_no_triple_names_the_record(self, record):
+        with pytest.raises(
+            ValueError, match=r"^label record 1 is not a \(segment, description, label\) triple$"
+        ):
+            sample_pairs([np.ones((2, 3))], np.eye(2), [(0, 1, 1), record])
