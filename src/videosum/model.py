@@ -127,13 +127,12 @@ class ImportanceScorer:
         self.readout_b = check_real("readout_b", self.readout_b)
 
 
-# Frames per input-projection GEMM.  Every chunk is multiplied as a full _CHUNK-row
-# block, so a frame's projection does not depend on how many frames follow it.
+# Frames per chunk of a scan.  A scan multiplies each chunk as a full _CHUNK-row block into
+# a (_CHUNK, 4H) buffer of projections, so a frame's projection does not depend on how many
+# frames follow it, then runs its steps into a (_CHUNK, H) buffer of hidden states, which
+# lstm_scan copies out and score_importance reads out: 1.25 MiB per direction at H = 256,
+# whatever the number of frames.
 _CHUNK = 128
-# Frames per block of a scan: it projects the block's chunks, then runs its steps into one
-# buffer of hidden states, which lstm_scan copies out and score_importance reads out.  A
-# multiple of _CHUNK.
-_BLOCK = 8 * _CHUNK
 # OpenBLAS (0.3.x) runs a GEMM of at most this many multiply-adds on the calling thread.
 # A chunk's GEMM above it wakes a BLAS worker, which then spins beside the scan threads.
 # For hidden widths in _TILED_HIDDEN and inputs of at most 128 columns, such a chunk is
@@ -207,9 +206,9 @@ class _Scan:
     """One cell's scan over checked `frames` from a zero state, last frame first if
     `reverse`.
 
-    Iterating it runs the scan and yields (s, rows) for each block of at most _BLOCK
-    steps from step s: `project` computes the block's input projections, `recur` runs
-    its steps, and `rows` holds their hidden states until the next block overwrites
+    Iterating it runs the scan and yields (s, rows) for each chunk of at most _CHUNK
+    steps from step s: `project` computes the chunk's input projections, `recur` runs
+    its steps, and `rows` holds their hidden states until the next chunk overwrites
     them.  Every buffer is allocated here, once per scan.
     """
 
@@ -221,9 +220,9 @@ class _Scan:
         w_x = _signed(params.w[:, :d])
         self.step = _cell(_signed(params.w[:, d:]), np.zeros(5 * params.hidden_dim))
         self.chunk = np.zeros((_CHUNK, d))
-        self.zx = np.empty((min(_BLOCK, -(-n // _CHUNK) * _CHUNK), gates))
-        self.hidden = np.empty((min(_BLOCK, n), params.hidden_dim))
-        self.h = np.zeros(params.hidden_dim)  # then the last hidden row of the last block
+        self.zx = np.empty((_CHUNK, gates))
+        self.hidden = np.empty((min(_CHUNK, n), params.hidden_dim))
+        self.h = np.zeros(params.hidden_dim)  # then the last hidden row of the last chunk
         tiled = (_CHUNK * gates * d > _ONE_THREAD_MACS >= _TILE_ROWS * _TILE_COLS * d
                  and gates % _TILE_COLS == 0 and params.hidden_dim in _TILED_HIDDEN)
         # Views of the chunk, the weights and zx as stacks of (m, d) @ (d, cols) products.
@@ -234,29 +233,25 @@ class _Scan:
         self.zx_tiles = self.zx.reshape(-1, m, gates // cols, cols).transpose(0, 2, 1, 3)
 
     def __iter__(self):
-        for s in range(0, self.n, _BLOCK):
-            e = min(s + _BLOCK, self.n)
+        for s in range(0, self.n, _CHUNK):
+            e = min(s + _CHUNK, self.n)
             self.project(s, e)
             rows = self.hidden[: e - s]
             self.recur(s, rows)
             yield s, rows
 
     def project(self, s: int, e: int) -> None:
-        """One stacked matmul per full _CHUNK-row chunk of steps s..e-1; rows past e are
+        """One stacked matmul of the full _CHUNK-row chunk of steps s..e-1; rows past e are
         stale."""
-        per_chunk = _CHUNK // self.tile_rows
+        self.chunk[: e - s] = self.src[s:e]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(s, e, _CHUNK):
-                m = min(_CHUNK, e - k)
-                self.chunk[:m] = self.src[k : k + m]
-                i = (k - s) // self.tile_rows
-                np.matmul(self.chunk_tiles, self.w_tiles, out=self.zx_tiles[i : i + per_chunk])
+            np.matmul(self.chunk_tiles, self.w_tiles, out=self.zx_tiles)
 
     def recur(self, s: int, out: np.ndarray) -> None:
         """Steps s..s+len(out)-1; a hidden state that is not finite raises a ValueError
         naming its frame in input order."""
         step, h = self.step, self.h
-        # A step that overflows leaves NaN behind it; the block's rows are checked once.
+        # A step that overflows leaves NaN behind it; the chunk's rows are checked once.
         # np.errstate is per thread, so it is opened in the thread that runs the steps.
         # Each step writes its hidden state straight into its row, the next step's h.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +272,9 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
     Returns a (T, hidden_dim) matrix whose row t is h_t.  An empty input
     yields an empty (0, hidden_dim) output.  Each chunk of frames is projected
     by one GEMM, then each step does one (4H, H) matvec on the hidden state;
-    each block of hidden states is copied into the result.  A non-finite frame
+    each chunk of hidden states is copied into the result, so beside the result
+    the scan holds one chunk's (128, 4H) projections and (128, H) hidden states,
+    whatever the number of frames.  A non-finite frame
     or weight, or a hidden state that overflows, raises a ValueError; a frame
     is named by its index.
     """
@@ -299,9 +296,11 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     The scorer and the frames are checked first, as lstm_scan checks them.  The
     two scans then run side by side and never wait for each other: the calling
     thread runs the forward scan while one worker thread runs the backward scan,
-    each reading every block out with its half of the readout.  The worker is
-    joined before the call returns.  When both cells overflow, the forward
-    cell's error is raised, after the backward scan has ended.
+    each reading every chunk out with its half of the readout, so no (T, H)
+    hidden matrix is kept: each direction holds one chunk's buffers, as in
+    lstm_scan.  The worker is joined before the call returns.  When both cells
+    overflow, the forward cell's error is raised, after the backward scan has
+    ended.
     """
     # Imported here, not with the module: concurrent.futures imports logging, which
     # added 0.7 MB of resident memory to every process that imports videosum (CPython 3.11).

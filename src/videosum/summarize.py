@@ -342,13 +342,21 @@ def semantic_score(
         )
     cx, cy = frame_w / 2.0, frame_h / 2.0
     spread, frame_area = 2.0 * sigma**2, frame_w * frame_h
+    # An int frame area beyond float64 cannot divide a float area (float / int converts the
+    # int); each area then divides it as the exact ratio it holds, so the quotient is rounded
+    # once, as int / int always rounded it for an int area.
+    exact = frame_area > sys.float_info.max  # Python compares an int with a float exactly
     total = 0.0
     try:
         for roi in rois:
             x, y = roi.center
             dist2 = (x - cx) ** 2 + (y - cy) ** 2
             centrality = float(np.exp(-dist2 / spread))
-            size = min(max(roi.area / frame_area, 0.0), 1.0)
+            if exact:
+                p, q = roi.area.as_integer_ratio()
+                size = min(p / (q * frame_area), 1.0)
+            else:
+                size = min(max(roi.area / frame_area, 0.0), 1.0)
             total += roi.confidence * centrality * size
     except OverflowError:
         raise ValueError(

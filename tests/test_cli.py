@@ -320,6 +320,19 @@ class TestPipeline:
         ]
         assert not out_path.exists()
 
+    def test_score_semantic_int_frame_whose_area_is_beyond_float64(self, tmp_path, capsys):
+        """A 201-digit frame_w and frame_h: an ROI at the frame center is a vanishing share
+        of the frame, as when the same frame is given as floats."""
+        rois = tmp_path / "rois.json"
+        rois.write_text(json.dumps({
+            "frame_w": 10**200, "frame_h": 10**200, "sigma": 1e150,
+            "frames": [[{"confidence": 1.0, "cx": 5e199, "cy": 5e199, "area": 1.0}]],
+        }))
+        out_path = tmp_path / "o.vsf"
+        code, _, err = run(capsys, "score-semantic", "--rois", str(rois), "--out", str(out_path))
+        assert code == 0, err
+        assert read_matrix(out_path, MAGIC_FEATURES).tolist() == [[0.0]]
+
     def test_fastforward(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.vsf"
         write_matrix(scores_path, np.ones((9, 1)), MAGIC_FEATURES)
@@ -657,7 +670,7 @@ def test_unset_options_take_library_defaults(tmp_path, capsys):
 
 def test_score_lstm_and_fastforward_bytes_do_not_depend_on_blas_threads(tmp_path, child_env):
     """`score-lstm -> fastforward` writes the same files on one BLAS thread and on the
-    default count.  1100 frames span two of score_importance's 1024-frame blocks."""
+    default count.  1100 frames span nine of score_importance's 128-frame chunks."""
     features = tmp_path / "f.vsf"
     write_matrix(features, np.random.default_rng(9).normal(size=(1100, 128)), MAGIC_FEATURES)
     written = []

@@ -5,8 +5,8 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,13 +238,14 @@ class TestLstmScan:
 
     @pytest.mark.parametrize("h", [4, 256])  # H = 256 tiles the projection at D = 5
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
-    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, n, h):
-        """Blocks of one chunk give the same bytes as the default blocks, across their edges."""
+    def test_rows_do_not_depend_on_the_frames_that_follow(self, n, h):
+        """Cut at or next to a chunk edge, the input gives the bytes of the longer input's
+        first n rows: a short last chunk, and the stale rows its buffer holds past the cut,
+        change no row."""
         params = init_scorer(n, 5, h).forward
-        frames = np.random.default_rng(n).normal(size=(n, 5))
+        frames = np.random.default_rng(n).normal(size=(n + _CHUNK + 1, 5))
         rows = lstm_scan(params, frames)
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
-        assert lstm_scan(params, frames).tobytes() == rows.tobytes()
+        assert lstm_scan(params, frames[:n]).tobytes() == rows[:n].tobytes()
 
     def test_strided_input_matches_its_contiguous_copy(self):
         """Reversed, strided and column-major inputs give the rows of their contiguous copies."""
@@ -415,10 +416,9 @@ class TestScoreImportance:
             score_importance(scorer, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 127])
-    def test_block_edges_match_two_scans(self, monkeypatch, n):
-        """With one chunk per block, scores stay within 1e-12 of the two scans run one after
-        the other, and a second call gives the same bits."""
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+    def test_block_edges_match_two_scans(self, n):
+        """Across chunk edges, scores stay within 1e-12 of the two scans run one after the
+        other, and a second call gives the same bits."""
         scorer = init_scorer(9, 5, 4)
         frames = np.random.default_rng(n).normal(size=(n, 5))
         scores = score_importance(scorer, frames)
@@ -427,10 +427,10 @@ class TestScoreImportance:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 300), d=st.integers(1, 6), h_f=st.integers(1, 5), h_b=st.integers(1, 5),
-           block=st.sampled_from([_CHUNK, 2 * _CHUNK, model._BLOCK]), seed=st.integers(0, 2**32 - 1))
-    def test_matches_two_scans_property(self, n, d, h_f, h_b, block, seed):
-        """For drawn sizes and blocks, and cells of different widths, scores stay within 1e-12
-        of the two scans run one after the other."""
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_scans_property(self, n, d, h_f, h_b, seed):
+        """For drawn sizes, and cells of different widths, scores stay within 1e-12 of the two
+        scans run one after the other."""
         rng = np.random.default_rng(seed)
         scorer = ImportanceScorer(
             forward=init_scorer(seed, d, h_f).forward,
@@ -439,13 +439,11 @@ class TestScoreImportance:
             readout_b=rng.uniform(-1, 1),
         )
         frames = rng.normal(size=(n, d))
-        with mock.patch.object(model, "_BLOCK", block):
-            scores = score_importance(scorer, frames)
+        scores = score_importance(scorer, frames)
         np.testing.assert_allclose(scores, two_scan_scores(scorer, frames), rtol=1e-12, atol=0)
 
     def test_backward_steps_run_on_one_worker_thread(self, monkeypatch):
         """The caller runs every forward block; one other thread runs every backward block."""
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
         recur, seen = model._Scan.recur, []
 
         def spy(scan, s, out):
@@ -463,7 +461,6 @@ class TestScoreImportance:
     def test_forward_scan_never_waits_for_a_backward_block(self, monkeypatch):
         """Every backward block waits until the forward scan has run its last block: the
         call ends with all waits met only if the forward scan runs on alone."""
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
         recur, forward_done, waits = model._Scan.recur, threading.Event(), []
 
         def spy(scan, s, out):
@@ -477,10 +474,9 @@ class TestScoreImportance:
         score_importance(init_scorer(0, 3, 2), np.zeros((2 * _CHUNK + 1, 3)))
         assert waits == [True] * 3
 
-    def test_concurrent_calls_under_fast_thread_switching_give_the_same_bits(self, monkeypatch):
+    def test_concurrent_calls_under_fast_thread_switching_give_the_same_bits(self):
         """Four callers at once, each with its own worker, switching threads every microsecond:
         every result equals a lone call's, so no state is shared between calls."""
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
         scorer = init_scorer(2, 5, 4)
         frames = np.random.default_rng(2).normal(size=(300, 5))
         expected = score_importance(scorer, frames)
@@ -511,10 +507,7 @@ class TestScoreImportance:
         # frame 201 in its second: the forward error wins, as when the scans ran in turn.
         ([201, 280], 201),
     ])
-    def test_overflow_in_a_later_block_is_named_and_leaves_no_thread(
-        self, monkeypatch, overflow_at, first
-    ):
-        monkeypatch.setattr(model, "_BLOCK", _CHUNK)
+    def test_overflow_in_a_later_block_is_named_and_leaves_no_thread(self, overflow_at, first):
         frames = np.ones((300, 1))
         frames[overflow_at] = 1e307
         scorer = ImportanceScorer(OVERFLOWING_CELL, OVERFLOWING_CELL, np.zeros(4), 0.0)
@@ -573,7 +566,7 @@ class TestTiledProjection:
     def test_scan_is_causal_and_scores_equal_two_scans(self, d, h, n):
         """Rows are within 1e-12 of the textbook step from the scan's previous row; truncating
         the input leaves the rows before the cut bitwise unchanged; the scores equal the
-        readout over two lstm_scans bitwise.  1100 frames span two score_importance blocks."""
+        readout over two lstm_scans bitwise.  1100 frames span nine 128-frame chunks."""
         scorer = init_scorer(n, d, h)
         frames = np.random.default_rng(n).normal(size=(n, d))
         h_f = lstm_scan(scorer.forward, frames)
@@ -587,6 +580,52 @@ class TestTiledProjection:
         w = scorer.readout_w
         expected = sigmoid(h_f @ w[:h] + h_b @ w[h:] + scorer.readout_b)
         np.testing.assert_array_equal(score_importance(scorer, frames), expected)
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the bytes it held allocated at once, as tracemalloc saw them
+    in every thread.  A trace already running (PYTHONTRACEMALLOC, -X tracemalloc) is kept
+    on, and what it held before the call is not counted."""
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+    else:
+        before = 0
+        tracemalloc.start()
+    try:
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestScanMemory:
+    """A scan holds one chunk's projections and hidden rows per direction, whatever the
+    number of frames."""
+
+    def test_tiled_scans_hold_one_chunk(self):
+        """At the bench's D = 128, H = 256, the sign-folded weight copies take 3 MiB per
+        direction and one chunk's buffers 1.25 MiB; 1024-frame blocks would take 10 MiB per
+        direction (26.6 and 13.4 MiB in all)."""
+        scorer = init_scorer(0, 128, 256)
+        frames = np.random.default_rng(0).normal(size=(2048, 128))
+        _, peak = _traced_peak(score_importance, scorer, frames)
+        assert peak < 16 * 2**20
+        rows, peak = _traced_peak(lstm_scan, scorer.forward, frames)
+        assert peak - rows.nbytes < 8 * 2**20
+
+    def test_untiled_scans_hold_one_chunk(self):
+        """At D = 300, H = 100, whose projection is one GEMM, the weight copies take 1.2 MiB
+        per direction and one chunk's buffers 0.8 MiB; 1024-frame blocks would take 4 MiB
+        per direction (11.0 and 5.5 MiB in all)."""
+        scorer = init_scorer(0, 300, 100)
+        frames = np.random.default_rng(0).normal(size=(2048, 300))
+        _, peak = _traced_peak(score_importance, scorer, frames)
+        assert peak < 7 * 2**20
+        rows, peak = _traced_peak(lstm_scan, scorer.forward, frames)
+        assert peak - rows.nbytes < 3 * 2**20
 
 
 def _numeric_environment():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -606,6 +607,17 @@ class TestSemanticScore:
                     for c, x, y, a in drawn]
             got = semantic_score(rois, w, h, sigma)
             assert got.hex() == per_roi_score(rois, w, h, sigma).hex()
+
+    def test_int_frame_whose_area_is_beyond_float64(self):
+        """Each ROI area divides the exact int area: a float area as on the same frame given
+        as floats, and both int and float areas rounded once."""
+        at_center = Roi(confidence=1.0, center=(5e199, 5e199), area=1.0)
+        assert semantic_score([at_center], 10**200, 10**200, 1e150) == 0.0
+        assert semantic_score([at_center], 1e200, 1e200, 1e150) == 0.0
+        for area in (10**300, 1e308):
+            roi = Roi(confidence=1.0, center=(5e154, 1e154), area=area)
+            expected = float(Fraction(area) / (10**155 * 2 * 10**154))
+            assert semantic_score([roi], 10**155, 2 * 10**154, 1e150) == expected
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
