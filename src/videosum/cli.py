@@ -78,6 +78,9 @@ def _cmd_train(args) -> int:
 def _cmd_summarize(args) -> int:
     frames = vio.read_matrix(args.features, vio.MAGIC_FEATURES)
     vnet, _ = vio.load_checkpoint(args.model)
+    if frames.shape[1] != vnet.input_dim:
+        raise ValueError(f"{args.features} has {frames.shape[1]} columns, but the video net "
+                         f"of {args.model} expects {vnet.input_dim}")
     segments = uniform_segments(frames.shape[0], args.seg_len)
     feats = segment_features(vnet, frames, segments)
     chosen = generate_summary(feats, args.k)

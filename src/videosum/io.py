@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_interval, first_non_finite
-from .model import Subnet
+from ._checks import as_floats, check_interval, first_non_finite
+from .model import Subnet, _checked_net
 from .summarize import Roi, Segment, semantic_score
 
 __all__ = [
@@ -273,9 +273,9 @@ def _member_array(where: str, fh, size: int) -> np.ndarray:
 
 
 def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
-    """One net's fields as finite arrays: 2-D, 1-D, 2-D and 1-D, with consistent shapes."""
+    """One net, each field read from its .npy member, as `_checked_net` checks it."""
     arrays = []
-    for f, ndim in zip(fields(Subnet), (2, 1, 2, 1)):
+    for f in fields(Subnet):
         where = f"{which} net field {f.name!r}"
         info = zf.getinfo(f"{which}.{f.name}.npy")
         if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
@@ -286,29 +286,22 @@ def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
             raise ValueError(f"{where} claims {info.file_size} bytes in a "
                              f"{archive_bytes}-byte archive")
         with zf.open(info) as member:
-            arr = _member_array(where, member, info.file_size)
-        if arr.ndim != ndim:
-            raise ValueError(f"{where} is {arr.ndim}-D, expected {ndim}-D")
-        arrays.append(check_finite(f"{where} holds a non-finite value", arr))
-    net = Subnet(*arrays)
-    hidden, embed = net.hidden_dim, net.embed_dim
-    expected = ((hidden, net.input_dim), (hidden,), (embed, hidden), (embed,))
-    for f, arr, shape in zip(fields(Subnet), arrays, expected):
-        if arr.shape != shape:
-            raise ValueError(
-                f"{which} net field {f.name!r} has shape {arr.shape}, expected {shape}"
-            )
-    return net
+            arrays.append(_member_array(where, member, info.file_size))
+    return _checked_net(f"{which} net", Subnet(*arrays))
 
 
 def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
     """Write both nets as an uncompressed .npz: float64 members "video.w1" ... "description.b2".
 
-    numpy stamps every zip entry with one fixed date, so the bytes depend only on the parameters.
+    Each net is converted and checked as `load_checkpoint` checks it, with the same message
+    but for the path, before the file is opened, so no checkpoint is written that
+    `load_checkpoint` refuses.  numpy stamps every zip entry with one fixed date, so the
+    bytes depend only on the parameters.
     """
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
     _check_nets_agree(vnet, dnet)
     arrays = {
-        f"{which}.{f.name}": np.asarray(getattr(net, f.name), dtype=np.float64)
+        f"{which}.{f.name}": getattr(net, f.name)
         for which, net in (("video", vnet), ("description", dnet))
         for f in fields(Subnet)
     }
@@ -318,7 +311,12 @@ def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
 
 
 def load_checkpoint(path) -> tuple[Subnet, Subnet]:
-    """Load a checkpoint written by save_checkpoint, checking every member."""
+    """Load a checkpoint written by save_checkpoint.
+
+    Every member must be an uncompressed float64 .npy array, each net must pass
+    `_checked_net` and the two nets must agree on their hidden and embedding dims; a
+    ValueError starting with the path names the member or field at fault otherwise.
+    """
     expected = [f"{net}.{f.name}.npy" for net in ("video", "description") for f in fields(Subnet)]
     with open(path, "rb") as fh:
         try:

@@ -8,7 +8,7 @@ in place by the training loop without any framework machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,6 +96,33 @@ class Subnet:
     @property
     def embed_dim(self) -> int:
         return self.w2.shape[0]
+
+
+def _checked_net(name: str, net: Subnet) -> Subnet:
+    """`net` with each field as a float array; a ValueError starting with "<name> field"
+    unless w1 is (H, D), b1 (H,), w2 (E, H) and b2 (E,) with H, D, E >= 1 and every entry
+    is finite.  A non-finite entry is named by its row and column or its index.
+
+    Subnet does not check itself: it also holds loss_gradients' gradients, which may
+    overflow, and sgd_train's gradient buffers, whose description w1 holds one block of rows.
+    """
+    arrays = []
+    for f, ndim in zip(fields(Subnet), (2, 1, 2, 1)):
+        arr = as_floats(f"{name} field {f.name!r}", getattr(net, f.name))
+        if arr.ndim != ndim:
+            raise ValueError(f"{name} field {f.name!r} is {arr.ndim}-D, expected {ndim}-D")
+        arrays.append(arr)
+    net = Subnet(*arrays)
+    hidden, embed = net.hidden_dim, net.embed_dim
+    expected = ((hidden, net.input_dim), (hidden,), (embed, hidden), (embed,))
+    for f, arr, shape in zip(fields(Subnet), arrays, expected):
+        if arr.shape != shape:
+            raise ValueError(f"{name} field {f.name!r} has shape {arr.shape}, expected {shape}")
+    for f, arr in zip(fields(Subnet), arrays):
+        if arr.size == 0:
+            raise ValueError(f"{name} field {f.name!r} is empty, with shape {arr.shape}")
+        check_finite(f"{name} field {f.name!r} holds a non-finite value", arr)
+    return net
 
 
 @dataclass
@@ -343,8 +370,10 @@ def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:
     """Mean over the rows of tanh(W2 tanh(W1 x + b1) + b2); each component lies in (-1, 1).
 
     A segment's rows are its frames; a description vector `v` is embedded as the
-    one-row segment `v[None, :]`.  Row order does not matter; no rows or a non-finite one raise.
+    one-row segment `v[None, :]`.  Row order does not matter; no rows or a non-finite one raise,
+    as does a net that `_checked_net` rejects.
     """
+    net = _checked_net("net", net)
     rows = as_floats("rows", rows)
     if rows.ndim != 2:
         raise ValueError(f"segment must be 2-D, got shape {rows.shape}")

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._checks import as_floats, check_finite, check_int, check_real, first_non_finite
-from .model import Subnet, _checked_frames, _forward
+from .model import Subnet, _checked_frames, _checked_net, _forward
 
 __all__ = [
     "Segment",
@@ -104,8 +104,10 @@ def segment_features(
 
     Segments may overlap, leave gaps or come in any order; every frame must be finite.  The
     rows of whole segments are embedded in one forward pass of at most _BLOCK_ROWS rows, so
-    a feature may differ from `embed_frames` on the segment alone in the last bits.
+    a feature may differ from `embed_frames` on the segment alone in the last bits.  The net
+    goes through `_checked_net`.
     """
+    net = _checked_net("net", net)
     frames = _checked_frames(frames)
     n, d = frames.shape
     for seg in segments:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import as_floats, check_finite, check_int, check_real
-from .model import Subnet, _forward
+from .model import Subnet, _checked_net, _forward
 
 __all__ = [
     "PairExample",
@@ -112,6 +112,22 @@ def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
     return (vnet, ex.segment), (dnet, ex.desc[None, :])
 
 
+def _check_widths(vnet: Subnet, dnet: Subnet, ex: PairExample) -> None:
+    """A ValueError unless the example's segment and description are as wide as the
+    inputs of the video and the description net."""
+    for (net, rows), what, side in zip(_sides(vnet, dnet, ex), ("segment", "description"),
+                                       ("video net", "description net")):
+        if rows.shape[1] != net.input_dim:
+            raise ValueError(f"{what} has {rows.shape[1]} columns, {side} expects {net.input_dim}")
+
+
+def _checked_sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
+    """`_sides` of both nets as `_checked_net` returns them, for an example as wide as both."""
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    _check_widths(vnet, dnet, ex)
+    return _sides(vnet, dnet, ex)
+
+
 def _loss_and_pooled_gradient(
     x: np.ndarray, y: np.ndarray, label: int, margin: float
 ) -> tuple[float, np.ndarray]:
@@ -141,6 +157,22 @@ def _deltas(sides, acts, g_x: np.ndarray):
     ]
 
 
+def _forward_loss(sides, label: int, margin: float):
+    """(acts, loss, g_x): both sides' activations, the pair's loss and its pooled gradient."""
+    acts = [_forward(net, rows) for net, rows in sides]
+    return acts, *_loss_and_pooled_gradient(*(z2.mean(axis=0) for _, z2 in acts), label, margin)
+
+
+def _gradients(sides, label: int, margin: float) -> tuple[float, Subnet, Subnet]:
+    """loss_gradients on checked sides."""
+    acts, loss, g_x = _forward_loss(sides, label, margin)
+    grad_v, grad_d = (
+        Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
+        for x, z1, g_a1, g_a2 in _deltas(sides, acts, g_x)
+    )
+    return loss, grad_v, grad_d
+
+
 def loss_gradients(
     vnet: Subnet, dnet: Subnet, ex: PairExample, margin: float = 1.0
 ) -> tuple[float, Subnet, Subnet]:
@@ -150,15 +182,11 @@ def loss_gradients(
     embeddings, then two Subnet containers holding the gradients of the
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
+    Both nets go through `_checked_net`, and the example's segment and
+    description must be as wide as their net's input; a ValueError says
+    which is not.
     """
-    sides = _sides(vnet, dnet, ex)
-    acts = [_forward(net, rows) for net, rows in sides]
-    loss, g_x = _loss_and_pooled_gradient(*(z2.mean(axis=0) for _, z2 in acts), ex.label, margin)
-    grad_v, grad_d = (
-        Subnet(w1=g_a1.T @ x, b1=g_a1.sum(axis=0), w2=g_a2.T @ z1, b2=g_a2.sum(axis=0))
-        for x, z1, g_a1, g_a2 in _deltas(sides, acts, g_x)
-    )
-    return loss, grad_v, grad_d
+    return _gradients(_checked_sides(vnet, dnet, ex), ex.label, margin)
 
 
 def finite_diff_check(
@@ -171,22 +199,24 @@ def finite_diff_check(
     error of the central difference (up - down) / (2h): each loss is rounded to
     about eps times its size, so a smaller gap is not resolved.  The largest
     error is returned, and never less than 0.  A NaN error is returned at once,
-    so it fails every tolerance.
+    so it fails every tolerance.  The nets are checked and the analytic gradient
+    taken once; each perturbed loss is a forward pass alone.
     """
     h = check_real("step h", h, positive=True)
-    _, grad_v, grad_d = loss_gradients(vnet, dnet, ex, margin)
+    sides = _checked_sides(vnet, dnet, ex)
+    _, grad_v, grad_d = _gradients(sides, ex.label, margin)
     eps = np.finfo(float).eps
     worst = 0.0
-    for net, grads in ((vnet, grad_v), (dnet, grad_d)):
+    for (net, _), grads in zip(sides, (grad_v, grad_d)):
         for f in fields(Subnet):
             theta = getattr(net, f.name)
             analytic = getattr(grads, f.name)
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + h
-                up = loss_gradients(vnet, dnet, ex, margin)[0]
+                up = _forward_loss(sides, ex.label, margin)[1]
                 theta[idx] = orig - h
-                down = loss_gradients(vnet, dnet, ex, margin)[0]
+                down = _forward_loss(sides, ex.label, margin)[1]
                 theta[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 rounding = eps * max(abs(up), abs(down)) / h
@@ -269,9 +299,10 @@ def sgd_train(
     and skips the backward pass and the update: its gradients are all +0 or -0,
     and subtracting them leaves every finite weight as it is.  The one exception
     is a -0.0 weight, which the full update could make +0.0 and a skipped step
-    leaves -0.0; init_subnet never draws one.  So that this holds, every weight
-    of both nets and every value of every example must be finite; otherwise a
-    ValueError names the first bad one.
+    leaves -0.0; init_subnet never draws one.  So that this holds, both nets
+    must pass `_checked_net`, and every example must hold finite values and be
+    as wide as both nets' inputs, before the first step; otherwise a ValueError
+    names the net and field, or the example, at fault.
 
     Between two updates the weights do not change, so each segment and each
     description is embedded once and its embedding reused until the next update;
@@ -283,12 +314,11 @@ def sgd_train(
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    for name, net in (("video net", vnet), ("description net", dnet)):
-        for f in fields(Subnet):
-            check_finite(f"{name} {f.name} has a non-finite weight", getattr(net, f.name))
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
     for i, ex in enumerate(dataset):
         try:
             ex.__post_init__()  # its arrays may have been changed since construction
+            _check_widths(vnet, dnet, ex)
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
     vnet = _copy_net(vnet)

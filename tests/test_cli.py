@@ -589,6 +589,29 @@ class TestPipeline:
         assert not out_path.exists()
 
 
+    def test_summarize_width_mismatch_names_both_files(self, tmp_path, capsys):
+        features = tmp_path / "f.vsf"
+        write_matrix(features, np.zeros((8, 7)), MAGIC_FEATURES)
+        model = tmp_path / "m.npz"
+        save_checkpoint(model, init_subnet(0, 6, 4, 3), init_subnet(1, 5, 4, 3))
+        out_path = tmp_path / "s.json"
+        code, out, err = run(
+            capsys,
+            "summarize",
+            "--features", str(features),
+            "--model", str(model),
+            "--seg-len", "4",
+            "--k", "1",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {features} has 7 columns, but the video net of {model} expects 6"
+        ]
+        assert out == ""
+        assert not out_path.exists()
+
+
 class TestDeterminism:
     def test_same_seed_gen_synth_is_byte_identical(self, tmp_path, capsys):
         a = gen_synth(tmp_path / "a", capsys, seed=9)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from videosum import model
+from videosum.io import load_checkpoint, save_checkpoint
 from videosum.model import (
     _CHUNK,
     _cell,
@@ -31,6 +32,10 @@ from videosum.model import (
     score_importance,
     sigmoid,
 )
+from videosum.summarize import segment_features, uniform_segments
+from videosum.train import PairExample, TrainConfig, loss_gradients, sgd_train
+
+PARAMS = ("w1", "b1", "w2", "b2")
 
 
 class TestSigmoid:
@@ -728,6 +733,94 @@ class TestEmbedFrames:
         net = init_subnet(0, 4, 5, 3)
         with pytest.raises(ValueError):
             embed_frames(net, np.zeros((0, 4)))
+
+
+def faulty_net(data, dims, fault, container) -> Subnet:
+    """A seeded net of dims (D, H, E) with one fault, its fields held in `container`.
+
+    A fault is "none", a "nan", "inf" or "-inf" entry, a "shape" one longer or shorter on
+    one axis of one field, a "rank" one above or a 0-d field, or an "empty" width.
+    """
+    if fault == "empty":
+        gone = data.draw(st.integers(0, 2))
+        dims = tuple(0 if i == gone else d for i, d in enumerate(dims))
+    d, h, e = dims
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.uniform(-1, 1, size=shape) for shape in ((h, d), (h,), (e, h), (e,))]
+    k = data.draw(st.integers(0, 3))
+    if fault in ("nan", "inf", "-inf"):
+        arrays[k].reshape(-1)[data.draw(st.integers(0, arrays[k].size - 1))] = float(fault)
+    elif fault == "shape":
+        axis = data.draw(st.integers(0, arrays[k].ndim - 1))
+        if data.draw(st.booleans()):
+            arrays[k] = np.concatenate([arrays[k], np.take(arrays[k], [0], axis=axis)], axis=axis)
+        else:
+            arrays[k] = np.delete(arrays[k], 0, axis=axis)
+    elif fault == "rank":
+        arrays[k] = arrays[k][None] if data.draw(st.booleans()) else arrays[k].reshape(-1)[0]
+    convert = {"float64": lambda a: a, "float32": lambda a: np.float32(a),
+               "list": lambda a: np.asarray(a).tolist()}[container]
+    return Subnet(*map(convert, arrays))
+
+
+def outcome(call) -> str | None:
+    """The message of the ValueError `call()` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestNetRule:
+    """Every entry point that takes a net converts and checks it by one rule."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 3)] * 4), side=st.sampled_from(["video", "description"]),
+           fault=st.sampled_from(["none", "nan", "inf", "-inf", "shape", "rank", "empty"]),
+           container=st.sampled_from(["float64", "float32", "list"]), data=st.data())
+    def test_save_refuses_what_load_refuses(self, tmp_path_factory, dims, side, fault,
+                                            container, data):
+        """save_checkpoint raises exactly the error load_checkpoint raises, but for the path,
+        on the same values written as float64 members, and a net both accept round-trips
+        bit for bit.  A rejected net makes every other entry point raise a ValueError that
+        names the net's field, never an AttributeError or a TypeError."""
+        video_dim, desc_dim, hidden, embed = dims
+        nets = {"video": init_subnet(0, video_dim, hidden, embed),
+                "description": init_subnet(1, desc_dim, hidden, embed)}
+        nets[side] = faulty_net(data, (nets[side].input_dim, hidden, embed), fault, container)
+        as_float64 = {which: [np.asarray(getattr(net, name), dtype=float) for name in PARAMS]
+                      for which, net in nets.items()}
+        folder = tmp_path_factory.mktemp("ckpt")
+        saved, written = folder / "saved.npz", folder / "written.npz"
+        with open(written, "wb") as fh:
+            np.savez(fh, **{f"{which}.{name}": arr for which, arrays in as_float64.items()
+                            for name, arr in zip(PARAMS, arrays)})
+        refused = outcome(lambda: save_checkpoint(saved, nets["video"], nets["description"]))
+        loaded = outcome(lambda: load_checkpoint(written))
+        assert loaded == (None if refused is None else f"{written}: {refused}")
+        if refused is None:
+            for which, net in zip(nets, load_checkpoint(saved)):
+                for name, want in zip(PARAMS, as_float64[which]):
+                    assert getattr(net, name).tobytes() == want.tobytes()
+            assert not fault.endswith(("nan", "inf"))
+            return
+        assert not saved.exists()
+        assert fault != "none"
+        needle = r"net field '(w1|b1|w2|b2)' "
+        assert re.match(f"{side} {needle}", refused)
+        net = nets[side]
+        width = (video_dim, desc_dim)[side == "description"]
+        frames = np.zeros((4, width))
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            embed_frames(net, frames)
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            segment_features(net, frames, uniform_segments(4, 2))
+        ex = PairExample(np.zeros((2, video_dim)), np.zeros(desc_dim), 1)
+        with pytest.raises(ValueError, match=f"^{side} {needle}"):
+            loss_gradients(nets["video"], nets["description"], ex)
+        with pytest.raises(ValueError, match=f"^{side} {needle}"):
+            sgd_train(nets["video"], nets["description"], [ex], TrainConfig(epochs=1))
 
 
 class TestInit:

@@ -57,14 +57,6 @@ def test_no_unused_imports():
     assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
-# Calls outside `_checks.py` that may still convert with a dtype, by module and
-# enclosing function, each with its reason.
-DTYPE_CONVERSIONS = {
-    ("io.py", "save_checkpoint"): "writes each Subnet field as a float64 .npy member; "
-                                  "the fields are the caller's own weights, not an input to check",
-}
-
-
 def _dtype_conversions(path: Path) -> list[tuple[str, str]]:
     """(module, enclosing function) of each np.array, np.asarray or np.asanyarray call
     that names a dtype, by keyword or as its second argument."""
@@ -89,12 +81,11 @@ def _dtype_conversions(path: Path) -> list[tuple[str, str]]:
 
 def test_arrays_convert_only_through_the_array_rule():
     """Outside `_checks.py`, an array input is converted by `as_floats`, not by a call of
-    its own with a dtype; DTYPE_CONVERSIONS lists the exceptions."""
+    its own with a dtype; there is no exception."""
     root = Path(__file__).resolve().parents[1] / "src" / "videosum"
     found = [hit for path in sorted(root.glob("*.py")) if path.name != "_checks.py"
              for hit in _dtype_conversions(path)]
-    assert sorted(set(found) - set(DTYPE_CONVERSIONS)) == []
-    assert sorted(set(DTYPE_CONVERSIONS) - set(found)) == []  # no stale exception
+    assert found == []
 
 
 CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing", "subprocess", "_thread")

@@ -198,6 +198,34 @@ class TestFiniteDiffCheck:
         ex.segment[1, 2] = np.nan
         assert math.isnan(finite_diff_check(vnet, dnet, ex))
 
+    def test_one_backward_pass_per_net(self, monkeypatch):
+        """The analytic gradient is taken once; each perturbed loss is a forward pass alone."""
+        calls = []
+        backward = train._backward
+        monkeypatch.setattr(train, "_backward", lambda *args: calls.append(1) or backward(*args))
+        vnet, dnet, ex = random_case(7, label=1)
+        finite_diff_check(vnet, dnet, ex)
+        assert len(calls) == 2
+
+
+class TestExampleWidths:
+    """An example as wide as neither net's input is named before any product runs."""
+
+    @pytest.mark.parametrize("segment_cols, desc_len, message", [
+        (7, 5, "segment has 7 columns, video net expects 8"),
+        (9, 5, "segment has 9 columns, video net expects 8"),
+        (8, 4, "description has 4 columns, description net expects 5"),
+        (8, 6, "description has 6 columns, description net expects 5"),
+    ])
+    def test_named_by_every_entry_point(self, segment_cols, desc_len, message):
+        vnet, dnet, ex = random_case(3)
+        bad = PairExample(np.zeros((2, segment_cols)), np.zeros(desc_len), 1)
+        with pytest.raises(ValueError, match=f"^example 3: {message}$"):
+            sgd_train(vnet, dnet, [ex, ex, ex, bad], TrainConfig(epochs=1))
+        for entry in (loss_gradients, finite_diff_check):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(vnet, dnet, bad)
+
 
 def two_cluster_dataset(seed):
     """Two far-apart frame clusters, each positively paired with its own one-hot."""
@@ -607,7 +635,7 @@ class TestSgdTrainRejectsNonFinite:
         getattr(net, field)[index] = bad
         getattr(net, field)[-1] = bad  # a later bad weight is not the one named
         with pytest.raises(ValueError,
-                           match=f"^{side} net {field} has a non-finite weight at {where}$"):
+                           match=f"^{side} net field '{field}' holds a non-finite value at {where}$"):
             sgd_train(vnet, dnet, [ex], TrainConfig(epochs=0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
