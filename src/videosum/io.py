@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 import zipfile
 from dataclasses import fields
@@ -48,6 +49,8 @@ MAGIC_DESCS = b"VSD1"
 _HEADER = struct.Struct("<4sII")
 _MAX_CELLS = 2**32  # header dims are u32; anything larger is a corrupt file
 _F32_MAX = float(np.finfo(np.float32).max)
+# Matrix payloads and checkpoint members are read and written this many bytes at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 def _check_magic(magic) -> None:
@@ -55,8 +58,26 @@ def _check_magic(magic) -> None:
         raise ValueError(f"magic must be MAGIC_FEATURES or MAGIC_DESCS, got {magic!r}")
 
 
+def _row_blocks(rows: int, cols: int):
+    """(first row, block) for each block of a (rows, cols) matrix: as many whole rows as
+    fill _BLOCK_BYTES at 32 bits a value, and at least one.  Every block is a view of one
+    little-endian 32-bit buffer, so each holds its rows only until the next is yielded."""
+    if rows * cols == 0:
+        return
+    step = max(1, _BLOCK_BYTES // (4 * cols))
+    buffer = np.empty((min(step, rows), cols), dtype="<f4")
+    for start in range(0, rows, step):
+        yield start, buffer[: min(step, rows - start)]
+
+
 def read_matrix(path, expected_magic: bytes) -> np.ndarray:
-    """Read a binary matrix file, returning a float64 (rows, cols) array."""
+    """Read a binary matrix file, returning a float64 (rows, cols) array.
+
+    The payload size of a regular file is checked against the file's size before the
+    result is allocated; that of another file, such as a pipe, as it is read.  The
+    payload is read one block of rows at a time and widened into the result, so a read
+    holds the result and one block.
+    """
     _check_magic(expected_magic)
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -74,36 +95,54 @@ def read_matrix(path, expected_magic: bytes) -> np.ndarray:
                 f"the format limit of {_MAX_CELLS}"
             )
         needed = rows * cols * 4
-        payload = fh.read()
-    if len(payload) != needed:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, needs {needed} "
-            f"for a {rows} x {cols} matrix"
-        )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, cols)
-    at = first_non_finite(values)
-    if at is not None:
-        raise ValueError(f"{path}: non-finite value {values[at]} at row {at[0]}, column {at[1]}")
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != needed:
+            raise _payload_error(path, info.st_size - _HEADER.size, rows, cols)
+        values = np.empty((rows, cols))
+        for start, block in _row_blocks(rows, cols):
+            got = fh.readinto(memoryview(block).cast("B"))
+            if got != block.nbytes:
+                raise _payload_error(path, start * cols * 4 + got, rows, cols)
+            out = values[start : start + len(block)]
+            out[...] = block
+            at = first_non_finite(block)
+            if at is not None:
+                raise ValueError(f"{path}: non-finite value {out[at]} at row {start + at[0]}, "
+                                 f"column {at[1]}")
+        extra = len(fh.read())
+    if extra:
+        raise _payload_error(path, needed + extra, rows, cols)
     return values
 
 
+def _payload_error(path, got: int, rows: int, cols: int) -> ValueError:
+    return ValueError(f"{path}: payload has {got} bytes, needs {rows * cols * 4} "
+                      f"for a {rows} x {cols} matrix")
+
+
 def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
-    """Write a matrix in the binary layout; values narrow to 32-bit floats."""
+    """Write a matrix in the binary layout; values narrow to 32-bit floats.
+
+    Every value is checked before the file is opened.  The payload is then written one
+    block of rows at a time, so a write holds one block and no copy of the matrix.
+    """
     _check_magic(magic)
     matrix = as_floats("matrix", matrix)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    # nan fails the comparison too, so this rejects every value that is not a finite float32.
-    fits = np.abs(matrix) <= _F32_MAX
-    if not fits.all():
-        row, col = np.argwhere(~fits)[0]
+    # A NaN propagates through both reductions and fails both comparisons, so this passes
+    # only finite float32 values, and makes no temporary array.
+    if matrix.size and not (-_F32_MAX <= matrix.min() and matrix.max() <= _F32_MAX):
+        row, col = np.argwhere(~(np.abs(matrix) <= _F32_MAX))[0]
         raise ValueError(
             f"value {matrix[row, col]} at row {row}, column {col} is not a finite 32-bit float"
         )
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        for start, block in _row_blocks(rows, cols):
+            block[...] = matrix[start : start + len(block)]
+            fh.write(memoryview(block).cast("B"))
 
 
 def _dump_json(path, doc) -> None:
@@ -231,8 +270,6 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
 
 
 # The header numpy writes for a float64 array: magic, version 1.0, header length, header text.
-# A member's data bytes are read into its array this many at a time.
-_READ_CHUNK = 1 << 20
 _NPY_HEADER = re.compile(
     rb"(?s)\x93NUMPY\x01\x00(..)\{'descr': '<f8', 'fortran_order': (False|True), "
     rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n"
@@ -248,7 +285,7 @@ def _check_nets_agree(vnet: Subnet, dnet: Subnet) -> None:
 
 def _member_array(where: str, fh, size: int) -> np.ndarray:
     """The float64 array in one open .npy member of `size` bytes, as an owned, writeable
-    array.  The data bytes are read straight into the array, _READ_CHUNK at a time, so a
+    array.  The data bytes are read straight into the array, _BLOCK_BYTES at a time, so a
     large member is never held twice."""
     head = fh.read(10)
     if len(head) == 10:
@@ -265,7 +302,7 @@ def _member_array(where: str, fh, size: int) -> np.ndarray:
     view = memoryview(arr.reshape(-1)).cast("B")
     got = 0
     while got < len(view):
-        n = fh.readinto(view[got : got + _READ_CHUNK])
+        n = fh.readinto(view[got : got + _BLOCK_BYTES])
         if not n:
             raise ValueError(f"{where} declares shape {shape} but holds {got} data bytes")
         got += n

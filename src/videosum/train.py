@@ -43,6 +43,18 @@ def _check_label(label) -> int:
     raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
+def _pair_arrays(segment, desc) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, desc) through `as_floats`; a ValueError unless the description is a
+    non-empty 1-D vector and the segment a non-empty 2-D frame matrix.  Values are not
+    checked."""
+    segment, desc = as_floats("segment", segment), as_floats("desc", desc)
+    if desc.ndim != 1 or desc.size == 0:
+        raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
+    if segment.ndim != 2 or segment.shape[0] == 0:
+        raise ValueError("segment must be a non-empty 2-D frame matrix")
+    return segment, desc
+
+
 @dataclass
 class PairExample:
     """One training pair: raw segment frames, description vector, 0/1 label."""
@@ -52,14 +64,9 @@ class PairExample:
     label: int
 
     def __post_init__(self):
-        self.segment = as_floats("segment", self.segment)
-        desc = as_floats("desc", self.desc)
-        if desc.ndim != 1 or desc.size == 0:
-            raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
-        self.desc = check_finite("description has a non-finite value", desc)
+        self.segment, self.desc = _pair_arrays(self.segment, self.desc)
+        check_finite("description has a non-finite value", self.desc)
         self.label = _check_label(self.label)
-        if self.segment.ndim != 2 or self.segment.shape[0] == 0:
-            raise ValueError("segment must be a non-empty 2-D frame matrix")
         check_finite("segment has a non-finite value", self.segment, by_row=True)
 
 
@@ -104,28 +111,31 @@ def _backward(
     return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
 
 
-def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
+def _sides(vnet: Subnet, dnet: Subnet, segment: np.ndarray, desc: np.ndarray):
     """(net, input rows) for the video net, then the description net.
 
     Both nets embed the mean of their rows' outputs; the description is one row.
     """
-    return (vnet, ex.segment), (dnet, ex.desc[None, :])
+    return (vnet, segment), (dnet, desc[None, :])
 
 
-def _check_widths(vnet: Subnet, dnet: Subnet, ex: PairExample) -> None:
-    """A ValueError unless the example's segment and description are as wide as the
+def _check_widths(sides) -> None:
+    """A ValueError unless the segment and the description of `sides` are as wide as the
     inputs of the video and the description net."""
-    for (net, rows), what, side in zip(_sides(vnet, dnet, ex), ("segment", "description"),
+    for (net, rows), what, side in zip(sides, ("segment", "description"),
                                        ("video net", "description net")):
         if rows.shape[1] != net.input_dim:
             raise ValueError(f"{what} has {rows.shape[1]} columns, {side} expects {net.input_dim}")
 
 
 def _checked_sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
-    """`_sides` of both nets as `_checked_net` returns them, for an example as wide as both."""
+    """`_sides` of both nets as `_checked_net` returns them and of the example's arrays as
+    `_pair_arrays` returns them, for an example as wide as both nets.  The example's
+    values are not checked, so a non-finite one gives NaN results, not an error."""
     vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
-    _check_widths(vnet, dnet, ex)
-    return _sides(vnet, dnet, ex)
+    sides = _sides(vnet, dnet, *_pair_arrays(ex.segment, ex.desc))
+    _check_widths(sides)
+    return sides
 
 
 def _loss_and_pooled_gradient(
@@ -183,8 +193,9 @@ def loss_gradients(
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
     Both nets go through `_checked_net`, and the example's segment and
-    description must be as wide as their net's input; a ValueError says
-    which is not.
+    description must pass `PairExample`'s rank rule again, as they may have
+    been reassigned since construction, and be as wide as their net's input;
+    a ValueError says which is not.
     """
     return _gradients(_checked_sides(vnet, dnet, ex), ex.label, margin)
 
@@ -318,7 +329,7 @@ def sgd_train(
     for i, ex in enumerate(dataset):
         try:
             ex.__post_init__()  # its arrays may have been changed since construction
-            _check_widths(vnet, dnet, ex)
+            _check_widths(_sides(vnet, dnet, ex.segment, ex.desc))
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
     vnet = _copy_net(vnet)
@@ -337,7 +348,7 @@ def sgd_train(
         total = 0.0
         for idx in rng.permutation(len(dataset)):
             ex = dataset[idx]
-            sides = _sides(vnet, dnet, ex)
+            sides = _sides(vnet, dnet, ex.segment, ex.desc)
             loss, g_x = _loss_and_pooled_gradient(
                 *(_pooled(kept, net, rows) for net, rows in sides), ex.label, cfg.margin
             )

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
 import struct
+import threading
 import time
 import tracemalloc
 import zipfile
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from videosum import io as vio
 from videosum.io import (
     MAGIC_DESCS,
     MAGIC_FEATURES,
@@ -135,6 +138,128 @@ class TestMatrixFormat:
             read_matrix(path, magic)
         with pytest.raises(ValueError, match="magic must be MAGIC_FEATURES or MAGIC_DESCS"):
             write_matrix(tmp_path / "w.vsf", np.ones((1, 1)), magic)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 3), (9, 3), (3, 20), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_round_trip_across_block_edges(self, tmp_path, monkeypatch, shape, transpose):
+        """With blocks of 4 rows of 3 columns: one row short of a block, one block, one row
+        over, several blocks, and rows wider than a block each write the one-shot layout and
+        read back bit for bit, from row-major and column-major input."""
+        monkeypatch.setattr(vio, "_BLOCK_BYTES", 48)
+        path = tmp_path / "m.vsf"
+        matrix = np.random.default_rng(1).normal(size=shape[::-1] if transpose else shape)
+        if transpose:
+            matrix = matrix.T
+        write_matrix(path, matrix, MAGIC_FEATURES)
+        stored = np.ascontiguousarray(matrix, dtype="<f4")
+        assert path.read_bytes() == MAGIC_FEATURES + struct.pack("<II", *shape) + stored.tobytes()
+        back = read_matrix(path, MAGIC_FEATURES)
+        assert back.shape == shape
+        assert back.tobytes() == stored.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("shape, at", [((5, 3), (4, 1)), ((9, 3), (8, 0)), ((3, 20), (2, 17))])
+    def test_non_finite_value_in_the_last_block_named_by_its_row(
+            self, tmp_path, monkeypatch, bad, shape, at):
+        monkeypatch.setattr(vio, "_BLOCK_BYTES", 48)
+        path = tmp_path / "n.vsf"
+        matrix = np.ones(shape, dtype="<f4")
+        matrix[at] = bad
+        path.write_bytes(MAGIC_FEATURES + struct.pack("<II", *shape) + matrix.tobytes())
+        needle = f"^{re.escape(str(path))}: non-finite value {bad} at row {at[0]}, column {at[1]}$"
+        with pytest.raises(ValueError, match=needle):
+            read_matrix(path, MAGIC_FEATURES)
+
+    @pytest.mark.parametrize("bad_at, named", [
+        ([(4, 2)], (4, 2)),
+        ([(4, 2), (4, 0)], (4, 0)),
+        ([(4, 2), (1, 2)], (1, 2)),
+    ])
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes"])
+    def test_value_outside_float32_in_the_last_block_rejected_before_writing(
+            self, tmp_path, monkeypatch, bad_at, named, existing):
+        """The first bad value in row-major order is named by its row, and the file is left
+        as it was: absent, or holding its earlier bytes."""
+        monkeypatch.setattr(vio, "_BLOCK_BYTES", 48)
+        path = tmp_path / "n.vsf"
+        if existing is not None:
+            path.write_bytes(existing)
+        matrix = np.ones((5, 3))
+        for at in bad_at:
+            matrix[at] = 1e39
+        needle = f"^value 1e\\+39 at row {named[0]}, column {named[1]} is not a finite 32-bit float$"
+        with pytest.raises(ValueError, match=needle):
+            write_matrix(path, matrix, MAGIC_FEATURES)
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("size", [20, 24, 28])
+    def test_pipe_payload_checked_as_it_is_read(self, tmp_path, monkeypatch, size):
+        """A pipe has no size to check first: a complete payload reads back, and one short
+        or long is reported with its byte count."""
+        monkeypatch.setattr(vio, "_BLOCK_BYTES", 8)
+        path = tmp_path / "pipe.vsf"
+        os.mkfifo(path)
+        payload = np.arange(size // 4, dtype="<f4").tobytes()
+        writer = threading.Thread(
+            target=path.write_bytes, args=(MAGIC_FEATURES + struct.pack("<II", 3, 2) + payload,),
+            daemon=True)
+        writer.start()
+        try:
+            if size == 24:
+                assert read_matrix(path, MAGIC_FEATURES).tolist() == [[0, 1], [2, 3], [4, 5]]
+            else:
+                needle = f": payload has {size} bytes, needs 24 for a 3 x 2 matrix$"
+                with pytest.raises(ValueError, match=needle):
+                    read_matrix(path, MAGIC_FEATURES)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_payload_size_checked_before_allocating(self, tmp_path):
+        """A header claiming 2**32 cells over an empty payload is rejected from the file's
+        size, before a 32 GiB result is allocated."""
+        path = tmp_path / "big.vsf"
+        path.write_bytes(MAGIC_FEATURES + struct.pack("<II", 2**31, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"payload has 0 bytes, needs 17179869184 "):
+                read_matrix(path, MAGIC_FEATURES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_read_holds_its_result_and_one_block(self, tmp_path):
+        """Reading a 16 MiB result peaks below the result plus 2 MiB: the payload is never
+        held whole next to it."""
+        path = tmp_path / "m.vsf"
+        matrix = np.random.default_rng(2).normal(size=(2048, 1024))
+        write_matrix(path, matrix, MAGIC_FEATURES)
+        tracemalloc.start()
+        try:
+            back = read_matrix(path, MAGIC_FEATURES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == matrix.astype(np.float32).astype(np.float64).tobytes()
+        assert peak < back.nbytes + 2 * 2**20
+
+    def test_write_holds_one_block(self, tmp_path):
+        """Writing a 16 MiB matrix peaks below 2 MiB: no copy of the whole matrix is made."""
+        path = tmp_path / "m.vsf"
+        matrix = np.random.default_rng(3).normal(size=(2048, 1024))
+        tracemalloc.start()
+        try:
+            write_matrix(path, matrix, MAGIC_FEATURES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 12 + matrix.size * 4
+        assert peak < 2 * 2**20
 
     def test_non_2d_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):

@@ -227,6 +227,42 @@ class TestExampleWidths:
                 entry(vnet, dnet, bad)
 
 
+class TestReassignedExample:
+    """An example whose arrays were reassigned after construction meets `PairExample`'s
+    conversion and rank rule at every entry point, with its messages."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("segment", np.zeros(4), "segment must be a non-empty 2-D frame matrix"),
+        ("segment", [[0.0] * 4], "segment has 4 columns, video net expects 8"),
+        ("segment", np.zeros((0, 8)), "segment must be a non-empty 2-D frame matrix"),
+        ("segment", [["x"] * 8], "segment must be an array of real numbers: "),
+        ("desc", np.zeros((1, 5)), r"desc must be a non-empty 1-D vector, got shape \(1, 5\)"),
+        ("desc", 2.0, r"desc must be a non-empty 1-D vector, got shape \(\)"),
+    ], ids=["1-d-segment", "list-segment", "empty-segment", "text-segment", "2-d-desc",
+            "0-d-desc"])
+    def test_named_by_every_entry_point(self, field, value, message):
+        vnet, dnet, ex = random_case(3)
+        setattr(ex, field, value)
+        for entry in (loss_gradients, finite_diff_check):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                entry(vnet, dnet, ex)
+        with pytest.raises(ValueError, match=f"^example 0: {message}"):
+            sgd_train(vnet, dnet, [ex], TrainConfig(epochs=1))
+
+    def test_lists_are_converted(self):
+        """Arrays reassigned as nested lists give the same loss and gradients, bit for bit."""
+        vnet, dnet, ex = random_case(4)
+        want = loss_gradients(vnet, dnet, ex)
+        error = finite_diff_check(vnet, dnet, ex)
+        ex.segment, ex.desc = ex.segment.tolist(), ex.desc.tolist()
+        got = loss_gradients(vnet, dnet, ex)
+        assert got[0] == want[0]
+        for grads, expected in zip(got[1:], want[1:]):
+            for name in PARAM_NAMES:
+                assert getattr(grads, name).tobytes() == getattr(expected, name).tobytes()
+        assert finite_diff_check(vnet, dnet, ex) == error
+
+
 def two_cluster_dataset(seed):
     """Two far-apart frame clusters, each positively paired with its own one-hot."""
     rng = np.random.default_rng(seed)
