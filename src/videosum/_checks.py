@@ -1,4 +1,5 @@
-"""The one rule for a real setting or document number, an integer, an array and an interval."""
+"""The one rule for a real setting or document number, an integer, an array, a matrix and an
+interval."""
 
 from __future__ import annotations
 
@@ -58,6 +59,24 @@ def as_floats(name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an array of real numbers: {exc}") from None
+
+
+def check_matrix(name: str, value, *, rows: int = 0, cols: int | None = None,
+                 of: str | None = None) -> np.ndarray:
+    """`value` through `as_floats`; a ValueError starting with `name` unless it is 2-D, has at
+    least `rows` rows and, if `cols` is given, exactly `cols` columns, as `of` expects.  The
+    width is checked even when there are no rows; `cols` and `of` come together or not at all."""
+    if (cols is None) != (of is None):
+        raise TypeError("check_matrix takes cols and of together")
+    arr = as_floats(name, value)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    if arr.shape[0] < rows:
+        raise ValueError(f"{name} must have at least {rows} row{'s' * (rows != 1)}, "
+                         f"got {arr.shape[0]}")
+    if cols is not None and arr.shape[1] != cols:
+        raise ValueError(f"{name} has {arr.shape[1]} columns, {of} expects {cols}")
+    return arr
 
 
 def first_non_finite(arr: np.ndarray) -> tuple | None:

@@ -3,7 +3,8 @@
 Subcommands: gen-synth, train, summarize, score-lstm, score-semantic,
 fastforward, eval, gradcheck.  Every input and output is an explicit path;
 nothing is inferred from file extensions.  Exit codes: 0 on success, 1 on
-runtime or validation errors (message on stderr), 2 on usage errors.
+runtime, validation or out-of-memory errors (one message line on stderr), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io as vio
-from ._checks import check_int, check_real
+from ._checks import check_int, check_matrix, check_real
 from .metrics import keyshot_pr
 from .model import init_scorer, init_subnet, score_importance
 from .summarize import (
@@ -78,9 +79,7 @@ def _cmd_train(args) -> int:
 def _cmd_summarize(args) -> int:
     frames = vio.read_matrix(args.features, vio.MAGIC_FEATURES)
     vnet, _ = vio.load_checkpoint(args.model)
-    if frames.shape[1] != vnet.input_dim:
-        raise ValueError(f"{args.features} has {frames.shape[1]} columns, but the video net "
-                         f"of {args.model} expects {vnet.input_dim}")
+    check_matrix(args.features, frames, cols=vnet.input_dim, of=f"the video net of {args.model}")
     segments = uniform_segments(frames.shape[0], args.seg_len)
     feats = segment_features(vnet, frames, segments)
     chosen = generate_summary(feats, args.k)
@@ -113,11 +112,7 @@ def _cmd_score_semantic(args) -> int:
 
 def _cmd_fastforward(args) -> int:
     matrix = vio.read_matrix(args.scores, vio.MAGIC_FEATURES)
-    if matrix.shape[1] != 1:
-        raise ValueError(
-            f"{args.scores}: score files hold one column, got {matrix.shape[1]}"
-        )
-    scores = matrix.reshape(-1)
+    scores = check_matrix(args.scores, matrix, cols=1, of="a score file").reshape(-1)
     weights = _given(args, "lambda_speed", "lambda_sem")
     selected = speedup_frame_selection(scores, args.speedup, args.max_skip, **weights)
     achieved = scores.size / len(selected)
@@ -242,7 +237,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

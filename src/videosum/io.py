@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_interval, first_non_finite
+from ._checks import check_interval, check_matrix, first_non_finite
 from .model import Subnet, _checked_net
 from .summarize import Roi, Segment, semantic_score
 
@@ -47,7 +47,8 @@ MAGIC_FEATURES = b"VSF1"
 MAGIC_DESCS = b"VSD1"
 
 _HEADER = struct.Struct("<4sII")
-_MAX_CELLS = 2**32  # header dims are u32; anything larger is a corrupt file
+_MAX_COUNT = 2**32 - 1  # the header's u32 row and column counts
+_MAX_CELLS = 2**32  # a file that claims more is taken as corrupt, and none is written
 _F32_MAX = float(np.finfo(np.float32).max)
 # Matrix payloads and checkpoint members are read and written this many bytes at a time.
 _BLOCK_BYTES = 1 << 20
@@ -56,6 +57,14 @@ _BLOCK_BYTES = 1 << 20
 def _check_magic(magic) -> None:
     if not (isinstance(magic, bytes) and magic in (MAGIC_FEATURES, MAGIC_DESCS)):
         raise ValueError(f"magic must be MAGIC_FEATURES or MAGIC_DESCS, got {magic!r}")
+
+
+def _check_dims(name, rows: int, cols: int) -> None:
+    """A ValueError starting with `name` unless each count fits the header's u32 and the
+    matrix has at most _MAX_CELLS cells."""
+    if max(rows, cols) > _MAX_COUNT or rows * cols > _MAX_CELLS:
+        raise ValueError(f"{name}: dimension overflow, {rows} x {cols} exceeds the format's "
+                         f"limits of {_MAX_COUNT} rows or columns and {_MAX_CELLS} cells")
 
 
 def _row_blocks(rows: int, cols: int):
@@ -89,11 +98,7 @@ def read_matrix(path, expected_magic: bytes) -> np.ndarray:
         magic, rows, cols = _HEADER.unpack(header)
         if magic != expected_magic:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {expected_magic!r}")
-        if rows * cols > _MAX_CELLS:
-            raise ValueError(
-                f"{path}: dimension overflow, {rows} x {cols} cells exceeds "
-                f"the format limit of {_MAX_CELLS}"
-            )
+        _check_dims(path, rows, cols)
         needed = rows * cols * 4
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != needed:
@@ -103,12 +108,13 @@ def read_matrix(path, expected_magic: bytes) -> np.ndarray:
             got = fh.readinto(memoryview(block).cast("B"))
             if got != block.nbytes:
                 raise _payload_error(path, start * cols * 4 + got, rows, cols)
-            out = values[start : start + len(block)]
-            out[...] = block
+            # Checked before it is widened: widening a signalling NaN raises numpy's
+            # "invalid value" warning.
             at = first_non_finite(block)
             if at is not None:
-                raise ValueError(f"{path}: non-finite value {out[at]} at row {start + at[0]}, "
+                raise ValueError(f"{path}: non-finite value {block[at]} at row {start + at[0]}, "
                                  f"column {at[1]}")
+            values[start : start + len(block)] = block
         extra = len(fh.read())
     if extra:
         raise _payload_error(path, needed + extra, rows, cols)
@@ -123,13 +129,14 @@ def _payload_error(path, got: int, rows: int, cols: int) -> ValueError:
 def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
     """Write a matrix in the binary layout; values narrow to 32-bit floats.
 
-    Every value is checked before the file is opened.  The payload is then written one
-    block of rows at a time, so a write holds one block and no copy of the matrix.
+    The dimensions and every value are checked before the file is opened, the dimensions
+    first, as `read_matrix` checks them.  The payload is then written one block of rows at
+    a time, so a write holds one block and no copy of the matrix.
     """
     _check_magic(magic)
-    matrix = as_floats("matrix", matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
+    matrix = check_matrix("matrix", matrix)
+    rows, cols = matrix.shape
+    _check_dims("matrix", rows, cols)
     # A NaN propagates through both reductions and fails both comparisons, so this passes
     # only finite float32 values, and makes no temporary array.
     if matrix.size and not (-_F32_MAX <= matrix.min() and matrix.max() <= _F32_MAX):
@@ -137,7 +144,6 @@ def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
         raise ValueError(
             f"value {matrix[row, col]} at row {row}, column {col} is not a finite 32-bit float"
         )
-    rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, rows, cols))
         for start, block in _row_blocks(rows, cols):

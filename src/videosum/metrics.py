@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_int, check_interval, check_real, first_non_finite
+from ._checks import check_int, check_interval, check_matrix, check_real, first_non_finite
 
 __all__ = [
     "normalize_intervals",
@@ -98,11 +98,7 @@ def jitter_amount(track: Sequence[Sequence[float]]) -> float:
     `track` holds one (x, y) location per output frame; at least two points
     are required.
     """
-    pts = as_floats("track", track)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"track must be an (n, 2) array, got shape {pts.shape}")
-    if pts.shape[0] < 2:
-        raise ValueError("track needs at least 2 points")
+    pts = check_matrix("track", track, rows=2, cols=2, of="jitter_amount")
     at = first_non_finite(pts)
     if at is not None:
         raise ValueError(f"track point {at[0]} is not finite: {pts[at[0]].tolist()}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_int, check_real, first_non_finite
+from ._checks import as_floats, check_finite, check_int, check_matrix, check_real, first_non_finite
 
 __all__ = [
     "DEFAULT_EMBED_DIM",
@@ -216,16 +216,10 @@ def _cell(w_h: np.ndarray, zc: np.ndarray):
     return step
 
 
-def _checked_frames(frames, *cells: LstmParams) -> np.ndarray:
-    """`frames` as a float matrix; a ValueError unless it is 2-D, finite and, if it has
-    rows, as wide as every cell's input.  A non-finite value names its frame."""
-    frames = as_floats("frames", frames)
-    if frames.ndim != 2:
-        raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
-    n, d = frames.shape
-    for cell in cells:
-        if n > 0 and d != cell.input_dim:
-            raise ValueError(f"frames have {d} columns, cell expects {cell.input_dim}")
+def _checked_frames(frames, cols: int, of: str) -> np.ndarray:
+    """`frames` under `check_matrix` with `cols` columns, as `of` expects, even with no
+    rows; a ValueError names the first frame that is not finite."""
+    frames = check_matrix("frames", frames, cols=cols, of=of)
     return check_finite("frames contain a non-finite value", frames, by_row=True)
 
 
@@ -306,7 +300,7 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
     is named by its index.
     """
     params.__post_init__()  # the weights may have been reassigned since construction
-    frames = _checked_frames(frames, params)
+    frames = _checked_frames(frames, params.input_dim, "cell")
     hidden = np.empty((frames.shape[0], params.hidden_dim))
     for s, rows in _Scan(params, frames, reverse=False):
         hidden[s : s + len(rows)] = rows
@@ -335,7 +329,7 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
 
     for part in (scorer.forward, scorer.backward, scorer):
         part.__post_init__()  # any of them may have been reassigned since construction
-    frames = _checked_frames(frames, scorer.forward, scorer.backward)
+    frames = _checked_frames(frames, scorer.forward.input_dim, "cell")
     h_dim = scorer.forward.hidden_dim
     halves = (scorer.readout_w[:h_dim], scorer.readout_w[h_dim:])
     scans = [_Scan(cell, frames, reverse)
@@ -374,13 +368,7 @@ def embed_frames(net: Subnet, rows: np.ndarray) -> np.ndarray:
     as does a net that `_checked_net` rejects.
     """
     net = _checked_net("net", net)
-    rows = as_floats("rows", rows)
-    if rows.ndim != 2:
-        raise ValueError(f"segment must be 2-D, got shape {rows.shape}")
-    if rows.shape[0] == 0:
-        raise ValueError("cannot embed an empty segment")
-    if rows.shape[1] != net.input_dim:
-        raise ValueError(f"segment has {rows.shape[1]} columns, net expects {net.input_dim}")
+    rows = check_matrix("rows", rows, rows=1, cols=net.input_dim, of="net")
     check_finite("segment has a non-finite value", rows, by_row=True)
     return _forward(net, rows)[1].mean(axis=0)
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_int, check_real, first_non_finite
+from ._checks import as_floats, check_finite, check_int, check_matrix, check_real, first_non_finite
 from .model import Subnet, _checked_frames, _checked_net, _forward
 
 __all__ = [
@@ -102,14 +102,15 @@ def segment_features(
 ) -> list[SegmentFeature]:
     """Embed each segment's frame rows as `embed_frames` does; output ordered by segment index.
 
-    Segments may overlap, leave gaps or come in any order; every frame must be finite.  The
-    rows of whole segments are embedded in one forward pass of at most _BLOCK_ROWS rows, so
-    a feature may differ from `embed_frames` on the segment alone in the last bits.  The net
-    goes through `_checked_net`.
+    Segments may overlap, leave gaps or come in any order; every frame must be finite and,
+    even with no segments, the frames as wide as the net's input.  The rows of whole
+    segments are embedded in one forward pass of at most _BLOCK_ROWS rows, so a feature may
+    differ from `embed_frames` on the segment alone in the last bits.  The net goes through
+    `_checked_net`.
     """
     net = _checked_net("net", net)
-    frames = _checked_frames(frames)
-    n, d = frames.shape
+    frames = _checked_frames(frames, net.input_dim, "net")
+    n = frames.shape[0]
     for seg in segments:
         if seg.start < 0 or seg.end > n:
             raise ValueError(
@@ -118,8 +119,6 @@ def segment_features(
             )
         if seg.start >= seg.end:
             raise ValueError(f"segment {seg.index} range [{seg.start}, {seg.end}) is empty")
-        if d != net.input_dim:
-            raise ValueError(f"segment {seg.index} has {d} columns, net expects {net.input_dim}")
     out: list[SegmentFeature] = []
     for block in _blocks(sorted(segments, key=lambda s: s.index)):
         z2 = _forward(net, np.concatenate([frames[s.start : s.end] for s in block]))[1]
@@ -146,9 +145,7 @@ def _blocks(segments: Sequence[Segment]) -> Iterator[list[Segment]]:
 
 
 def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
-    arr = as_floats("points", points)
-    if arr.ndim != 2:
-        raise ValueError(f"points must form a 2-D array, got shape {arr.shape}")
+    arr = check_matrix("points", points)
     at = first_non_finite(arr)
     if at is not None:
         raise ValueError(f"point {at[0]} has a non-finite coordinate at column {at[1]}")
@@ -331,19 +328,23 @@ def semantic_score(
         sigma = _default_sigma(frame_w, frame_h)
     else:
         sigma = check_real("sigma", sigma, positive=True)
-    # So that sigma**2 neither overflows nor divides by zero.
-    if not 0 < 2.0 * sigma * sigma < math.inf:
+    # The one spread that the loop divides by: neither infinite nor, by underflow, zero.
+    try:
+        spread = 2.0 * sigma**2
+    except OverflowError:  # a float, or an int times 2.0, beyond float64
+        spread = math.inf
+    if not 0 < spread < math.inf:
         raise ValueError(
             f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
             "2 * sigma**2 is not a positive float64"
         )
-    if not frame_w * frame_h > 0:
+    frame_area = frame_w * frame_h
+    if not frame_area > 0:
         raise ValueError(
             f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of range: "
             "frame_w * frame_h underflows to 0"
         )
     cx, cy = frame_w / 2.0, frame_h / 2.0
-    spread, frame_area = 2.0 * sigma**2, frame_w * frame_h
     # An int frame area beyond float64 cannot divide a float area (float / int converts the
     # int); each area then divides it as the exact ratio it holds, so the quotient is rounded
     # once, as int / int always rounded it for an int area.
@@ -364,11 +365,6 @@ def semantic_score(
         raise ValueError(
             f"ROI center {roi.center} is too far from the frame center ({cx}, {cy}): "
             "its squared distance overflows float64"
-        ) from None
-    except ZeroDivisionError:
-        raise ValueError(
-            f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of range: "
-            "a denominator underflows to 0"
         ) from None
     return total
 

@@ -49,12 +49,14 @@ class SynthData:
 
 
 def _event_centers(rng: np.random.Generator, spec: SynthSpec, sep: float) -> np.ndarray:
-    """Centers with pairwise distance >= sep and norm exactly sep.
+    """Centers with pairwise distance >= sep and norm at least sep.
 
-    Keeping every center on the radius-sep sphere also keeps the near-zero
-    gap frames at least sep away from every event cluster.  Random unit
-    directions almost always satisfy the pairwise bound in a few draws; a
-    deterministic axis-aligned layout covers degenerate low-dim cases.
+    Keeping every center at least sep from the origin also keeps the near-zero
+    gap frames at least sep away from every event cluster.  Random directions
+    scaled to norm sep almost always satisfy the pairwise bound in a few draws;
+    a deterministic axis-aligned layout covers degenerate low-dim cases, such as
+    more than two events in one dimension: center i lies on axis i % dim at
+    sep * (1 + i // dim).
     """
     n, dim = spec.n_events, spec.dim
     for _ in range(64):

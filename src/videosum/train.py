@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_int, check_real
+from ._checks import as_floats, check_finite, check_int, check_matrix, check_real
 from .model import Subnet, _checked_net, _forward
 
 __all__ = [
@@ -45,14 +45,12 @@ def _check_label(label) -> int:
 
 def _pair_arrays(segment, desc) -> tuple[np.ndarray, np.ndarray]:
     """(segment, desc) through `as_floats`; a ValueError unless the description is a
-    non-empty 1-D vector and the segment a non-empty 2-D frame matrix.  Values are not
-    checked."""
+    non-empty 1-D vector and the segment passes `check_matrix` with at least one row.
+    Values are not checked."""
     segment, desc = as_floats("segment", segment), as_floats("desc", desc)
     if desc.ndim != 1 or desc.size == 0:
         raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
-    if segment.ndim != 2 or segment.shape[0] == 0:
-        raise ValueError("segment must be a non-empty 2-D frame matrix")
-    return segment, desc
+    return check_matrix("segment", segment, rows=1), desc
 
 
 @dataclass
@@ -124,8 +122,7 @@ def _check_widths(sides) -> None:
     inputs of the video and the description net."""
     for (net, rows), what, side in zip(sides, ("segment", "description"),
                                        ("video net", "description net")):
-        if rows.shape[1] != net.input_dim:
-            raise ValueError(f"{what} has {rows.shape[1]} columns, {side} expects {net.input_dim}")
+        check_matrix(what, rows, cols=net.input_dim, of=side)
 
 
 def _checked_sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
@@ -376,9 +373,7 @@ def sample_pairs(
     negatives are invented.  Both indices must be non-negative integers in
     range; a bad index, label or example raises with its record named.
     """
-    descs = as_floats("descs", descs)
-    if descs.ndim != 2:
-        raise ValueError(f"descs must be a 2-D matrix, got shape {descs.shape}")
+    descs = check_matrix("descs", descs)
     out: list[PairExample] = []
     for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"

@@ -9,8 +9,10 @@ scalar behaves exactly like the Python number it holds.
 An array input must convert to float64: an int beyond the float64 range, an entry
 that is not a number or ragged rows raise one ValueError that starts with the
 argument's name.  Where an entry must be finite, the error names the first bad one
-by frame or index.  A float32 array gives the same bits as its float64 copy.  An
-interval record must be a pair, and a pair label's indices and its 0-or-1 label
+by frame or index.  A float32 array gives the same bits as its float64 copy.  A
+matrix input must also be 2-D, have the rows its entry point needs and, where a
+width is set, exactly that many columns, even with no rows; each rejection is one
+of three messages that start with the argument's name.  An interval record must be a pair, and a pair label's indices and its 0-or-1 label
 follow the integer rule.
 """
 
@@ -23,7 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videosum.io import MAGIC_FEATURES, read_intervals, read_rois, write_matrix
+from videosum._checks import check_matrix
+from videosum.cli import build_parser
+from videosum.io import MAGIC_FEATURES, read_intervals, read_rois, save_checkpoint, write_matrix
 from videosum.metrics import jitter_amount, keyshot_pr, normalize_intervals, speedup_deviation
 from videosum.model import (
     ImportanceScorer,
@@ -57,6 +61,7 @@ from videosum.train import (
     finite_diff_check,
     loss_gradients,
     sample_pairs,
+    sgd_train,
 )
 
 BAD = [math.nan, math.inf, -math.inf, 10**400, -10**400, True, "1", np.float32("nan")]
@@ -335,6 +340,116 @@ def test_array_argument_follows_the_array_rule(arg, call, valid, nan_error):
         assert str(exc.value) == nan_error
     as_float32 = valid.astype(np.float32)
     assert _bits(call(as_float32)) == _bits(call(as_float32.astype(np.float64)))
+
+
+def _command(*argv):
+    """The CLI command `argv` run on its parsed arguments, so that its error is raised."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _summarize_file(frames):
+    write_matrix("f.vsf", frames, MAGIC_FEATURES)
+    save_checkpoint("m.npz", VNET, DNET)
+    return _command("summarize", "--features", "f.vsf", "--model", "m.npz", "--seg-len", "2",
+                    "--k", "1", "--out", "s.json")
+
+
+def _fastforward_file(scores):
+    write_matrix("s.vsf", scores, MAGIC_FEATURES)
+    return _command("fastforward", "--scores", "s.vsf", "--speedup", "2", "--max-skip", "3",
+                    "--out", "ff.json")
+
+
+# The call on a matrix, then each bad shape with its exact error: the rank, the row count
+# where the entry point needs rows, and the width where it sets one, with no rows too.
+MATRICES = [
+    ("lstm_scan", lambda a: lstm_scan(SCORER.forward, a), [
+        ((3,), "frames must be a 2-D matrix, got shape (3,)"),
+        ((4, 2), "frames has 2 columns, cell expects 3"),
+        ((0, 2), "frames has 2 columns, cell expects 3"),
+        ((0, 7), "frames has 7 columns, cell expects 3"),
+    ]),
+    ("score_importance", lambda a: score_importance(SCORER, a), [
+        ((3,), "frames must be a 2-D matrix, got shape (3,)"),
+        ((4, 2), "frames has 2 columns, cell expects 3"),
+        ((0, 2), "frames has 2 columns, cell expects 3"),
+        ((0, 7), "frames has 7 columns, cell expects 3"),
+    ]),
+    ("segment_features",
+     lambda a: segment_features(VNET, a, uniform_segments(len(a), 2)), [
+        ((4,), "frames must be a 2-D matrix, got shape (4,)"),
+        ((4, 5), "frames has 5 columns, net expects 3"),
+        ((0, 5), "frames has 5 columns, net expects 3"),
+     ]),
+    ("embed_frames", lambda a: embed_frames(VNET, a), [
+        ((3,), "rows must be a 2-D matrix, got shape (3,)"),
+        ((0, 3), "rows must have at least 1 row, got 0"),
+        ((0, 4), "rows must have at least 1 row, got 0"),
+        ((2, 4), "rows has 4 columns, net expects 3"),
+    ]),
+    ("PairExample", lambda a: PairExample(a, DESC, 1), [
+        ((3,), "segment must be a 2-D matrix, got shape (3,)"),
+        ((0, 3), "segment must have at least 1 row, got 0"),
+    ]),
+    ("loss_gradients", lambda a: loss_gradients(VNET, DNET, PairExample(a, DESC, 1)), [
+        ((3,), "segment must be a 2-D matrix, got shape (3,)"),
+        ((0, 4), "segment must have at least 1 row, got 0"),
+        ((2, 4), "segment has 4 columns, video net expects 3"),
+        ((1, 2), "segment has 2 columns, video net expects 3"),
+    ]),
+    ("sgd_train", lambda a: sgd_train(VNET, DNET, [PairExample(a, DESC, 1)], TrainConfig()), [
+        ((2, 4), "example 0: segment has 4 columns, video net expects 3"),
+    ]),
+    ("description width", lambda a: loss_gradients(VNET, DNET, PairExample(FRAMES, a[0], 1)), [
+        ((1, 3), "description has 3 columns, description net expects 2"),
+    ]),
+    ("sample_pairs", lambda a: sample_pairs([FRAMES], a, []), [
+        ((2,), "descs must be a 2-D matrix, got shape (2,)"),
+        ((2, 2, 1), "descs must be a 2-D matrix, got shape (2, 2, 1)"),
+    ]),
+    ("clustering_cost", lambda a: clustering_cost(a, [0]), [
+        ((2,), "points must be a 2-D matrix, got shape (2,)"),
+    ]),
+    ("kmedoids", lambda a: kmedoids(a, 1), [
+        ((2,), "points must be a 2-D matrix, got shape (2,)"),
+    ]),
+    ("jitter_amount", jitter_amount, [
+        ((2,), "track must be a 2-D matrix, got shape (2,)"),
+        ((1, 2), "track must have at least 2 rows, got 1"),
+        ((1, 3), "track must have at least 2 rows, got 1"),
+        ((0, 3), "track must have at least 2 rows, got 0"),
+        ((3, 3), "track has 3 columns, jitter_amount expects 2"),
+    ]),
+    ("write_matrix", _written, [
+        ((3,), "matrix must be a 2-D matrix, got shape (3,)"),
+        ((), "matrix must be a 2-D matrix, got shape ()"),
+    ]),
+    ("summarize command", _summarize_file, [
+        ((4, 2), "f.vsf has 2 columns, the video net of m.npz expects 3"),
+        ((0, 2), "f.vsf has 2 columns, the video net of m.npz expects 3"),
+    ]),
+    ("fastforward command", _fastforward_file, [
+        ((4, 3), "s.vsf has 3 columns, a score file expects 1"),
+        ((0, 3), "s.vsf has 3 columns, a score file expects 1"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("entry, call, cases", MATRICES, ids=[row[0] for row in MATRICES])
+def test_matrix_argument_follows_the_matrix_rule(tmp_path, monkeypatch, entry, call, cases):
+    monkeypatch.chdir(tmp_path)  # the CLI commands name their files relative to it
+    for shape, message in cases:
+        with pytest.raises(ValueError) as exc:
+            call(np.zeros(shape))
+        assert str(exc.value) == message, (entry, shape)
+
+
+@pytest.mark.parametrize("kwargs", [{"cols": 2}, {"of": "net"}], ids=["cols-alone", "of-alone"])
+def test_matrix_width_and_its_owner_come_together(kwargs):
+    """A width without the name of what expects it would give a message with a hole in it."""
+    with pytest.raises(TypeError, match="^check_matrix takes cols and of together$"):
+        check_matrix("x", np.zeros((1, 2)), **kwargs)
 
 
 @pytest.mark.parametrize(

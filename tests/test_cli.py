@@ -84,6 +84,40 @@ class TestDispatchBasics:
         assert "error:" in err
 
     @pytest.mark.parametrize(
+        "command, target, argv",
+        [
+            ("gen-synth", "synth_generate",
+             ["--seed", "0", "--n-events", "10000000000", "--features", "f.vsf",
+              "--truth", "t.json", "--descs", "d.vsd", "--labels", "l.txt"]),
+            ("score-lstm", "init_scorer",
+             ["--features", "f.vsf", "--hidden", "100000", "--out", "o.vsf"]),
+        ],
+    )
+    def test_out_of_memory_exits_one_with_one_error_line(
+            self, tmp_path, capsys, monkeypatch, command, target, argv):
+        """The allocating call is replaced by one that raises as numpy does, so the test
+        never tries a huge allocation."""
+        message = "Unable to allocate 1.16 TiB for an array with shape (10000000000, 16)"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"videosum.cli.{target}", exhausted)
+        monkeypatch.chdir(tmp_path)
+        write_matrix("f.vsf", np.zeros((4, 3)), MAGIC_FEATURES)  # score-lstm's input
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_module_entry_point_prints_help(self, child_env):
+        proc = subprocess.run([sys.executable, "-m", "videosum", "--help"],
+                              capture_output=True, text=True, timeout=60, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: videosum ")
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
         "payload, needle",
         [
             (b"XXXX" + b"\x00" * 8, "magic"),
@@ -288,10 +322,13 @@ class TestPipeline:
             ({"frame_w": 1e-200, "frame_h": 1e-200, "sigma": 1},
              "frame size 1e-200 x 1e-200 with sigma=1 is out of range: "
              "frame_w * frame_h underflows to 0"),
+            ({"sigma": 1.3e-162, "frames": [[{"confidence": 0.5, "cx": 1, "cy": 1, "area": 1}]]},
+             "sigma=1.3e-162 for a 10 x 10 frame is out of range: "
+             "2 * sigma**2 is not a positive float64"),
         ],
         ids=["confidence", "area", "non-numeric-center", "frame-w", "frame-h", "sigma",
              "frames-not-a-list", "frame-not-a-list", "sigma-overflows", "tiny-frame",
-             "tiny-frame-area"],
+             "tiny-frame-area", "sigma-square-underflows"],
     )
     def test_score_semantic_bad_document_names_file(self, tmp_path, capsys, changes, needle):
         doc = {"frame_w": 10, "frame_h": 10, "frames": [[]]}
@@ -363,7 +400,7 @@ class TestPipeline:
             "--out", str(tmp_path / "o.json"),
         )
         assert code == 1
-        assert "one column" in err
+        assert err == f"error: {scores_path} has 3 columns, a score file expects 1\n"
 
     @pytest.mark.parametrize(
         "score, speedup, needle",
@@ -606,7 +643,7 @@ class TestPipeline:
         )
         assert code == 1
         assert err.splitlines() == [
-            f"error: {features} has 7 columns, but the video net of {model} expects 6"
+            f"error: {features} has 7 columns, the video net of {model} expects 6"
         ]
         assert out == ""
         assert not out_path.exists()

@@ -120,6 +120,18 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match=re.escape(str(path)) + r": non-finite value .* at row 2, column 1"):
             read_matrix(path, MAGIC_FEATURES)
 
+    @pytest.mark.parametrize("bits", [0x7F800001, 0xFFBFFFFF], ids=["positive", "negative"])
+    def test_signalling_nan_payload_named_without_a_warning(self, tmp_path, bits):
+        """A signalling NaN, as one flipped bit of an infinity makes, is named like any other
+        NaN; widening it to float64 would raise numpy's "invalid value" warning."""
+        path = tmp_path / "n.vsf"
+        payload = np.ones((3, 2), dtype="<f4")
+        payload.view("<u4")[1, 0] = bits
+        path.write_bytes(MAGIC_FEATURES + struct.pack("<II", 3, 2) + payload.tobytes())
+        needle = f"^{re.escape(str(path))}: non-finite value nan at row 1, column 0$"
+        with pytest.raises(ValueError, match=needle):
+            read_matrix(path, MAGIC_FEATURES)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, -3.5e38])
     def test_value_outside_float32_rejected_before_writing(self, tmp_path, bad):
         path = tmp_path / "n.vsf"
@@ -264,6 +276,28 @@ class TestMatrixFormat:
     def test_non_2d_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "x.vsf", np.zeros(3), MAGIC_FEATURES)
+
+    @pytest.mark.parametrize("shape", [(2**32, 0), (0, 2**32), (2**16 + 1, 2**16)],
+                             ids=["rows", "columns", "cells"])
+    def test_dimensions_the_format_cannot_hold_rejected_before_writing(
+            self, tmp_path, monkeypatch, shape):
+        """A count beyond the header's u32, or more cells than `read_matrix` accepts, is
+        refused before any value is looked at, and an existing file keeps its bytes.  No
+        matrix here allocates: each is empty or a broadcast view of one value."""
+
+        def no_payload(rows, cols):  # so that a writer without the rule fails at once
+            raise AssertionError(f"a {rows} x {cols} payload was about to be written")
+
+        path = tmp_path / "m.vsf"
+        write_matrix(path, np.ones((4, 2)), MAGIC_FEATURES)
+        before = path.read_bytes()
+        monkeypatch.setattr(vio, "_row_blocks", no_payload)
+        rows, cols = shape
+        needle = (f"^matrix: dimension overflow, {rows} x {cols} exceeds the format's limits "
+                  f"of {2**32 - 1} rows or columns and {2**32} cells$")
+        with pytest.raises(ValueError, match=needle):
+            write_matrix(path, np.broadcast_to(0.0, shape), MAGIC_FEATURES)
+        assert path.read_bytes() == before
 
 
 class TestIntervalDocuments:
@@ -689,6 +723,21 @@ class TestSynthGenerate:
             np.fill_diagonal(gaps, np.inf)
             # sample means sit within a few noise widths of the true centers
             assert gaps.min() >= sep - 4 * sigma
+
+    def test_axis_layout_when_random_directions_cannot_separate(self):
+        """Three centers of norm sep in one dimension cannot lie sep apart, so the axis
+        layout puts them at sep, 2 * sep and 3 * sep (sep = 1 here)."""
+        spec = SynthSpec(seed=0, n_events=3, dim=1)
+        data = synth_generate(spec)
+        assert data.truth == [(0, 32), (36, 68), (72, 104)]
+        means = [data.features[s:e].mean() for s, e in data.truth]
+        np.testing.assert_allclose(means, [1.0, 2.0, 3.0], atol=4 * spec.noise_sigma / 32**0.5)
+        still = synth_generate(SynthSpec(seed=0, n_events=3, dim=1, noise_sigma=0.0))
+        assert still.truth == data.truth
+        expected = np.zeros((108, 1))
+        for i, (s, e) in enumerate(still.truth):
+            expected[s:e] = i + 1.0
+        np.testing.assert_array_equal(still.features, expected)
 
     def test_labels_pair_each_event_with_its_description(self):
         data = synth_generate(SynthSpec(seed=0, n_events=3))

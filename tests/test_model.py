@@ -184,6 +184,14 @@ class TestLstmScan:
         out = lstm_scan(params, np.zeros((0, 3)))
         assert out.shape == (0, 2)
 
+    @pytest.mark.parametrize("width", [2, 7])
+    def test_empty_sequence_of_the_wrong_width_rejected(self, width):
+        """No frames still have a width, and it must be the cell's input width."""
+        scorer = init_scorer(0, 3, 2)
+        for call in (lambda f: lstm_scan(scorer.forward, f), lambda f: score_importance(scorer, f)):
+            with pytest.raises(ValueError, match=f"^frames has {width} columns, cell expects 3$"):
+                call(np.zeros((0, width)))
+
     def test_zero_weights_all_zero_rows(self):
         params = init_scorer(0, 3, 2).forward
         params.w[:] = 0.0
@@ -697,7 +705,7 @@ class TestEmbedFrames:
 
     def test_column_count_checked(self):
         net = init_subnet(0, 3, 4, 2)
-        with pytest.raises(ValueError, match="segment has 4 columns, net expects 3"):
+        with pytest.raises(ValueError, match="rows has 4 columns, net expects 3"):
             embed_frames(net, np.ones((1, 4)))
 
     def test_identical_frames_collapse_to_single_forward(self):

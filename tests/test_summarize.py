@@ -272,8 +272,15 @@ class TestSegmentFeatures:
 
     def test_bad_width_names_the_segment(self):
         net = init_subnet(0, 3, 4, 2)
-        with pytest.raises(ValueError, match=r"^segment 4 has 5 columns, net expects 3$"):
+        with pytest.raises(ValueError, match=r"^frames has 5 columns, net expects 3$"):
             segment_features(net, np.zeros((8, 5)), [Segment(4, 0, 2), Segment(1, 2, 4)])
+
+    @pytest.mark.parametrize("n_frames", [0, 8])
+    def test_bad_width_rejected_without_segments(self, n_frames):
+        """The frames' width is checked once, before any segment is looked at."""
+        net = init_subnet(0, 3, 4, 2)
+        with pytest.raises(ValueError, match=r"^frames has 5 columns, net expects 3$"):
+            segment_features(net, np.zeros((n_frames, 5)), [])
 
     def test_empty_segment_names_the_segment(self):
         """A Segment cannot be empty; a record with the same fields is rejected by name."""
@@ -324,6 +331,11 @@ class TestClusteringCost:
     def test_overflowing_distances_rejected(self):
         with pytest.raises(ValueError, match="squared distances between points overflow float64"):
             clustering_cost([[0.0], [1e200]], [0])
+
+    @pytest.mark.parametrize("medoids, bad", [([0, 4], 4), ([9, 1], 9)])
+    def test_medoid_index_out_of_range_named(self, medoids, bad):
+        with pytest.raises(ValueError, match=f"^medoid index {bad} out of range for 4 points$"):
+            clustering_cost(np.zeros((4, 2)), medoids)
 
     def test_medoid_set_that_is_no_iterable_rejected(self):
         with pytest.raises(ValueError, match="^medoids must be an iterable of point indices, got 3$"):
@@ -665,6 +677,22 @@ class TestSemanticScore:
     def test_out_of_range_arithmetic_names_the_input(self, center, frame_w, sigma, needle):
         roi = Roi(confidence=1.0, center=center, area=1.0)
         with pytest.raises(ValueError, match=f"^{needle}"):
+            semantic_score([roi], frame_w, frame_w, sigma)
+
+    @pytest.mark.parametrize(
+        "frame_w, sigma, needle",
+        [
+            (10.0, 1.3e-162, r"sigma=1.3e-162 for a 10.0 x 10.0 frame is out of range"),
+            (3.7e-162, None, r"sigma=1.3\d*e-162 for a 3.7e-162 x 3.7e-162 frame is out of range"),
+            (10, 10**200, r"sigma=10{200} for a 10 x 10 frame is out of range"),
+        ],
+        ids=["square-underflows", "default-square-underflows", "int-square-overflows"],
+    )
+    def test_spread_is_checked_as_divided_by(self, frame_w, sigma, needle):
+        """2 * sigma**2 is checked as the loop computes it: at the bottom of the subnormal
+        range sigma**2 underflows to 0 where (2 * sigma) * sigma still rounds up."""
+        roi = Roi(confidence=0.5, center=(1.0, 1.0), area=1.0)
+        with pytest.raises(ValueError, match=f"^{needle}: 2 \\* sigma\\*\\*2 is not a positive"):
             semantic_score([roi], frame_w, frame_w, sigma)
 
 

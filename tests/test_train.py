@@ -232,9 +232,9 @@ class TestReassignedExample:
     conversion and rank rule at every entry point, with its messages."""
 
     @pytest.mark.parametrize("field, value, message", [
-        ("segment", np.zeros(4), "segment must be a non-empty 2-D frame matrix"),
+        ("segment", np.zeros(4), r"segment must be a 2-D matrix, got shape \(4,\)"),
         ("segment", [[0.0] * 4], "segment has 4 columns, video net expects 8"),
-        ("segment", np.zeros((0, 8)), "segment must be a non-empty 2-D frame matrix"),
+        ("segment", np.zeros((0, 8)), "segment must have at least 1 row, got 0"),
         ("segment", [["x"] * 8], "segment must be an array of real numbers: "),
         ("desc", np.zeros((1, 5)), r"desc must be a non-empty 1-D vector, got shape \(1, 5\)"),
         ("desc", 2.0, r"desc must be a non-empty 1-D vector, got shape \(\)"),
