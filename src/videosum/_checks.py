@@ -1,5 +1,5 @@
-"""The one rule for a real setting or document number, an integer, an array, a matrix and an
-interval."""
+"""The one rule for a real setting or document number, an integer, an array, a vector, a
+matrix and an interval."""
 
 from __future__ import annotations
 
@@ -59,6 +59,14 @@ def as_floats(name: str, value) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an array of real numbers: {exc}") from None
+
+
+def check_vector(name: str, value) -> np.ndarray:
+    """`value` through `as_floats`; a ValueError starting with `name` unless it is 1-D."""
+    arr = as_floats(name, value)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    return arr
 
 
 def check_matrix(name: str, value, *, rows: int = 0, cols: int | None = None,

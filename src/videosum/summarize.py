@@ -11,14 +11,16 @@ the retained frames by a shortest path over a skip-bounded frame graph.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_int, check_matrix, check_real, first_non_finite
+from ._checks import (check_finite, check_int, check_matrix, check_real, check_vector,
+                      first_non_finite)
 from .model import Subnet, _checked_frames, _checked_net, _forward
 
 __all__ = [
@@ -165,48 +167,92 @@ def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> flo
     for m in idx:
         if not 0 <= m < arr.shape[0]:
             raise ValueError(f"medoid index {m} out of range for {arr.shape[0]} points")
-    return float(_sq_dists(arr, idx).min(axis=1).sum())
+    rows = np.empty((len(idx), arr.shape[0]))
+    for m, row in zip(idx, rows):
+        _sq_dists_to(arr[m], arr, row)
+    return float(rows.min(axis=0).sum())
 
 
-def _sq_dists_to(p: np.ndarray, targets: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
-    """The one per-pair rule: out[j] = ((p - targets[j]) ** 2).sum(), numpy's pairwise
-    sum over D, the same floats as an n x m x D broadcast.  `buf` is shaped like targets."""
-    np.subtract(p, targets, out=buf)
-    np.square(buf, out=buf)
-    np.sum(buf, axis=1, out=out)
+# Entries of the scratch block of `_sq_dists_to` (256 KiB): it stays in cache, and a row
+# allocates no scratch the size of all the points.
+_SCRATCH = 1 << 15
 
 
-def _check_sq_dists(d2: np.ndarray) -> np.ndarray:
-    if not np.isfinite(d2).all():
+def _sq_dists_to(p: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The one per-pair rule: out[j] = ((p - targets[j]) ** 2).sum(), numpy's pairwise sum
+    over D, the same floats as an n x m x D broadcast.  Targets go through one scratch block
+    of at most _SCRATCH entries (at least one target), which changes no float.  Raises when a
+    distance overflows float64."""
+    m, dim = targets.shape
+    out = np.empty(m) if out is None else out
+    step = max(1, _SCRATCH // max(dim, 1))
+    buf = np.empty((min(m, step), dim))
+    with np.errstate(over="ignore"):
+        for start in range(0, m, step):
+            block = targets[start : start + step]
+            scratch = buf[: block.shape[0]]
+            np.subtract(p, block, out=scratch)
+            np.square(scratch, out=scratch)
+            np.sum(scratch, axis=1, out=out[start : start + step])
+    if not np.isfinite(out).all():
         raise ValueError("squared distances between points overflow float64")
-    return d2
+    return out
 
 
-def _sq_dists(arr: np.ndarray, cols: Sequence[int]) -> np.ndarray:
-    """Squared distances from every point to the points `cols`, one point's row at a time."""
-    targets = arr[cols]
-    buf = np.empty_like(targets)
-    d2 = np.empty((arr.shape[0], targets.shape[0]))
-    with np.errstate(over="ignore"):
-        for p, row in zip(arr, d2):
-            _sq_dists_to(p, targets, buf, row)
-    return _check_sq_dists(d2)
+# Every non-zero squared norm in this range keeps the Gram bound's rounding and underflow
+# inside its margin, and nothing in it or in the exact distances overflows.
+_GRAM_RANGE = (1e-150, 1e150)
+_EPS = float(np.finfo(float).eps)
 
 
-def _all_sq_dists(arr: np.ndarray) -> np.ndarray:
-    """The n x n matrix of `_sq_dists(arr, range(n))`, each pair computed once.
+def _gram_lower_bounds(arr: np.ndarray) -> np.ndarray | None:
+    """lo[i, j] <= the exact float squared distance between points i and j, or None when a
+    point other than the origin has a squared norm outside _GRAM_RANGE, 0 included.
 
-    Row i gets the upper entries i+1..n-1; `d2 += d2.T` then fills the lower half
-    exactly, because each lower entry is 0.0 before the add and (a-b)**2 == (b-a)**2.
+    lo = max(0, sq_i + sq_j - 2 * (arr @ arr.T)[i, j] - e * (sq_i + sq_j)), 0 on the diagonal,
+    with sq the squared row norms and e = 8 * (D + 4) * eps.  The norms, the Gram entry and
+    the exact distance are each within about D * eps * (sq_i + sq_j) of their real values
+    (|x.y| <= (sq_i + sq_j) / 2), so e is about four times what rounding can move lo above
+    the exact distance, and within the range underflow adds less than 1e-300.  Whatever
+    the BLAS and its threads, only how tight lo is depends on them.
     """
-    n = arr.shape[0]
-    buf = np.empty_like(arr)
-    d2 = np.zeros((n, n))
-    with np.errstate(over="ignore"):
-        for i in range(n - 1):
-            _sq_dists_to(arr[i], arr[i + 1 :], buf[: n - i - 1], d2[i, i + 1 :])
-    d2 += d2.T
-    return _check_sq_dists(d2)
+    dim = arr.shape[1]
+    sq = np.einsum("ij,ij->i", arr, arr)
+    low, high = _GRAM_RANGE
+    zero = sq == 0
+    if not (zero | ((sq >= low) & (sq <= high))).all() or arr[zero].any():
+        return None
+    lo = arr @ arr.T
+    lo *= -2.0
+    sq *= 1.0 - 8 * (dim + 4) * _EPS
+    lo += sq[:, None]
+    lo += sq
+    np.maximum(lo, 0.0, out=lo)
+    np.fill_diagonal(lo, 0.0)
+    return lo
+
+
+def _least(
+    bound: np.ndarray, keys: Callable[[np.ndarray], Iterable[tuple]], best: tuple, most: int
+) -> tuple:
+    """The least of `best` and the key of every index whose bound is not NaN, where the key
+    of i is at least (bound[i], ...) and `keys(idx)` yields the keys of an index array.
+
+    Keys are read in ascending bound order, in blocks of 1, 2, 4, ... indices up to
+    `most`, while bound <= best[0], so every key skipped is above the result, ties included.
+    """
+    bound = np.where(bound == np.inf, -np.inf, bound)  # an overflowing bound bounds nothing
+    at = np.flatnonzero(bound <= best[0])
+    order = at[np.argsort(bound[at], kind="stable")]
+    start, size = 0, 1
+    while start < order.size:
+        block = order[start : start + size]
+        block = block[bound[block] <= best[0]]
+        if not block.size:
+            break
+        best = min(best, *keys(block))
+        start, size = start + size, min(2 * size, most)
+    return best
 
 
 def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[int], float]]:
@@ -227,62 +273,94 @@ def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[
 
 
 def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
-    """The body of `pam_iterations` on checked points and k."""
-    n = arr.shape[0]
-    d2 = _all_sq_dists(arr)
-    # d2 is symmetric, so row c of np.minimum(v, d2) sums to the same float as column c:
-    # one row-sum per candidate scores them all.  Every length-n row is summed in the
-    # same pairwise tree, whichever buffer holds it.
-    buf = np.empty((n, n))
-    sums = np.empty(n)
+    """The body of `pam_iterations` on checked points and k.
 
-    # Build: nearest[i] = distance from i to its closest chosen medoid.
+    Every choice reads exact sums over exact rows of the squared-distance matrix d2, each
+    row computed by `_sq_dists_to` when first needed and kept; row c equals column c,
+    since (a-b)**2 == (b-a)**2.  The Gram bound `lo <= d2` only decides which sums are
+    needed.  A bound adds non-negative terms, each at most the exact sum's term; in any
+    order, it and the exact sum are together within (n + 2) * eps of their real values, so
+    a bound times `shrink` is at most the exact sum it bounds.
+    """
+    n = arr.shape[0]
+    exact: list[np.ndarray | None] = [None] * n
+
+    def row(c: int, out: np.ndarray | None = None) -> np.ndarray:
+        if exact[c] is None:
+            exact[c] = _sq_dists_to(arr[c], arr, out)
+        return exact[c]
+
+    lo = _gram_lower_bounds(arr)
+    if lo is None:  # every row exact, so an overflow raises before the first yield
+        lo = np.empty((n, n))
+        for c in range(n):
+            row(c, lo[c])
+    shrink = 1.0 - 4 * (n + 8) * _EPS
+    nn = np.empty((n, n))
+    bound = np.empty(n)
+
+    def exact_sums(cs: list[int], vs: Iterable[np.ndarray]) -> list[float]:
+        """sum(min(d2[c], v)) for each pair, in rows of nn, which the bounds no longer use;
+        each row is summed alone, in the same pairwise tree as a 1-D sum."""
+        trial = nn[: len(cs)]
+        for t, c, v in zip(trial, cs, vs):
+            np.minimum(row(c), v, out=t)
+        return np.sum(trial, axis=1).tolist()
+
+    def added(idx: np.ndarray) -> Iterable[tuple]:
+        cs = idx.tolist()
+        return zip(exact_sums(cs, itertools.repeat(nearest)), cs)
+
+    def swapped(idx: np.ndarray) -> Iterable[tuple]:
+        cs, js = (x.tolist() for x in np.divmod(idx, k))
+        sums = exact_sums(cs, (rest[j] for j in js))
+        return zip(sums, zip((medoids[j] for j in js), cs))
+
+    # Build: nearest[i] = distance from i to its closest chosen medoid.  The least
+    # (sum, index) over the non-medoids, starting from (inf, 0), is the argmin of the sums
+    # with the medoids' set to inf.
     medoids: list[int] = []
     nearest = np.full(n, np.inf)
     for _ in range(k):
-        np.sum(np.minimum(nearest, d2, out=buf), axis=1, out=sums)
-        sums[medoids] = np.inf
-        best = int(np.argmin(sums))
+        np.sum(np.minimum(nearest, lo, out=nn), axis=1, out=bound)
+        bound *= shrink
+        bound[medoids] = np.nan
+        _, best = _least(bound, added, (np.inf, 0), n)
         medoids.append(best)
-        np.minimum(nearest, d2[best], out=nearest)
+        np.minimum(nearest, row(best), out=nearest)
     medoids.sort()
     cost = float(nearest.sum())
     yield list(medoids), cost
 
-    # Swap: the best strict improvement; among equal costs the first pair in ascending
-    # (medoid, candidate) order.  rest[j] is each point's distance to its nearest medoid
-    # other than medoids[j], exact from the nearest and second-nearest (min does not
-    # round).  rest[j] >= nearest, and rounding and addition are monotone, so
-    # base[c] = sum(min(nearest, d2[c])) is at most the cost of every swap bringing in c:
-    # a candidate with base[c] > best cannot win, and only the others get a trial row.
-    base = np.empty(n)
+    # Swap: the best strict improvement; among equal costs the least (medoid, candidate).
+    # rest[j] is each point's distance to its nearest medoid other than medoids[j], exact
+    # from the nearest and second-nearest (min does not round).  A swap of medoid j for c
+    # costs sum(min(d2[c], rest[j])); pairs[c, j] bounds it by the same sum over lo[c],
+    # which is sum(min(nearest, lo[c])) plus, over j's cluster,
+    # min(second, lo[c]) - min(nearest, lo[c]) = min(max(lo[c], nearest), second) - nearest.
+    which = np.zeros((n, k))
     for _ in range(_MAX_SWAPS):
-        rows = d2[medoids]
+        rows = np.stack([row(m) for m in medoids])
         first = np.argmin(rows, axis=0)
         nearest = rows.min(axis=0)
         second = np.partition(rows, 1, axis=0)[1] if k > 1 else np.full(n, np.inf)
         rest = np.where(first == np.arange(k)[:, None], second, nearest)
-        np.sum(np.minimum(nearest, d2, out=buf), axis=1, out=base)
-        base[medoids] = np.inf
-        best_swap, best_cost = None, cost
-        for j in np.argsort(rest.sum(axis=1), kind="stable"):  # cheapest removal first
-            cands = np.flatnonzero(base <= best_cost)
-            if not cands.size:
-                break
-            # cands are in range; mode="clip" only spares take a buffered copy of out.
-            trial = np.take(d2, cands, axis=0, out=buf[: cands.size], mode="clip")
-            np.sum(np.minimum(trial, rest[j], out=trial), axis=1, out=sums[: cands.size])
-            at = int(np.argmin(sums[: cands.size]))
-            swap, trial_cost = (medoids[j], int(cands[at])), float(sums[at])
-            if trial_cost < best_cost or (
-                trial_cost == best_cost and best_swap is not None and swap < best_swap
-            ):
-                best_swap, best_cost = swap, trial_cost
-        if best_swap is None:
+        np.sum(np.minimum(nearest, lo, out=nn), axis=1, out=bound)
+        np.maximum(lo, nearest, out=nn)
+        np.minimum(nn, second, out=nn)
+        nn -= nearest
+        which[:] = 0.0
+        which[np.arange(n), first] = 1.0
+        pairs = nn @ which
+        with np.errstate(over="ignore"):
+            pairs += bound[:, None]
+        pairs *= shrink
+        pairs[medoids] = np.nan
+        # Starting from (cost, (-1, -1)) keeps only swaps that cost strictly less.
+        cost, (out, inn) = _least(pairs.reshape(-1), swapped, (cost, (-1, -1)), n)
+        if out < 0:
             return
-        out, inn = best_swap
         medoids = sorted([x for x in medoids if x != out] + [inn])
-        cost = best_cost
         yield list(medoids), cost
 
 
@@ -384,9 +462,9 @@ def semantic_threshold_split(
     are removed first; the threshold is the midpoint between the smallest
     and largest remaining score.  Inlier frames scoring at or above the
     threshold are semantic, everything else (outliers included) is not.
-    The two range lists partition [0, T).
+    The two range lists partition [0, T).  `scores` must be a 1-D vector.
     """
-    scores = as_floats("scores", scores).reshape(-1)
+    scores = check_vector("scores", scores)
     if scores.size == 0:
         raise ValueError("scores must contain at least one frame")
     check_finite("scores contain a non-finite value", scores, by_row=True)
@@ -447,10 +525,10 @@ def speedup_frame_selection(
     lambda_speed * ((j - i) - rho)^2 + lambda_sem * (max_score - score_j).
     Forward dynamic programming from frame 0 to frame T-1; among equal-cost
     predecessors the smallest index wins.  Both endpoints are always kept.
-    Both weights must be non-negative.  With lambda_sem == 0 the node term is
-    0.0 whatever the scores; otherwise a score range beyond float64 raises.
+    `scores` must be a 1-D vector and both weights non-negative.  With lambda_sem == 0
+    the node term is 0.0 whatever the scores; otherwise a score range beyond float64 raises.
     """
-    scores = as_floats("scores", scores).reshape(-1)
+    scores = check_vector("scores", scores)
     t = scores.size
     if t < 2:
         raise ValueError("need at least 2 frames")

@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from videosum.model import embed_frames, init_subnet
+from videosum import summarize
 from videosum.summarize import (
-    _all_sq_dists,
+    _gram_lower_bounds,
     _runs,
-    _sq_dists,
+    _sq_dists_to,
     Roi,
     Segment,
     SegmentFeature,
@@ -63,11 +66,13 @@ def brute_force_path_cost(scores, rho, max_skip, lambda_speed, lambda_sem):
     return best
 
 
-def reference_pam_iterations(points, k, max_iters=100):
-    """The per-candidate PAM loop that pam_iterations replaced, kept as its oracle."""
+def reference_pam_iterations(points, k, max_iters=100, d2=None):
+    """The per-candidate PAM loop that pam_iterations replaced, kept as its oracle.  `d2`,
+    when given, is the points' squared-distance matrix, so large inputs skip the broadcast."""
     arr = np.asarray(points, dtype=float)
     n = arr.shape[0]
-    d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+    if d2 is None:
+        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
     medoids = []
     nearest = np.full(n, np.inf)
     for _ in range(k):
@@ -105,6 +110,18 @@ def reference_pam_iterations(points, k, max_iters=100):
 def broadcast_sq_dists(arr, cols):
     """The n x m x D broadcast that clustering_cost and pam_iterations used, kept as the oracle."""
     return ((arr[:, None, :] - arr[None, cols, :]) ** 2).sum(axis=2)
+
+
+def exact_rows(arr, cols):
+    """Rows `cols` of the squared-distance matrix, one `_sq_dists_to` call each."""
+    return np.array([_sq_dists_to(arr[c], arr) for c in cols])
+
+
+def assembled_sq_dists(arr):
+    """The n x n oracle matrix, eight columns of `broadcast_sq_dists` at a time."""
+    n = len(arr)
+    return np.hstack([broadcast_sq_dists(arr, list(range(start, min(start + 8, n))))
+                      for start in range(0, n, 8)])
 
 
 float_points = arrays(
@@ -350,11 +367,14 @@ class TestClusteringCost:
 
 
 class TestSqDists:
+    """Rows of `_sq_dists_to`, PAM's and clustering_cost's one exact rule, are the columns of
+    the broadcast: the matrix is symmetric bit for bit."""
+
     @settings(max_examples=300, deadline=None)
     @given(pts=st.one_of(float_points, grid_points), data=st.data())
     def test_bitwise_equal_to_broadcast(self, pts, data):
         cols = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)))
-        assert np.array_equal(_sq_dists(pts, cols), broadcast_sq_dists(pts, cols))
+        assert np.array_equal(exact_rows(pts, cols).T, broadcast_sq_dists(pts, cols))
 
     @pytest.mark.parametrize("dim", [1, 300, 1000])
     @pytest.mark.parametrize("n", [129, 257, 700])
@@ -363,19 +383,18 @@ class TestSqDists:
         rng = np.random.default_rng(n * dim)
         pts = rng.normal(size=(n, dim))
         cols = sorted(rng.choice(n, size=8, replace=False))
-        assert np.array_equal(_sq_dists(pts, cols), broadcast_sq_dists(pts, cols))
+        assert np.array_equal(exact_rows(pts, cols).T, broadcast_sq_dists(pts, cols))
 
 
 class TestAllSqDists:
+    """All n rows of `_sq_dists_to` make the whole matrix: symmetric, zero on the diagonal."""
+
     @staticmethod
     def check(pts):
-        d2 = _all_sq_dists(pts)
-        n = len(pts)
-        for start in range(0, n, 8):  # eight columns at a time bound the oracle's memory
-            cols = list(range(start, min(start + 8, n)))
-            assert np.array_equal(d2[:, cols], broadcast_sq_dists(pts, cols))
+        d2 = exact_rows(pts, range(len(pts)))
+        assert np.array_equal(d2, assembled_sq_dists(pts))
         assert np.array_equal(d2, d2.T)
-        assert np.array_equal(np.diag(d2), np.zeros(n))
+        assert np.array_equal(np.diag(d2), np.zeros(len(pts)))
 
     @settings(max_examples=300, deadline=None)
     @given(pts=st.one_of(float_points, grid_points))
@@ -387,6 +406,78 @@ class TestAllSqDists:
     def test_bitwise_equal_to_broadcast_at_scale(self, n, dim):
         """n and D past numpy's 128-element pairwise-summation block."""
         self.check(np.random.default_rng(n * dim).normal(size=(n, dim)))
+
+
+@st.composite
+def wide_points(draw):
+    """Up to 12 points at D = 1, 300 or 1000 from a drawn seed: standard normal, or copies of
+    one normal point that differ from it by a few ulps or not at all."""
+    dim = draw(st.sampled_from([1, 300, 1000]))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.normal(size=(n, dim))
+    ulps = rng.integers(-4, 5, size=(n, dim)) * np.finfo(float).eps
+    return rng.normal(size=dim) * (1.0 + ulps)
+
+
+def planted_clusters(n=400, dim=300, clusters=20):
+    """n points in equal clusters around seeded standard normal centres, spread 0.3."""
+    rng = np.random.default_rng(24)
+    centres = rng.normal(size=(clusters, dim))
+    return np.repeat(centres, n // clusters, axis=0) + rng.normal(0.0, 0.3, size=(n, dim))
+
+
+def counting_rows(monkeypatch):
+    """Patch `_sq_dists_to` to record each exact row it computes; returns the live list."""
+    calls = []
+    exact = summarize._sq_dists_to
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return exact(p, *args, **kwargs)
+
+    monkeypatch.setattr(summarize, "_sq_dists_to", counted)
+    return calls
+
+
+class TestGramBound:
+    @settings(max_examples=200, deadline=None)
+    @given(pts=st.one_of(float_points, grid_points, wide_points()),
+           e=st.integers(-140, 140))
+    def test_at_most_the_exact_distance(self, pts, e):
+        """Squared norms scaled by 10**e, e in -140..140; outside _GRAM_RANGE there is no
+        bound (every row is exact)."""
+        pts = pts * 10.0 ** (e / 2)
+        lo = _gram_lower_bounds(pts)
+        if lo is not None:
+            assert (lo <= exact_rows(pts, range(len(pts)))).all()
+
+    @pytest.mark.parametrize("scale", [1e-70, 1.0, 1e70])
+    @pytest.mark.parametrize("dim", [1, 300, 1000])
+    def test_in_range_points_are_bounded_and_tight(self, dim, scale):
+        pts = np.random.default_rng(dim).normal(size=(40, dim)) * scale
+        d2 = exact_rows(pts, range(40))
+        lo = _gram_lower_bounds(pts)
+        assert (lo <= d2).all()
+        sq = (pts**2).sum(axis=1)
+        assert (d2 - lo <= 1e-9 * (sq[:, None] + sq)).all()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_out_of_range_points_have_no_bound(self, scale):
+        pts = np.random.default_rng(0).normal(size=(5, 3)) * scale
+        assert _gram_lower_bounds(pts) is None
+
+    def test_origin_keeps_the_bound(self):
+        assert np.array_equal(_gram_lower_bounds(np.zeros((3, 2))), np.zeros((3, 3)))
+
+    def test_out_of_range_points_make_every_row_before_the_first_yield(self, monkeypatch):
+        pts = np.random.default_rng(1).normal(size=(9, 2)) * 1e-200
+        calls = counting_rows(monkeypatch)
+        steps = pam_iterations(pts, 3)
+        first = next(steps)
+        assert len(calls) == 9
+        assert [first, *steps] == list(reference_pam_iterations(pts, 3))
 
 
 class TestKmedoids:
@@ -486,6 +577,36 @@ class TestKmedoids:
         pts = np.array([[0.0], [1e200], [2e200]])
         with pytest.raises(ValueError, match="overflow"):
             kmedoids(pts, 1)
+
+    def test_planted_clusters_need_few_exact_rows(self, monkeypatch):
+        """The Gram bound leaves fewer than n/4 of the n exact rows to compute, and the
+        sequence is the reference loop's on the oracle matrix."""
+        pts = planted_clusters()
+        calls = counting_rows(monkeypatch)
+        steps = list(pam_iterations(pts, 20))
+        assert len(calls) < len(pts) / 4
+        assert steps == list(reference_pam_iterations(pts, 20, d2=assembled_sq_dists(pts)))
+
+    def test_sequence_does_not_depend_on_blas_threads(self, child_env):
+        """The Gram product's bytes may change with the thread count; the medoids and costs
+        may not.  Each child prints the whole sequence, costs as exact float reprs; the 20
+        planted clusters take 7 swaps."""
+        script = ("import numpy as np; from videosum.summarize import pam_iterations; "
+                  "rng = np.random.default_rng(7); "
+                  "pts = np.repeat(rng.normal(size=(20, 300)), 20, axis=0) "
+                  "+ rng.normal(0.0, 0.3, size=(400, 300)); "
+                  "print(list(pam_iterations(pts, 20)))")
+        printed = []
+        for threads in ("1", None):
+            env = {k: v for k, v in child_env.items() if k not in ("OPENBLAS_NUM_THREADS",
+                                                                     "OMP_NUM_THREADS")}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert printed[0].startswith("[([") and printed[0] == printed[1]
 
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -736,6 +857,13 @@ class TestSemanticThresholdSplit:
         with pytest.raises(ValueError):
             semantic_threshold_split(np.array([]))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 1), ()], ids=["matrix", "column", "0-d"])
+    def test_scores_that_are_not_a_vector_named(self, shape):
+        """A score matrix is not read as more frames, nor a scalar as one frame."""
+        needle = rf"^scores must be a 1-D vector, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=needle):
+            semantic_threshold_split(np.arange(math.prod(shape), dtype=float).reshape(shape))
+
     def test_non_finite_score_names_frame(self):
         with pytest.raises(ValueError, match="non-finite value at frame 2"):
             semantic_threshold_split(np.array([0.1, 0.5, np.nan, 0.3]))
@@ -985,6 +1113,13 @@ class TestSpeedupFrameSelection:
     def test_negative_weight_rejected(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got -1$"):
             speedup_frame_selection(np.linspace(0, 1, 8), 2, 3, **{name: -1})
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 1), ()], ids=["matrix", "column", "0-d"])
+    def test_scores_that_are_not_a_vector_named(self, shape):
+        """np.zeros((4, 3)) once gave the path [0, 2, 4, 6, 8, 11] over twelve "frames"."""
+        needle = rf"^scores must be a 1-D vector, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=needle):
+            speedup_frame_selection(np.zeros(shape), 2, 3)
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError):
