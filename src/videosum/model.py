@@ -8,7 +8,7 @@ in place by the training loop without any framework machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -297,9 +297,11 @@ def lstm_scan(params: LstmParams, frames: np.ndarray) -> np.ndarray:
     the scan holds one chunk's (128, 4H) projections and (128, H) hidden states,
     whatever the number of frames.  A non-finite frame
     or weight, or a hidden state that overflows, raises a ValueError; a frame
-    is named by its index.
+    is named by its index.  The weights are checked as
+    `dataclasses.replace(params)`, since they may have been reassigned after
+    construction; `params` itself is not written to.
     """
-    params.__post_init__()  # the weights may have been reassigned since construction
+    params = replace(params)
     frames = _checked_frames(frames, params.input_dim, "cell")
     hidden = np.empty((frames.shape[0], params.hidden_dim))
     for s, rows in _Scan(params, frames, reverse=False):
@@ -314,7 +316,9 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     last frame first, so that both hidden states at index t describe frame t.
     score_t = sigmoid(w . [h_f ; h_b] + b).
 
-    The scorer and the frames are checked first, as lstm_scan checks them.  The
+    The scorer, its two cells and the frames are checked first, as lstm_scan checks
+    them: each record as a `dataclasses.replace` copy, so the caller's is not
+    written to.  The
     two scans then run side by side and never wait for each other: the calling
     thread runs the forward scan while one worker thread runs the backward scan,
     each reading every chunk out with its half of the readout, so no (T, H)
@@ -327,8 +331,7 @@ def score_importance(scorer: ImportanceScorer, frames: np.ndarray) -> np.ndarray
     # added 0.7 MB of resident memory to every process that imports videosum (CPython 3.11).
     from concurrent.futures import ThreadPoolExecutor
 
-    for part in (scorer.forward, scorer.backward, scorer):
-        part.__post_init__()  # any of them may have been reassigned since construction
+    scorer = replace(scorer, forward=replace(scorer.forward), backward=replace(scorer.backward))
     frames = _checked_frames(frames, scorer.forward.input_dim, "cell")
     h_dim = scorer.forward.hidden_dim
     halves = (scorer.readout_w[:h_dim], scorer.readout_w[h_dim:])

@@ -47,15 +47,27 @@ _BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class Segment:
-    """Contiguous frame block [start, end), end exclusive."""
+    """Contiguous frame block [start, end), end exclusive; index and bounds are
+    non-negative integers."""
 
     index: int
     start: int
     end: int
 
     def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"segment {self.index}: start {self.start} >= end {self.end}")
+        # The fields hold the checked Python ints, as Roi's hold its checked numbers.
+        object.__setattr__(self, "index", check_int("segment index", self.index, 0))
+        start, end = _bounds(self)
+        if start >= end:
+            raise ValueError(f"segment {self.index}: start {start} >= end {end}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+
+def _bounds(seg) -> tuple[int, int]:
+    """(start, end) of a segment record, each through `check_int` as a non-negative integer."""
+    return tuple(check_int(f"segment {seg.index}: {name}", getattr(seg, name), 0)
+                 for name in ("start", "end"))
 
 
 @dataclass
@@ -104,23 +116,21 @@ def segment_features(
 ) -> list[SegmentFeature]:
     """Embed each segment's frame rows as `embed_frames` does; output ordered by segment index.
 
-    Segments may overlap, leave gaps or come in any order; every frame must be finite and,
-    even with no segments, the frames as wide as the net's input.  The rows of whole
-    segments are embedded in one forward pass of at most _BLOCK_ROWS rows, so a feature may
-    differ from `embed_frames` on the segment alone in the last bits.  The net goes through
-    `_checked_net`.
+    Segments may overlap, leave gaps or come in any order, and may be any records with an
+    index and integer bounds; every frame must be finite and, even with no segments, the
+    frames as wide as the net's input.  The rows of whole segments are embedded in one
+    forward pass of at most _BLOCK_ROWS rows, so a feature may differ from `embed_frames`
+    on the segment alone in the last bits.  The net goes through `_checked_net`.
     """
     net = _checked_net("net", net)
     frames = _checked_frames(frames, net.input_dim, "net")
     n = frames.shape[0]
     for seg in segments:
-        if seg.start < 0 or seg.end > n:
-            raise ValueError(
-                f"segment {seg.index} range [{seg.start}, {seg.end}) outside "
-                f"0..{n} frames"
-            )
-        if seg.start >= seg.end:
-            raise ValueError(f"segment {seg.index} range [{seg.start}, {seg.end}) is empty")
+        start, end = _bounds(seg)
+        if end > n:
+            raise ValueError(f"segment {seg.index} range [{start}, {end}) outside 0..{n} frames")
+        if start >= end:
+            raise ValueError(f"segment {seg.index} range [{start}, {end}) is empty")
     out: list[SegmentFeature] = []
     for block in _blocks(sorted(segments, key=lambda s: s.index)):
         z2 = _forward(net, np.concatenate([frames[s.start : s.end] for s in block]))[1]
@@ -154,8 +164,18 @@ def _as_points(points: Sequence[np.ndarray]) -> np.ndarray:
     return arr
 
 
+def _total(nearest: np.ndarray) -> float:
+    """The clustering cost sum(nearest); a ValueError if it overflows float64."""
+    with np.errstate(over="ignore"):
+        cost = float(nearest.sum())
+    if cost == math.inf:
+        raise ValueError("the clustering cost overflows float64")
+    return cost
+
+
 def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> float:
-    """Sum over points of the squared distance to the nearest medoid point."""
+    """Sum over points of the squared distance to the nearest medoid point; a ValueError if
+    a distance or the sum overflows float64."""
     arr = _as_points(points)
     try:
         medoids = list(medoids)
@@ -170,7 +190,7 @@ def clustering_cost(points: Sequence[np.ndarray], medoids: Iterable[int]) -> flo
     rows = np.empty((len(idx), arr.shape[0]))
     for m, row in zip(idx, rows):
         _sq_dists_to(arr[m], arr, row)
-    return float(rows.min(axis=0).sum())
+    return _total(rows.min(axis=0))
 
 
 # Entries of the scratch block of `_sq_dists_to` (256 KiB): it stays in cache, and a row
@@ -262,7 +282,9 @@ def pam_iterations(points: Sequence[np.ndarray], k: int) -> Iterator[tuple[list[
     repeatedly performs the best strictly-improving medoid/non-medoid
     exchange, at most _MAX_SWAPS times.  All ties break toward the lowest point
     index, so the sequence is fully deterministic and the cost never increases.
-    The arguments are checked when it is called, before any iteration.
+    The arguments are checked when it is called, before any iteration; a distance
+    or a build cost that overflows float64 raises a ValueError before the first
+    yield.
     """
     arr = _as_points(points)
     n = arr.shape[0]
@@ -299,13 +321,17 @@ def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
     nn = np.empty((n, n))
     bound = np.empty(n)
 
+    def row_sums(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each row's sum, in the same pairwise tree as a 1-D sum; inf if it overflows."""
+        with np.errstate(over="ignore"):
+            return np.sum(rows, axis=1, out=out)
+
     def exact_sums(cs: list[int], vs: Iterable[np.ndarray]) -> list[float]:
-        """sum(min(d2[c], v)) for each pair, in rows of nn, which the bounds no longer use;
-        each row is summed alone, in the same pairwise tree as a 1-D sum."""
+        """sum(min(d2[c], v)) for each pair, in rows of nn, which the bounds no longer use."""
         trial = nn[: len(cs)]
         for t, c, v in zip(trial, cs, vs):
             np.minimum(row(c), v, out=t)
-        return np.sum(trial, axis=1).tolist()
+        return row_sums(trial).tolist()
 
     def added(idx: np.ndarray) -> Iterable[tuple]:
         cs = idx.tolist()
@@ -317,19 +343,19 @@ def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
         return zip(sums, zip((medoids[j] for j in js), cs))
 
     # Build: nearest[i] = distance from i to its closest chosen medoid.  The least
-    # (sum, index) over the non-medoids, starting from (inf, 0), is the argmin of the sums
-    # with the medoids' set to inf.
+    # (sum, index) over the non-medoids, starting from (inf, n), is the first argmin of
+    # their sums, and the lowest non-medoid when every sum overflows.
     medoids: list[int] = []
     nearest = np.full(n, np.inf)
     for _ in range(k):
-        np.sum(np.minimum(nearest, lo, out=nn), axis=1, out=bound)
+        row_sums(np.minimum(nearest, lo, out=nn), out=bound)
         bound *= shrink
         bound[medoids] = np.nan
-        _, best = _least(bound, added, (np.inf, 0), n)
+        _, best = _least(bound, added, (np.inf, n), n)
         medoids.append(best)
         np.minimum(nearest, row(best), out=nearest)
     medoids.sort()
-    cost = float(nearest.sum())
+    cost = _total(nearest)
     yield list(medoids), cost
 
     # Swap: the best strict improvement; among equal costs the least (medoid, candidate).
@@ -345,14 +371,14 @@ def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
         nearest = rows.min(axis=0)
         second = np.partition(rows, 1, axis=0)[1] if k > 1 else np.full(n, np.inf)
         rest = np.where(first == np.arange(k)[:, None], second, nearest)
-        np.sum(np.minimum(nearest, lo, out=nn), axis=1, out=bound)
+        row_sums(np.minimum(nearest, lo, out=nn), out=bound)
         np.maximum(lo, nearest, out=nn)
         np.minimum(nn, second, out=nn)
         nn -= nearest
         which[:] = 0.0
         which[np.arange(n), first] = 1.0
-        pairs = nn @ which
         with np.errstate(over="ignore"):
+            pairs = nn @ which
             pairs += bound[:, None]
         pairs *= shrink
         pairs[medoids] = np.nan

@@ -14,7 +14,7 @@ the independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,16 +43,6 @@ def _check_label(label) -> int:
     raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
-def _pair_arrays(segment, desc) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, desc) through `as_floats`; a ValueError unless the description is a
-    non-empty 1-D vector and the segment passes `check_matrix` with at least one row.
-    Values are not checked."""
-    segment, desc = as_floats("segment", segment), as_floats("desc", desc)
-    if desc.ndim != 1 or desc.size == 0:
-        raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
-    return check_matrix("segment", segment, rows=1), desc
-
-
 @dataclass
 class PairExample:
     """One training pair: raw segment frames, description vector, 0/1 label."""
@@ -62,7 +52,10 @@ class PairExample:
     label: int
 
     def __post_init__(self):
-        self.segment, self.desc = _pair_arrays(self.segment, self.desc)
+        segment, desc = as_floats("segment", self.segment), as_floats("desc", self.desc)
+        if desc.ndim != 1 or desc.size == 0:
+            raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
+        self.segment, self.desc = check_matrix("segment", segment, rows=1), desc
         check_finite("description has a non-finite value", self.desc)
         self.label = _check_label(self.label)
         check_finite("segment has a non-finite value", self.segment, by_row=True)
@@ -109,30 +102,20 @@ def _backward(
     return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
 
 
-def _sides(vnet: Subnet, dnet: Subnet, segment: np.ndarray, desc: np.ndarray):
-    """(net, input rows) for the video net, then the description net.
+def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
+    """((net, input rows) for the video net, then the description net; label) of
+    `dataclasses.replace(ex)`, a copy that `PairExample` checks again, so `ex` is never
+    written to; a ValueError unless its segment and description are as wide as the inputs
+    of the video and the description net.
 
     Both nets embed the mean of their rows' outputs; the description is one row.
     """
-    return (vnet, segment), (dnet, desc[None, :])
-
-
-def _check_widths(sides) -> None:
-    """A ValueError unless the segment and the description of `sides` are as wide as the
-    inputs of the video and the description net."""
+    ex = replace(ex)
+    sides = (vnet, ex.segment), (dnet, ex.desc[None, :])
     for (net, rows), what, side in zip(sides, ("segment", "description"),
                                        ("video net", "description net")):
         check_matrix(what, rows, cols=net.input_dim, of=side)
-
-
-def _checked_sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
-    """`_sides` of both nets as `_checked_net` returns them and of the example's arrays as
-    `_pair_arrays` returns them, for an example as wide as both nets.  The example's
-    values are not checked, so a non-finite one gives NaN results, not an error."""
-    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
-    sides = _sides(vnet, dnet, *_pair_arrays(ex.segment, ex.desc))
-    _check_widths(sides)
-    return sides
+    return sides, ex.label
 
 
 def _loss_and_pooled_gradient(
@@ -189,12 +172,14 @@ def loss_gradients(
     embeddings, then two Subnet containers holding the gradients of the
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
-    Both nets go through `_checked_net`, and the example's segment and
-    description must pass `PairExample`'s rank rule again, as they may have
-    been reassigned since construction, and be as wide as their net's input;
-    a ValueError says which is not.
+    Both nets go through `_checked_net`, and the example is checked again as
+    `dataclasses.replace(ex)`, since its fields may have been reassigned after
+    construction; its segment and description must also be as wide as their
+    net's input.  A ValueError says what is wrong; the caller's example is
+    not written to.
     """
-    return _gradients(_checked_sides(vnet, dnet, ex), ex.label, margin)
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    return _gradients(*_sides(vnet, dnet, ex), margin)
 
 
 def finite_diff_check(
@@ -207,12 +192,14 @@ def finite_diff_check(
     error of the central difference (up - down) / (2h): each loss is rounded to
     about eps times its size, so a smaller gap is not resolved.  The largest
     error is returned, and never less than 0.  A NaN error is returned at once,
-    so it fails every tolerance.  The nets are checked and the analytic gradient
-    taken once; each perturbed loss is a forward pass alone.
+    so it fails every tolerance.  The nets and a copy of the example are checked
+    as `loss_gradients` checks them, and the analytic gradient taken once; each
+    perturbed loss is a forward pass alone.
     """
     h = check_real("step h", h, positive=True)
-    sides = _checked_sides(vnet, dnet, ex)
-    _, grad_v, grad_d = _gradients(sides, ex.label, margin)
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    sides, label = _sides(vnet, dnet, ex)
+    _, grad_v, grad_d = _gradients(sides, label, margin)
     eps = np.finfo(float).eps
     worst = 0.0
     for (net, _), grads in zip(sides, (grad_v, grad_d)):
@@ -222,9 +209,9 @@ def finite_diff_check(
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + h
-                up = _forward_loss(sides, ex.label, margin)[1]
+                up = _forward_loss(sides, label, margin)[1]
                 theta[idx] = orig - h
-                down = _forward_loss(sides, ex.label, margin)[1]
+                down = _forward_loss(sides, label, margin)[1]
                 theta[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 rounding = eps * max(abs(up), abs(down)) / h
@@ -307,10 +294,12 @@ def sgd_train(
     and skips the backward pass and the update: its gradients are all +0 or -0,
     and subtracting them leaves every finite weight as it is.  The one exception
     is a -0.0 weight, which the full update could make +0.0 and a skipped step
-    leaves -0.0; init_subnet never draws one.  So that this holds, both nets
-    must pass `_checked_net`, and every example must hold finite values and be
-    as wide as both nets' inputs, before the first step; otherwise a ValueError
-    names the net and field, or the example, at fault.
+    leaves -0.0; init_subnet never draws one.  So that this holds, `cfg` and
+    every example are checked again as `dataclasses.replace` copies, since their
+    fields may have been reassigned after construction, both nets must pass
+    `_checked_net`, and every example must be as wide as both nets' inputs,
+    before the first step; otherwise a ValueError names the setting, the net and
+    field, or the example at fault.  No caller's record is written to.
 
     Between two updates the weights do not change, so each segment and each
     description is embedded once and its embedding reused until the next update;
@@ -320,17 +309,17 @@ def sgd_train(
     embedding holds its input alive, and no input may be changed in place while
     sgd_train runs.
     """
+    cfg = replace(cfg)
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    vnet = _copy_net(_checked_net("video net", vnet))
+    dnet = _copy_net(_checked_net("description net", dnet))
+    examples = []  # (sides, label) of each example's checked copy, on the copied nets
     for i, ex in enumerate(dataset):
         try:
-            ex.__post_init__()  # its arrays may have been changed since construction
-            _check_widths(_sides(vnet, dnet, ex.segment, ex.desc))
+            examples.append(_sides(vnet, dnet, ex))
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
-    vnet = _copy_net(vnet)
-    dnet = _copy_net(dnet)
     # One gradient buffer per parameter, reused by every step.  A description is one
     # row, so the description net's w1 buffer holds only one block of rows.
     vbuf = Subnet(*(np.empty_like(getattr(vnet, f.name)) for f in fields(Subnet)))
@@ -344,10 +333,9 @@ def sgd_train(
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            ex = dataset[idx]
-            sides = _sides(vnet, dnet, ex.segment, ex.desc)
+            sides, label = examples[idx]
             loss, g_x = _loss_and_pooled_gradient(
-                *(_pooled(kept, net, rows) for net, rows in sides), ex.label, cfg.margin
+                *(_pooled(kept, net, rows) for net, rows in sides), label, cfg.margin
             )
             total += loss
             # NaN is non-zero here, so a pair that went NaN still takes its step.

@@ -422,6 +422,20 @@ class TestScoreImportance:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 score_importance(scorer, np.zeros((3, 4)))
 
+    def test_caller_records_are_not_written_to(self):
+        """Both entry points check copies: reassigned lists stay the caller's objects, and
+        the outputs are those of the arrays they hold."""
+        scorer = init_scorer(0, 4, 3)
+        frames = np.random.default_rng(0).normal(size=(6, 4))
+        hidden, scores = lstm_scan(scorer.forward, frames), score_importance(scorer, frames)
+        lists = [scorer.forward.w.tolist(), scorer.backward.w.tolist(), scorer.readout_w.tolist()]
+        scorer.forward.w, scorer.backward.w, scorer.readout_w = lists
+        assert lstm_scan(scorer.forward, frames).tobytes() == hidden.tobytes()
+        assert scorer.forward.w is lists[0]
+        assert score_importance(scorer, frames).tobytes() == scores.tobytes()
+        for got, want in zip((scorer.forward.w, scorer.backward.w, scorer.readout_w), lists):
+            assert got is want
+
     def test_gate_weight_changed_after_construction_is_checked(self):
         scorer = init_scorer(0, 4, 3)
         scorer.backward.w[2, 1] = math.nan

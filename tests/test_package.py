@@ -88,6 +88,23 @@ def test_arrays_convert_only_through_the_array_rule():
     assert found == []
 
 
+def _post_init_calls(path: Path) -> list[str]:
+    """Each explicit call of a `__post_init__` method in `path`, as "file:line"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__post_init__"]
+
+
+def test_records_are_rechecked_only_as_copies():
+    """An entry point checks a record that may have changed since construction as
+    `dataclasses.replace(record)`, never by running `__post_init__` on the caller's."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _post_init_calls(path)] == []
+
+
 CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing", "subprocess", "_thread")
 
 

@@ -299,6 +299,35 @@ class TestSegmentFeatures:
         with pytest.raises(ValueError, match=r"^frames has 5 columns, net expects 3$"):
             segment_features(net, np.zeros((n_frames, 5)), [])
 
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 0.5, 1.5), "segment 0: start must be a non-negative integer, got 0.5"),
+        ((0, True, 2), "segment 0: start must be a non-negative integer, got True"),
+        ((2, 0, 2.0), "segment 2: end must be a non-negative integer, got 2.0"),
+        ((1, -1, 2), "segment 1: start must be a non-negative integer, got -1"),
+        ((-1, 0, 2), "segment index must be a non-negative integer, got -1"),
+        ((1.0, 0, 2), "segment index must be a non-negative integer, got 1.0"),
+    ])
+    def test_fields_must_be_integers(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Segment(*fields)
+
+    def test_numpy_integers_become_ints(self):
+        seg = Segment(*np.array([3, 1, 4]))
+        assert seg == Segment(3, 1, 4)
+        assert all(type(v) is int for v in (seg.index, seg.start, seg.end))
+
+    def test_record_bounds_must_be_integers(self):
+        """A record with the same fields is embedded when its bounds are integers and named
+        when they are not, before numpy slices with them."""
+        net = init_subnet(0, 3, 4, 2)
+        frames = np.random.default_rng(0).normal(size=(8, 3))
+        record = SimpleNamespace(index=3, start=np.int64(2), end=5)
+        want = segment_features(net, frames, [Segment(3, 2, 5)])[0].feature
+        np.testing.assert_array_equal(segment_features(net, frames, [record])[0].feature, want)
+        record.start = 2.0
+        with pytest.raises(ValueError, match="^segment 3: start must be a non-negative integer"):
+            segment_features(net, frames, [record])
+
     def test_empty_segment_names_the_segment(self):
         """A Segment cannot be empty; a record with the same fields is rejected by name."""
         net = init_subnet(0, 3, 4, 2)
@@ -348,6 +377,13 @@ class TestClusteringCost:
     def test_overflowing_distances_rejected(self):
         with pytest.raises(ValueError, match="squared distances between points overflow float64"):
             clustering_cost([[0.0], [1e200]], [0])
+
+    def test_overflowing_sum_rejected(self):
+        """Each distance 9.8e307 is finite; four of them overflow, three fewer do not."""
+        pts = np.eye(5) * 7e153
+        with pytest.raises(ValueError, match="^the clustering cost overflows float64$"):
+            clustering_cost(pts, [0])
+        assert clustering_cost(pts, [0, 1, 2, 3]) == 9.8e307
 
     @pytest.mark.parametrize("medoids, bad", [([0, 4], 4), ([9, 1], 9)])
     def test_medoid_index_out_of_range_named(self, medoids, bad):
@@ -577,6 +613,20 @@ class TestKmedoids:
         pts = np.array([[0.0], [1e200], [2e200]])
         with pytest.raises(ValueError, match="overflow"):
             kmedoids(pts, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overflowing_build_cost_raises_before_the_first_yield(self, k):
+        """Every distance is finite, but k medoids leave 5 - k > 1 of them to sum."""
+        steps = pam_iterations(np.eye(5) * 7e153, k)
+        with pytest.raises(ValueError, match="^the clustering cost overflows float64$"):
+            next(steps)
+
+    @pytest.mark.parametrize("k, want", [(4, [([0, 1, 2, 3], 9.8e307)]),
+                                         (5, [([0, 1, 2, 3, 4], 0.0)])])
+    def test_infinite_build_sums_pick_the_lowest_non_medoid(self, k, want):
+        """Every candidate's sum overflows in the first three build steps; each such tie
+        goes to the lowest point that is not yet a medoid, so no medoid repeats."""
+        assert list(pam_iterations(np.eye(5) * 7e153, k)) == want
 
     def test_planted_clusters_need_few_exact_rows(self, monkeypatch):
         """The Gram bound leaves fewer than n/4 of the n exact rows to compute, and the

@@ -192,10 +192,25 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError, match=f"^step h must be finite and positive, got {h}$"):
             finite_diff_check(vnet, dnet, ex, h=h)
 
-    def test_nan_error_fails_the_check(self):
-        """A NaN input makes every relative error NaN; the check reports NaN, not 0."""
+    def test_nan_input_is_named(self):
+        """A NaN written into a segment after construction is named by both entry points,
+        not turned into a NaN loss and NaN gradients."""
         vnet, dnet, ex = random_case(9)
         ex.segment[1, 2] = np.nan
+        for entry in (loss_gradients, finite_diff_check):
+            with pytest.raises(ValueError, match="^segment has a non-finite value at frame 1$"):
+                entry(vnet, dnet, ex)
+
+    def test_nan_error_fails_the_check(self, monkeypatch):
+        """A NaN relative error is reported as NaN, not 0: here every perturbed loss is NaN."""
+        forward_loss = train._forward_loss
+
+        def nan_loss(*args):
+            acts, _, g_x = forward_loss(*args)
+            return acts, math.nan, g_x
+
+        monkeypatch.setattr(train, "_forward_loss", nan_loss)
+        vnet, dnet, ex = random_case(9)
         assert math.isnan(finite_diff_check(vnet, dnet, ex))
 
     def test_one_backward_pass_per_net(self, monkeypatch):
@@ -261,6 +276,16 @@ class TestReassignedExample:
             for name in PARAM_NAMES:
                 assert getattr(grads, name).tobytes() == getattr(expected, name).tobytes()
         assert finite_diff_check(vnet, dnet, ex) == error
+
+    def test_caller_example_is_not_written_to(self):
+        """Every entry point checks a copy: reassigned lists stay the caller's objects."""
+        vnet, dnet, ex = random_case(4)
+        segment, desc = ex.segment.tolist(), ex.desc.tolist()
+        ex.segment, ex.desc = segment, desc
+        for entry, *args in ((loss_gradients, ex), (finite_diff_check, ex),
+                             (sgd_train, [ex, ex], TrainConfig(epochs=2))):
+            entry(vnet, dnet, *args)
+            assert ex.segment is segment and ex.desc is desc
 
 
 def two_cluster_dataset(seed):
@@ -406,6 +431,24 @@ class TestSgdTrain:
     def test_non_finite_or_negative_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", math.nan, "learning_rate must be finite and positive, got nan"),
+        ("epochs", -3, "epochs must be a non-negative integer, got -3"),
+        ("epochs", 2.5, "epochs must be a non-negative integer, got 2.5"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ])
+    def test_settings_reassigned_after_construction_rejected(self, monkeypatch, field, value,
+                                                            message):
+        """A setting reassigned after construction meets the constructor's rule before the
+        first step, and the caller's config keeps the value it was given."""
+        monkeypatch.setattr(train, "_loss_and_pooled_gradient", lambda *args: pytest.fail())
+        vnet, dnet, ex = random_case(2)
+        cfg = TrainConfig(epochs=1)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sgd_train(vnet, dnet, [ex], cfg)
+        assert getattr(cfg, field) is value
 
 
 def reference_sgd(vnet, dnet, dataset, cfg):
