@@ -1,11 +1,16 @@
 """The one rule for a real setting or document number, an integer, an array, a vector, a
-matrix and an interval."""
+matrix, a record's shape and an interval."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+
+# Text, bytes, a mapping or a set unpacks into its items, but is never a fixed-size record
+# (an interval, a pair label or an ROI center).  Concrete types, so the test stays cheap.
+NOT_A_RECORD = (str, bytes, bytearray, dict, set, frozenset)
 
 
 def check_real(name: str, value, low=-math.inf, high=math.inf, *, positive: bool = False):
@@ -107,8 +112,8 @@ def check_finite(subject: str, arr: np.ndarray, *, by_row: bool = False) -> np.n
 def check_interval(where: str, record) -> tuple:
     """(start, end) of one interval record, each bound through `check_real`; a ValueError
     starting with `where` unless the record is a pair with start < end."""
-    try:  # text or a mapping of two items unpacks, but is no pair
-        start, end = None if isinstance(record, (str, dict)) else record
+    try:
+        start, end = None if isinstance(record, NOT_A_RECORD) else record
     except (TypeError, ValueError):
         raise ValueError(f"{where} is not a [start, end] pair") from None
     start = check_real(f"{where}: start", start)

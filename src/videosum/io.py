@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_interval, check_matrix, first_non_finite
+from ._checks import NOT_A_RECORD, check_interval, check_matrix, first_non_finite
 from .model import Subnet, _checked_net
 from .summarize import Roi, Segment, semantic_score
 
@@ -219,8 +219,15 @@ def read_rois(path) -> tuple[float, float, float | None, list[list[Roi]]]:
 
 
 def write_intervals(path, intervals: Sequence[tuple[int, int]]) -> None:
-    """Write a bare interval document: {"intervals": [[start, end], ...]}."""
-    _dump_json(path, {"intervals": [[int(s), int(e)] for s, e in intervals]})
+    """Write a bare interval document: {"intervals": [[start, end], ...]}.
+
+    Each record goes through `check_interval`, as `read_intervals` checks it, before the
+    file is opened, and the numbers it returns are written, so reading the file back gives
+    the records written.
+    """
+    records = [list(check_interval(f"interval record {rec_no}", record))
+               for rec_no, record in enumerate(intervals)]
+    _dump_json(path, {"intervals": records})
 
 
 def write_summary(path, segments: Sequence[Segment], k: int, seg_len: int) -> None:
@@ -270,9 +277,25 @@ def read_pair_labels(path) -> list[tuple[int, int, int]]:
 
 
 def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
+    """Write pair labels, one 'segment_index desc_index tn' line per record.
+
+    Every record must be three integers, none a bool, as `read_pair_labels` reads them; a
+    ValueError naming the record is raised before the file is opened otherwise.
+    """
+    lines = []
+    for rec_no, record in enumerate(labels):
+        where = f"label record {rec_no}"
+        try:
+            seg_idx, desc_idx, tn = None if isinstance(record, NOT_A_RECORD) else record
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} is not a (segment, description, label) triple") from None
+        values = [v.item() if isinstance(v, np.generic) else v for v in (seg_idx, desc_idx, tn)]
+        for name, value in zip(("segment index", "description index", "label"), values):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
+        lines.append("%d %d %d\n" % tuple(values))
     with open(path, "w", encoding="utf-8") as fh:
-        for seg_idx, desc_idx, tn in labels:
-            fh.write(f"{seg_idx} {desc_idx} {tn}\n")
+        fh.writelines(lines)
 
 
 # The header numpy writes for a float64 array: magic, version 1.0, header length, header text.

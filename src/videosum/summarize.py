@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._checks import (check_finite, check_int, check_matrix, check_real, check_vector,
-                      first_non_finite)
+from ._checks import (NOT_A_RECORD, check_finite, check_int, check_matrix, check_real,
+                      check_vector, first_non_finite)
 from .model import Subnet, _checked_frames, _checked_net, _forward
 
 __all__ = [
@@ -88,7 +88,7 @@ class Roi:
 
     def __post_init__(self):
         try:
-            x, y = self.center
+            x, y = None if isinstance(self.center, NOT_A_RECORD) else self.center
         except (TypeError, ValueError):
             raise ValueError(f"center must be a pair (x, y), got {self.center!r}") from None
         # The fields hold the checked Python numbers, so NumPy scalars score like them.
@@ -407,11 +407,30 @@ def generate_summary(segfeats: Sequence[SegmentFeature], k: int) -> list[Segment
     return sorted((segfeats[i].segment for i in chosen), key=lambda s: s.start)
 
 
-@functools.lru_cache(maxsize=64)
-def _default_sigma(frame_w: float, frame_h: float) -> float:
-    """A quarter of the frame diagonal, computed once per checked frame size."""
-    with np.errstate(over="ignore"):  # an infinite diagonal fails semantic_score's sigma rule
-        return 0.25 * float(np.hypot(frame_w, frame_h))
+# typed, so an int frame keeps its int area, and each ROI area divides it as it always has.
+@functools.lru_cache(maxsize=64, typed=True)
+def _frame(frame_w: float, frame_h: float, sigma: float | None) -> tuple:
+    """(cx, cy, spread, area) of a checked frame size and sigma (None: a quarter of the
+    diagonal), computed once per frame size and sigma; a ValueError unless the spread
+    2 * sigma**2 and the area frame_w * frame_h are positive float64 values."""
+    if sigma is None:
+        with np.errstate(over="ignore"):  # an infinite diagonal fails the spread rule
+            sigma = 0.25 * float(np.hypot(frame_w, frame_h))
+    try:
+        spread = 2.0 * sigma**2
+    except OverflowError:  # a float, or an int times 2.0, beyond float64
+        spread = math.inf
+    if not 0 < spread < math.inf:
+        raise ValueError(
+            f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
+            "2 * sigma**2 is not a positive float64"
+        )
+    area = frame_w * frame_h
+    if not 0 < area <= sys.float_info.max:  # Python compares an int with a float exactly
+        fault = "underflows to 0" if area == 0 else "overflows float64"
+        raise ValueError(f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of "
+                         f"range: frame_w * frame_h {fault}")
+    return frame_w / 2.0, frame_h / 2.0, spread, area
 
 
 def semantic_score(
@@ -424,46 +443,24 @@ def semantic_score(
 
     Centrality is a Gaussian of the distance from the ROI center to the frame
     center; size is the ROI area as a fraction of the frame, clamped to [0, 1].
-    When sigma is omitted it defaults to a quarter of the frame diagonal.
+    When sigma is omitted it defaults to a quarter of the frame diagonal.  The
+    spread 2 * sigma**2 and the frame area frame_w * frame_h must each be a
+    positive float64, neither underflowing to 0 nor beyond float64, for ints
+    and floats alike; these frame terms are computed once per frame size and
+    sigma.
     """
     frame_w = check_real("frame_w", frame_w, positive=True)
     frame_h = check_real("frame_h", frame_h, positive=True)
-    if sigma is None:
-        sigma = _default_sigma(frame_w, frame_h)
-    else:
+    if sigma is not None:
         sigma = check_real("sigma", sigma, positive=True)
-    # The one spread that the loop divides by: neither infinite nor, by underflow, zero.
-    try:
-        spread = 2.0 * sigma**2
-    except OverflowError:  # a float, or an int times 2.0, beyond float64
-        spread = math.inf
-    if not 0 < spread < math.inf:
-        raise ValueError(
-            f"sigma={sigma} for a {frame_w} x {frame_h} frame is out of range: "
-            "2 * sigma**2 is not a positive float64"
-        )
-    frame_area = frame_w * frame_h
-    if not frame_area > 0:
-        raise ValueError(
-            f"frame size {frame_w} x {frame_h} with sigma={sigma} is out of range: "
-            "frame_w * frame_h underflows to 0"
-        )
-    cx, cy = frame_w / 2.0, frame_h / 2.0
-    # An int frame area beyond float64 cannot divide a float area (float / int converts the
-    # int); each area then divides it as the exact ratio it holds, so the quotient is rounded
-    # once, as int / int always rounded it for an int area.
-    exact = frame_area > sys.float_info.max  # Python compares an int with a float exactly
+    cx, cy, spread, frame_area = _frame(frame_w, frame_h, sigma)
     total = 0.0
     try:
         for roi in rois:
             x, y = roi.center
             dist2 = (x - cx) ** 2 + (y - cy) ** 2
             centrality = float(np.exp(-dist2 / spread))
-            if exact:
-                p, q = roi.area.as_integer_ratio()
-                size = min(p / (q * frame_area), 1.0)
-            else:
-                size = min(max(roi.area / frame_area, 0.0), 1.0)
+            size = min(max(roi.area / frame_area, 0.0), 1.0)
             total += roi.confidence * centrality * size
     except OverflowError:
         raise ValueError(

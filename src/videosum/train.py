@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import as_floats, check_finite, check_int, check_matrix, check_real
+from ._checks import (NOT_A_RECORD, as_floats, check_finite, check_int, check_matrix,
+                      check_real)
 from .model import Subnet, _checked_net, _forward
 
 __all__ = [
@@ -194,10 +195,13 @@ def finite_diff_check(
     error is returned, and never less than 0.  A NaN error is returned at once,
     so it fails every tolerance.  The nets and a copy of the example are checked
     as `loss_gradients` checks them, and the analytic gradient taken once; each
-    perturbed loss is a forward pass alone.
+    perturbed loss is a forward pass alone.  The weights are perturbed in one
+    copy of each net, made once per call, so the caller's nets are never
+    written to, not even for a moment.
     """
     h = check_real("step h", h, positive=True)
-    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    vnet = _copy_net(_checked_net("video net", vnet))
+    dnet = _copy_net(_checked_net("description net", dnet))
     sides, label = _sides(vnet, dnet, ex)
     _, grad_v, grad_d = _gradients(sides, label, margin)
     eps = np.finfo(float).eps
@@ -365,8 +369,8 @@ def sample_pairs(
     out: list[PairExample] = []
     for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"
-        try:  # text or a mapping of three items unpacks, but is no triple
-            seg_idx, desc_idx, label = None if isinstance(record, (str, bytes, dict)) else record
+        try:
+            seg_idx, desc_idx, label = None if isinstance(record, NOT_A_RECORD) else record
         except (TypeError, ValueError):
             raise ValueError(f"{where} is not a (segment, description, label) triple") from None
         for what, index, have in (("segment", seg_idx, len(segments)),

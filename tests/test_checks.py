@@ -13,7 +13,9 @@ by frame or index.  A float32 array gives the same bits as its float64 copy.  A
 matrix input must also be 2-D, have the rows its entry point needs and, where a
 width is set, exactly that many columns, even with no rows; each rejection is one
 of three messages that start with the argument's name.  An interval record must be a pair, and a pair label's indices and its 0-or-1 label
-follow the integer rule.
+follow the integer rule; text, bytes, a mapping or a set is never such a record, nor an
+ROI center.  No public function writes to an array it is given: each gives the same bits
+from read-only arrays as from writable ones.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import videosum
 from videosum._checks import check_matrix
 from videosum.cli import build_parser
 from videosum.io import MAGIC_FEATURES, read_intervals, read_rois, save_checkpoint, write_matrix
@@ -212,7 +215,10 @@ def test_integer_parameter_follows_the_integer_rule(rule, call, low):
     assert repr(call(np.int64(low + 2))) == repr(call(low + 2))
 
 
-@pytest.mark.parametrize("center", [(1, 2, 3), (1,), 5, None])
+@pytest.mark.parametrize(
+    "center", [(1, 2, 3), (1,), 5, None, b"ab", bytearray(b"ab"), "ab", {1, 2}, {"x": 1, "y": 2}],
+    ids=["triple", "single", "number", "none", "bytes", "bytearray", "text", "set", "dict"],
+)
 def test_roi_center_must_be_a_pair(center):
     with pytest.raises(ValueError) as exc:
         Roi(0.5, center, 1)
@@ -242,11 +248,18 @@ FRAMES = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
 DESC = np.array([0.25, -0.5])
 
 
+def _file_bytes(writer):
+    """`writer(path, *args)` as a call that returns the bytes it writes."""
+    def call(*args):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "out"
+            writer(path, *args)
+            return path.read_bytes()
+    return call
+
+
 def _written(matrix) -> bytes:
-    with tempfile.TemporaryDirectory() as folder:
-        path = Path(folder) / "m.vsf"
-        write_matrix(path, matrix, MAGIC_FEATURES)
-        return path.read_bytes()
+    return _file_bytes(write_matrix)(matrix, MAGIC_FEATURES)
 
 
 def _pairs(descs):
@@ -479,8 +492,12 @@ def test_description_shape_is_checked(call, message):
 @pytest.mark.parametrize(
     "call",
     [lambda: normalize_intervals([(1, 2, 3)]), lambda: normalize_intervals([5]),
-     lambda: normalize_intervals(["ab"]), lambda: keyshot_pr([[0, 1]], [[0]])],
-    ids=["three-items", "number", "text", "keyshot-one-item"],
+     lambda: normalize_intervals(["ab"]), lambda: keyshot_pr([[0, 1]], [[0]]),
+     lambda: normalize_intervals([b"\x00\x05"]), lambda: normalize_intervals([{5, 3}]),
+     lambda: normalize_intervals([bytearray(b"\x00\x05")]),
+     lambda: normalize_intervals([frozenset({5, 3})])],
+    ids=["three-items", "number", "text", "keyshot-one-item", "bytes", "set", "bytearray",
+         "frozenset"],
 )
 def test_interval_record_must_be_a_pair(call):
     with pytest.raises(ValueError, match=r"^interval record 0 is not a \[start, end\] pair$"):
@@ -532,3 +549,105 @@ def test_numpy_integer_label_and_indices_act_as_ints():
     assert type(ex.label) is int
     assert _bits(vars(ex)) == _bits(vars(PairExample(FRAMES, [0.0, 1.0], 1)))
     assert contrastive_loss(DESC, -DESC, np.int64(0)) == contrastive_loss(DESC, -DESC, 0)
+
+
+def _listed(fn):
+    """`fn` as a call that returns the list of what it yields."""
+    return lambda *args: list(fn(*args))
+
+
+POINTS = np.array([[0.0, 0.0], [0.1, 0.2], [4.0, 4.0], [4.2, 3.9], [0.3, -0.1]])
+EXAMPLE = PairExample(FRAMES, DESC, 1)
+# Each public function that takes an array: its arguments, then, where the result is not
+# returned, how to get it.  Every array, in a record or a list too, is passed read-only.
+READ_ONLY = {
+    "ImportanceScorer": ((SCORER.forward, SCORER.backward, SCORER.readout_w, SCORER.readout_b),),
+    "LstmParams": ((SCORER.forward.w,),),
+    "PairExample": ((FRAMES, DESC, 1),),
+    "SegmentFeature": ((Segment(0, 0, 2), DESC),),
+    "Subnet": ((VNET.w1, VNET.b1, VNET.w2, VNET.b2),),
+    "SynthData": ((FRAMES, [(0, 2)], np.eye(2), [(0, 0, 1)]),),
+    "clustering_cost": ((POINTS, [0, 2]),),
+    "contrastive_loss": ((DESC, -DESC, 0, 2.0),),
+    "embed_frames": ((VNET, FRAMES),),
+    "finite_diff_check": ((VNET, DNET, EXAMPLE),),
+    "generate_summary": (([SegmentFeature(Segment(i, 2 * i, 2 * i + 2), p)
+                           for i, p in enumerate(POINTS)], 2),),
+    "jitter_amount": ((POINTS,),),
+    "keyshot_pr": ((np.array([[0, 4], [6, 9]]), np.array([[2.0, 7.5]])),),
+    "kmedoids": ((POINTS, 2),),
+    "loss_gradients": ((VNET, DNET, EXAMPLE),),
+    "lstm_scan": ((SCORER.forward, FRAMES),),
+    "normalize_intervals": ((np.array([[3.0, 5.0], [0.0, 2.5], [2.0, 3.5]]),),),
+    "pam_iterations": ((POINTS, 2), _listed),
+    "sample_pairs": (([FRAMES, -FRAMES], np.array([DESC, -DESC]), [(0, 1, 1), (1, 0, 0)]),),
+    "save_checkpoint": ((VNET, DNET), _file_bytes),
+    "score_importance": ((SCORER, FRAMES),),
+    "segment_features": ((VNET, FRAMES, uniform_segments(4, 2)),),
+    "semantic_threshold_split": ((SCORES,),),
+    "sgd_train": ((VNET, DNET, [EXAMPLE, PairExample(-FRAMES, DESC, 0)],
+                   TrainConfig(epochs=2)),),
+    "sigmoid": ((SCORES - 0.5,),),
+    "speedup_frame_selection": ((SCORES, 2, 3),),
+    "write_intervals": ((np.array([[0, 2], [3, 5]]),), _file_bytes),
+    "write_matrix": ((FRAMES, MAGIC_FEATURES), _file_bytes),
+    "write_pair_labels": ((np.array([[0, 1, 1], [1, 0, 0]]),), _file_bytes),
+    "write_selection": ((np.array([0, 2, 5]), 2.0, 2.5), _file_bytes),
+}
+# Each public name that takes no array, and why.
+NO_ARRAY = {
+    **dict.fromkeys(["DEFAULT_DESC_DIM", "DEFAULT_EMBED_DIM", "DEFAULT_HIDDEN_DIM",
+                     "MAGIC_DESCS", "MAGIC_FEATURES"], "a constant, not a function"),
+    **dict.fromkeys(["read_intervals", "read_matrix", "read_pair_labels", "read_rois",
+                     "load_checkpoint"], "takes a path; its arrays come from the file"),
+    **dict.fromkeys(["Segment", "SynthSpec", "TrainConfig", "init_scorer", "init_subnet",
+                     "segment_speedups", "speedup_deviation", "uniform_segments"],
+                    "takes numbers only"),
+    "Roi": "takes numbers and a pair of numbers",
+    "semantic_score": "takes Roi records, which hold Python numbers, and numbers",
+    "synth_generate": "takes a SynthSpec, which holds numbers",
+    "write_summary": "takes Segment records, which hold ints, and numbers",
+    "cli_dispatch": "takes argument strings; its arrays come from files",
+}
+
+
+def _copied(value, writable: bool):
+    """`value` with every array in it, in records, lists and tuples too, copied and marked
+    writable or read-only; a record is rebuilt by `dataclasses.replace`."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flags.writeable = writable
+        return value
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: _copied(getattr(value, f.name), writable)
+                                             for f in dataclasses.fields(value)})
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(v, writable) for v in value)
+    return value
+
+
+def _arrays_in(value) -> list:
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [arr for v in value for arr in _arrays_in(v)]
+    return []
+
+
+def test_every_public_name_is_in_the_read_only_table_or_exempt():
+    assert not READ_ONLY.keys() & NO_ARRAY.keys()
+    assert sorted(READ_ONLY.keys() | NO_ARRAY.keys()) == sorted(videosum.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY))
+def test_read_only_arrays_give_the_bits_of_writable_ones(name):
+    """No public function writes to an array it is given, even for a moment, and a
+    read-only array gives the same result, bit for bit, as a writable copy."""
+    args, *how = READ_ONLY[name]
+    call = how[0](getattr(videosum, name)) if how else getattr(videosum, name)
+    read_only = _copied(args, writable=False)
+    arrays = _arrays_in(read_only)
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    assert _bits(call(*read_only)) == _bits(call(*_copied(args, writable=True)))

@@ -322,13 +322,16 @@ class TestPipeline:
             ({"frame_w": 1e-200, "frame_h": 1e-200, "sigma": 1},
              "frame size 1e-200 x 1e-200 with sigma=1 is out of range: "
              "frame_w * frame_h underflows to 0"),
+            ({"frame_w": 1e200, "frame_h": 1e200, "sigma": 1},
+             "frame size 1e+200 x 1e+200 with sigma=1 is out of range: "
+             "frame_w * frame_h overflows float64"),
             ({"sigma": 1.3e-162, "frames": [[{"confidence": 0.5, "cx": 1, "cy": 1, "area": 1}]]},
              "sigma=1.3e-162 for a 10 x 10 frame is out of range: "
              "2 * sigma**2 is not a positive float64"),
         ],
         ids=["confidence", "area", "non-numeric-center", "frame-w", "frame-h", "sigma",
              "frames-not-a-list", "frame-not-a-list", "sigma-overflows", "tiny-frame",
-             "tiny-frame-area", "sigma-square-underflows"],
+             "tiny-frame-area", "huge-frame-area", "sigma-square-underflows"],
     )
     def test_score_semantic_bad_document_names_file(self, tmp_path, capsys, changes, needle):
         doc = {"frame_w": 10, "frame_h": 10, "frames": [[]]}
@@ -358,17 +361,22 @@ class TestPipeline:
         assert not out_path.exists()
 
     def test_score_semantic_int_frame_whose_area_is_beyond_float64(self, tmp_path, capsys):
-        """A 201-digit frame_w and frame_h: an ROI at the frame center is a vanishing share
-        of the frame, as when the same frame is given as floats."""
+        """A 201-digit frame_w and frame_h: the area overflows float64, so the document is
+        refused with the file named, as the same frame given as floats is."""
         rois = tmp_path / "rois.json"
         rois.write_text(json.dumps({
             "frame_w": 10**200, "frame_h": 10**200, "sigma": 1e150,
             "frames": [[{"confidence": 1.0, "cx": 5e199, "cy": 5e199, "area": 1.0}]],
         }))
         out_path = tmp_path / "o.vsf"
-        code, _, err = run(capsys, "score-semantic", "--rois", str(rois), "--out", str(out_path))
-        assert code == 0, err
-        assert read_matrix(out_path, MAGIC_FEATURES).tolist() == [[0.0]]
+        code, out, err = run(capsys, "score-semantic", "--rois", str(rois), "--out", str(out_path))
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: {rois}: frame size {10**200} x {10**200} with sigma=1e+150 is out of "
+            "range: frame_w * frame_h overflows float64"
+        ]
+        assert out == ""
+        assert not out_path.exists()
 
     def test_fastforward(self, tmp_path, capsys):
         scores_path = tmp_path / "scores.vsf"

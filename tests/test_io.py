@@ -367,6 +367,60 @@ class TestIntervalDocuments:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {needle}"):
             read_intervals(path)
 
+    def test_written_records_read_back_as_written(self, tmp_path):
+        """The writer writes the numbers `check_interval` returns, not their truncations;
+        NumPy scalars are written as the Python numbers they hold."""
+        path = tmp_path / "iv.json"
+        records = [(0.5, 2.7), (3, 5), (np.int64(6), np.float64(7.5))]
+        write_intervals(path, records)
+        assert [tuple(map(repr, rec)) for rec in read_intervals(path)] == [
+            ("0.5", "2.7"), ("3", "5"), ("6", "7.5")]
+
+    def test_int_records_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "iv.json"
+        write_intervals(path, [(0, 4), (np.int64(8), 12)])
+        assert path.read_text(encoding="utf-8") == (
+            '{\n  "intervals": [\n    [\n      0,\n      4\n    ],\n'
+            '    [\n      8,\n      12\n    ]\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ((5, 2), "interval record 1: start 5 >= end 2"),
+            ((0, "a"), "interval record 1: end must be finite, got 'a'"),
+            ((True, 2), "interval record 1: start must be finite, got True"),
+            ((0, 1, 2), "interval record 1 is not a [start, end] pair"),
+            (5, "interval record 1 is not a [start, end] pair"),
+        ],
+        ids=["reversed", "text-end", "bool-start", "three-items", "number"],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, record, message):
+        """Refused before the file is opened, with the message the reader gives but for
+        the path."""
+        path = tmp_path / "iv.json"
+        with pytest.raises(ValueError) as exc:
+            write_intervals(path, [(0, 2), record])
+        assert str(exc.value) == message
+        assert not path.exists()
+        path.write_text(json.dumps({"intervals": [[0, 2], record]}))
+        with pytest.raises(ValueError) as exc:
+            read_intervals(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+
+class TestRoiDocuments:
+    @pytest.mark.parametrize("size", [10**200, 1e200], ids=["int", "float"])
+    def test_frame_area_beyond_float64_names_file(self, tmp_path, size):
+        """The reader applies `semantic_score`'s area rule, to ints as to floats."""
+        path = tmp_path / "rois.json"
+        path.write_text(json.dumps({"frame_w": size, "frame_h": size, "sigma": 1e150,
+                                    "frames": [[]]}))
+        with pytest.raises(ValueError) as exc:
+            read_rois(path)
+        assert str(exc.value) == (f"{path}: frame size {size} x {size} with sigma=1e+150 is "
+                                  "out of range: frame_w * frame_h overflows float64")
+
 
 class TestPairLabelFile:
     def test_round_trip(self, tmp_path):
@@ -391,6 +445,38 @@ class TestPairLabelFile:
         path.write_text("0 0\n")
         with pytest.raises(ValueError, match="expected"):
             read_pair_labels(path)
+
+    def test_numpy_integers_written_as_ints(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        write_pair_labels(path, [(np.int64(3), np.int32(2), -1)])
+        assert path.read_text(encoding="utf-8") == "3 2 -1\n"
+        assert read_pair_labels(path) == [(3, 2, -1)]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ((0, 1.5, 7), "description index must be an integer, got 1.5"),
+            ((True, 1, 1), "segment index must be an integer, got True"),
+            ((0, 1, "2"), "label must be an integer, got '2'"),
+            ((0, 1, np.float64(1.0)), "label must be an integer, got 1.0"),
+            ((0, 1), None),
+            ((0, 1, 1, 0), None),
+            ("011", None),
+            ({0, 1, 2}, None),
+            (None, None),
+        ],
+        ids=["float", "bool", "text-field", "numpy-float", "pair", "quadruple", "text", "set",
+             "none"],
+    )
+    def test_writer_refuses_a_record_that_is_not_three_integers(self, tmp_path, record,
+                                                                message):
+        """Refused before the file is opened: `read_pair_labels` reads only integer fields."""
+        path = tmp_path / "pairs.txt"
+        with pytest.raises(ValueError) as exc:
+            write_pair_labels(path, [(0, 0, 1), record])
+        assert str(exc.value) == ("label record 1 is not a (segment, description, label) triple"
+                                  if message is None else f"label record 1: {message}")
+        assert not path.exists()
 
     @pytest.mark.parametrize("line", [b"1 \xff 0\n", b"\xff\n", b"1 2 3\xff\n"])
     def test_undecodable_byte_names_file_and_line(self, tmp_path, line):

@@ -5,7 +5,6 @@ import math
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -791,16 +790,30 @@ class TestSemanticScore:
             got = semantic_score(rois, w, h, sigma)
             assert got.hex() == per_roi_score(rois, w, h, sigma).hex()
 
+    def test_frame_terms_are_computed_once_per_frame_size_and_sigma(self):
+        """An int frame and the same frame as floats are kept apart, so each ROI area
+        divides the area as computed from the sizes given."""
+        summarize._frame.cache_clear()
+        roi = Roi(confidence=0.5, center=(1.0, 2.0), area=3)
+        for _ in range(3):
+            for frame_w, sigma in ((641, None), (641, 4.0), (641.0, None)):
+                semantic_score([roi], frame_w, 359, sigma)
+        info = summarize._frame.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
+
     def test_int_frame_whose_area_is_beyond_float64(self):
-        """Each ROI area divides the exact int area: a float area as on the same frame given
-        as floats, and both int and float areas rounded once."""
-        at_center = Roi(confidence=1.0, center=(5e199, 5e199), area=1.0)
-        assert semantic_score([at_center], 10**200, 10**200, 1e150) == 0.0
-        assert semantic_score([at_center], 1e200, 1e200, 1e150) == 0.0
-        for area in (10**300, 1e308):
-            roi = Roi(confidence=1.0, center=(5e154, 1e154), area=area)
-            expected = float(Fraction(area) / (10**155 * 2 * 10**154))
-            assert semantic_score([roi], 10**155, 2 * 10**154, 1e150) == expected
+        """An area beyond float64 is refused for ints as for floats, as every computed sum
+        is: an int frame once scored otherwise than the same frame given as floats."""
+        roi = Roi(confidence=1.0, center=(5e154, 1e154), area=1e308)
+        for frame_w, frame_h, shown in [
+            (10**200, 10**200, f"{10**200} x {10**200}"), (1e200, 1e200, "1e+200 x 1e+200"),
+            (10**155, 2 * 10**154, f"{10**155} x {2 * 10**154}"),
+            (1e155, 2e154, "1e+155 x 2e+154"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                semantic_score([roi], frame_w, frame_h, 1e150)
+            assert str(exc.value) == (f"frame size {shown} with sigma=1e+150 is out of range: "
+                                      "frame_w * frame_h overflows float64")
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -838,7 +851,9 @@ class TestSemanticScore:
             ((5.0, 5.0), 10.0, 1e200, r"sigma=1e\+200 for a 10.0 x 10.0 frame is out of range"),
             ((5.0, 5.0), 10.0, 1e-200, r"sigma=1e-200 for a 10.0 x 10.0 frame is out of range"),
             ((5.0, 5.0), 1e300, None, r"sigma=3.5\d*e\+299 for a 1e\+300 x 1e\+300 frame"),
-            ((5.0, 5.0), 1e300, 2.0, r"ROI center \(5.0, 5.0\) is too far from the frame center"),
+            ((5.0, 5.0), 1e300, 2.0,
+             r"frame size 1e\+300 x 1e\+300 with sigma=2.0 is out of range: frame_w \* frame_h "
+             "overflows float64"),
             ((0.0, 0.0), 1e-200, 1.0, r"frame size 1e-200 x 1e-200 with sigma=1.0 is out of range"),
             ((5.0, 5.0), 1.7e308, None, r"sigma=inf for a 1.7e\+308 x 1.7e\+308 frame"),
         ],

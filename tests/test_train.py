@@ -213,6 +213,26 @@ class TestFiniteDiffCheck:
         vnet, dnet, ex = random_case(9)
         assert math.isnan(finite_diff_check(vnet, dnet, ex))
 
+    def test_caller_nets_never_change_during_the_call(self, monkeypatch):
+        """Every forward pass, perturbed ones included, sees the caller's weights as they
+        were before the call: the perturbations go into copies."""
+        vnet, dnet, ex = random_case(7, label=1)
+        before = [getattr(net, name).copy() for net in (vnet, dnet) for name in PARAM_NAMES]
+        seen = []
+        forward_loss = train._forward_loss
+
+        def spy(*args):
+            seen.append([getattr(net, name).copy() for net in (vnet, dnet)
+                         for name in PARAM_NAMES])
+            return forward_loss(*args)
+
+        monkeypatch.setattr(train, "_forward_loss", spy)
+        finite_diff_check(vnet, dnet, ex)
+        assert len(seen) > 2
+        for weights in seen:
+            for got, want in zip(weights, before):
+                assert got.tobytes() == want.tobytes()
+
     def test_one_backward_pass_per_net(self, monkeypatch):
         """The analytic gradient is taken once; each perturbed loss is a forward pass alone."""
         calls = []
@@ -809,8 +829,10 @@ class TestSamplePairs:
         with pytest.raises(ValueError, match="label must be 0 or 1"):
             sample_pairs([np.ones((1, 2))], np.eye(2), [(0, 0, 2)])
 
-    @pytest.mark.parametrize("record", [(0, 1), 5, (0, 1, 1, 0), "011", None],
-                             ids=["pair", "int", "quadruple", "text", "none"])
+    @pytest.mark.parametrize("record", [(0, 1), 5, (0, 1, 1, 0), "011", None, b"\x00\x01\x01",
+                                        {0, 1, 2}, {0: 0, 1: 1, 2: 1}],
+                             ids=["pair", "int", "quadruple", "text", "none", "bytes", "set",
+                                  "dict"])
     def test_record_that_is_no_triple_names_the_record(self, record):
         with pytest.raises(
             ValueError, match=r"^label record 1 is not a \(segment, description, label\) triple$"
