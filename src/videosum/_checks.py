@@ -1,5 +1,5 @@
 """The one rule for a real setting or document number, an integer, an array, a vector, a
-matrix, a record's shape and an interval."""
+matrix, a record's shape, an interval and a pair-label record."""
 
 from __future__ import annotations
 
@@ -44,16 +44,15 @@ def check_real(name: str, value, low=-math.inf, high=math.inf, *, positive: bool
     raise ValueError(f"{name} must be {rule}, got {shown}")
 
 
-def check_int(name: str, value, low: int) -> int:
+def check_int(name: str, value, low: int | None) -> int:
     """`value` as a Python int; a ValueError starting with `name` unless it is an integer
-    other than a bool and at least `low`.  A NumPy integer becomes the int it holds."""
+    other than a bool and, if `low` is 0 or 1, at least `low`.  A NumPy integer becomes the
+    int it holds."""
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+    if isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low):
         return value
-    rule = ("a non-negative integer" if low == 0
-            else "a positive integer" if low == 1
-            else f"an integer of at least {low}")
+    rule = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[low]
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -121,3 +120,13 @@ def check_interval(where: str, record) -> tuple:
     if start >= end:
         raise ValueError(f"{where}: start {start} >= end {end}")
     return start, end
+
+
+def check_pair_label(where: str, record) -> tuple:
+    """(segment index, description index, label) of one pair-label record, unchecked; a
+    ValueError starting with `where` unless the record unpacks into exactly three items."""
+    try:
+        seg_idx, desc_idx, label = None if isinstance(record, NOT_A_RECORD) else record
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} is not a (segment, description, label) triple") from None
+    return seg_idx, desc_idx, label

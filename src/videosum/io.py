@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import NOT_A_RECORD, check_interval, check_matrix, first_non_finite
+from ._checks import (check_int, check_interval, check_matrix, check_pair_label, check_real,
+                      first_non_finite)
 from .model import Subnet, _checked_net
 from .summarize import Roi, Segment, semantic_score
 
@@ -152,9 +153,14 @@ def write_matrix(path, matrix: np.ndarray, magic: bytes) -> None:
 
 
 def _dump_json(path, doc) -> None:
+    """Write `doc` as JSON with sorted keys.  The text is built before the file is opened, so
+    NaN, an infinity or a value that is not JSON raises a ValueError and writes nothing."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not a JSON document: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path):
@@ -231,11 +237,15 @@ def write_intervals(path, intervals: Sequence[tuple[int, int]]) -> None:
 
 
 def write_summary(path, segments: Sequence[Segment], k: int, seg_len: int) -> None:
-    """Write selected segments as an interval document with k/seg_len metadata."""
+    """Write selected segments as an interval document with k/seg_len metadata.
+
+    `k` and `seg_len` go through `check_int` as positive integers; like every JSON writer,
+    it refuses a value that is not JSON before it opens the file.
+    """
     doc = {
         "intervals": [[seg.start, seg.end] for seg in segments],
-        "k": k,
-        "seg_len": seg_len,
+        "k": check_int("k", k, 1),
+        "seg_len": check_int("seg_len", seg_len, 1),
     }
     _dump_json(path, doc)
 
@@ -243,11 +253,17 @@ def write_summary(path, segments: Sequence[Segment], k: int, seg_len: int) -> No
 def write_selection(
     path, selected: Sequence[int], desired_speedup: float, achieved_speedup: float
 ) -> None:
-    """Write a fast-forward selection: kept frame indices and both speed-ups."""
+    """Write a fast-forward selection: kept frame indices and both speed-ups.
+
+    Each index goes through `check_int` as a non-negative integer and each speed-up through
+    `check_real`, so NaN, an infinity, a bool or a fraction raises a ValueError before the
+    file is opened, as it does in every JSON writer.
+    """
     doc = {
-        "selected": [int(i) for i in selected],
-        "desired_speedup": desired_speedup,
-        "achieved_speedup": achieved_speedup,
+        "selected": [check_int(f"selected index {i}", index, 0)
+                     for i, index in enumerate(selected)],
+        "desired_speedup": check_real("desired_speedup", desired_speedup),
+        "achieved_speedup": check_real("achieved_speedup", achieved_speedup),
     }
     _dump_json(path, doc)
 
@@ -285,14 +301,9 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
     lines = []
     for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"
-        try:
-            seg_idx, desc_idx, tn = None if isinstance(record, NOT_A_RECORD) else record
-        except (TypeError, ValueError):
-            raise ValueError(f"{where} is not a (segment, description, label) triple") from None
-        values = [v.item() if isinstance(v, np.generic) else v for v in (seg_idx, desc_idx, tn)]
-        for name, value in zip(("segment index", "description index", "label"), values):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
+        values = [check_int(f"{where}: {name}", value, None) for name, value in
+                  zip(("segment index", "description index", "label"),
+                      check_pair_label(where, record))]
         lines.append("%d %d %d\n" % tuple(values))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

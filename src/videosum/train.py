@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import (NOT_A_RECORD, as_floats, check_finite, check_int, check_matrix,
+from ._checks import (as_floats, check_finite, check_int, check_matrix, check_pair_label,
                       check_real)
 from .model import Subnet, _checked_net, _forward
 
@@ -264,20 +264,6 @@ def _step(
     _descend(net.b2, np.sum(g_a2, axis=0, out=buf.b2), lr)
 
 
-def _pooled(kept: dict, net: Subnet, rows: np.ndarray) -> np.ndarray:
-    """The mean of `_forward(net, rows)`'s output rows, computed once while `kept` lives.
-
-    Inputs are the same when they are the same memory: the same net, data address,
-    shape and strides.  Each entry holds its `rows`, so no other array can take that
-    address while the entry lives.
-    """
-    key = (id(net), rows.__array_interface__["data"][0], rows.shape, rows.strides)
-    entry = kept.get(key)
-    if entry is None:
-        entry = kept[key] = (rows, _forward(net, rows)[1].mean(axis=0))
-    return entry[1]
-
-
 def sgd_train(
     vnet: Subnet,
     dnet: Subnet,
@@ -308,22 +294,28 @@ def sgd_train(
     Between two updates the weights do not change, so each segment and each
     description is embedded once and its embedding reused until the next update;
     an update runs the pair's two forward passes again for its backward pass.
-    Inputs count as the same when they are the same memory (net, data address,
-    shape and strides), as the views `sample_pairs` hands out are; a kept
-    embedding holds its input alive, and no input may be changed in place while
-    sgd_train runs.
+    Each distinct input is numbered once, before the first step: inputs are the
+    same when they are the same memory (net, data address, shape and strides), as
+    the views `sample_pairs` hands out are.  The checked examples hold every input
+    for the whole call, so no two live inputs share an address by chance; no input
+    may be changed in place while sgd_train runs.
     """
     cfg = replace(cfg)
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
     vnet = _copy_net(_checked_net("video net", vnet))
     dnet = _copy_net(_checked_net("description net", dnet))
-    examples = []  # (sides, label) of each example's checked copy, on the copied nets
+    examples = []  # (sides, label, input numbers) of each checked copy, on the copied nets
+    numbers: dict = {}  # (net, data address, shape, strides) -> input number
     for i, ex in enumerate(dataset):
         try:
-            examples.append(_sides(vnet, dnet, ex))
+            sides, label = _sides(vnet, dnet, ex)
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
+        inputs = tuple(numbers.setdefault((id(net), rows.__array_interface__["data"][0],
+                                           rows.shape, rows.strides), len(numbers))
+                       for net, rows in sides)
+        examples.append((sides, label, inputs))
     # One gradient buffer per parameter, reused by every step.  A description is one
     # row, so the description net's w1 buffer holds only one block of rows.
     vbuf = Subnet(*(np.empty_like(getattr(vnet, f.name)) for f in fields(Subnet)))
@@ -333,14 +325,15 @@ def sgd_train(
     )
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    kept: dict = {}  # pooled embeddings under the current weights
+    pooled = [None] * len(numbers)  # each input's pooled embedding under the current weights
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            sides, label = examples[idx]
-            loss, g_x = _loss_and_pooled_gradient(
-                *(_pooled(kept, net, rows) for net, rows in sides), label, cfg.margin
-            )
+            sides, label, inputs = examples[idx]
+            for (net, rows), n in zip(sides, inputs):
+                if pooled[n] is None:
+                    pooled[n] = _forward(net, rows)[1].mean(axis=0)
+            loss, g_x = _loss_and_pooled_gradient(*(pooled[n] for n in inputs), label, cfg.margin)
             total += loss
             # NaN is non-zero here, so a pair that went NaN still takes its step.
             if not g_x.any():
@@ -348,7 +341,7 @@ def sgd_train(
             acts = [_forward(net, rows) for net, rows in sides]
             for (net, _), buf, delta in zip(sides, (vbuf, dbuf), _deltas(sides, acts, g_x)):
                 _step(net, buf, *delta, cfg.learning_rate)
-            kept.clear()
+            pooled = [None] * len(numbers)
         history.append(total / len(dataset))
     return vnet, dnet, history
 
@@ -369,10 +362,7 @@ def sample_pairs(
     out: list[PairExample] = []
     for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"
-        try:
-            seg_idx, desc_idx, label = None if isinstance(record, NOT_A_RECORD) else record
-        except (TypeError, ValueError):
-            raise ValueError(f"{where} is not a (segment, description, label) triple") from None
+        seg_idx, desc_idx, label = check_pair_label(where, record)
         for what, index, have in (("segment", seg_idx, len(segments)),
                                   ("description", desc_idx, len(descs))):
             if check_int(f"{where}: {what} index", index, 0) >= have:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -328,6 +329,65 @@ class TestIntervalDocuments:
             '{\n  "achieved_speedup": 3.0,\n  "desired_speedup": 4.0,\n'
             '  "selected": [\n    0,\n    4,\n    8\n  ]\n}\n'
         )
+
+    @pytest.mark.parametrize(
+        "selected, desired, achieved, message",
+        [
+            ([0, 2.7], 2.0, 2.0, "selected index 1 must be a non-negative integer, got 2.7"),
+            ([0, True], 2.0, 2.0, "selected index 1 must be a non-negative integer, got True"),
+            ([0, -1], 2.0, 2.0, "selected index 1 must be a non-negative integer, got -1"),
+            ([0, 2], math.nan, 2.0, "desired_speedup must be finite, got nan"),
+            ([0, 2], 2.0, math.inf, "achieved_speedup must be finite, got inf"),
+            ([0, 2], 2.0, "2", "achieved_speedup must be finite, got '2'"),
+        ],
+        ids=["fraction", "bool", "negative", "nan", "inf", "text"],
+    )
+    def test_selection_writer_refuses_before_it_opens_the_file(self, tmp_path, selected,
+                                                               desired, achieved, message):
+        """An index that is not a non-negative integer, or a speed-up that is not a finite
+        number, raises; the file at the path keeps its bytes."""
+        path = tmp_path / "ff.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError) as exc:
+            write_selection(path, selected, desired, achieved)
+        assert str(exc.value) == message
+        assert path.read_bytes() == b"old"
+
+    def test_summary_numpy_integers_written_as_ints(self, tmp_path):
+        want, got = tmp_path / "want.json", tmp_path / "got.json"
+        write_summary(want, [Segment(0, 0, 4)], 3, 4)
+        write_summary(got, [Segment(0, 0, 4)], np.int64(3), np.int32(4))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "k, seg_len, message",
+        [
+            (math.nan, 4, "k must be a positive integer, got nan"),
+            (0, 4, "k must be a positive integer, got 0"),
+            (3, True, "seg_len must be a positive integer, got True"),
+            (3, 4.0, "seg_len must be a positive integer, got 4.0"),
+        ],
+        ids=["nan-k", "zero-k", "bool-seg-len", "float-seg-len"],
+    )
+    def test_summary_writer_refuses_before_it_opens_the_file(self, tmp_path, k, seg_len,
+                                                             message):
+        path = tmp_path / "sum.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError) as exc:
+            write_summary(path, [Segment(0, 0, 4)], k, seg_len)
+        assert str(exc.value) == message
+        assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, np.int64(3), object()],
+                             ids=["nan", "-inf", "numpy-int", "object"])
+    def test_json_writer_refuses_what_json_cannot_hold(self, tmp_path, value):
+        """Every JSON writer builds its text before it opens the file, so NaN, an infinity
+        or a value that is not JSON raises and leaves the file as it was."""
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError, match="^not a JSON document: "):
+            vio._dump_json(path, {"intervals": [[0, 4]], "k": value})
+        assert path.read_bytes() == b"old"
 
     def test_fps_field_tolerated(self, tmp_path):
         path = tmp_path / "iv.json"

@@ -845,6 +845,38 @@ class TestNetRule:
             sgd_train(nets["video"], nets["description"], [ex], TrainConfig(epochs=1))
 
 
+    @pytest.mark.parametrize("shapes, message", [
+        (((0, 3), (0,), (2, 0), (2,)), "field 'w1' is empty, with shape (0, 3)"),
+        (((2, 0), (2,), (2, 2), (2,)), "field 'w1' is empty, with shape (2, 0)"),
+    ], ids=["no-hidden-units", "no-inputs"])
+    @pytest.mark.parametrize("side", ["video", "description"])
+    def test_empty_net_refused_by_every_entry_point(self, tmp_path, side, shapes, message):
+        """A net whose fields agree in shape but hold no weight is refused by name; the
+        checkpoint writer refuses before it opens the file, the reader with the path first."""
+        empty = Subnet(*(np.zeros(shape) for shape in shapes))
+        nets = {"video": init_subnet(0, 3, 2, 2), "description": init_subnet(1, 3, 2, 2)}
+        nets[side] = empty
+        named = f"^{side} net {re.escape(message)}$"
+        with pytest.raises(ValueError, match=f"^net {re.escape(message)}$"):
+            embed_frames(empty, np.zeros((2, empty.input_dim)))
+        ex = PairExample(np.zeros((2, 3)), np.zeros(3), 1)
+        with pytest.raises(ValueError, match=named):
+            loss_gradients(nets["video"], nets["description"], ex)
+        with pytest.raises(ValueError, match=named):
+            sgd_train(nets["video"], nets["description"], [ex], TrainConfig(epochs=1))
+        saved = tmp_path / "saved.npz"
+        saved.write_bytes(b"old")
+        with pytest.raises(ValueError, match=named):
+            save_checkpoint(saved, nets["video"], nets["description"])
+        assert saved.read_bytes() == b"old"
+        written = tmp_path / "written.npz"
+        with open(written, "wb") as fh:
+            np.savez(fh, **{f"{which}.{name}": getattr(net, name)
+                            for which, net in nets.items() for name in PARAMS})
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(written)
+        assert str(exc.value) == f"{written}: {side} net {message}"
+
 class TestInit:
     def test_same_seed_bitwise_identical(self):
         a = init_subnet(42, 5, 4, 3)

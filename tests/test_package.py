@@ -1,6 +1,7 @@
 """The package's public surface: the union of its modules' `__all__` lists, and no dead import."""
 
 import ast
+import re
 from pathlib import Path
 
 import videosum
@@ -131,3 +132,27 @@ def test_only_the_model_module_imports_threads_or_processes():
     paths = [path for path in sorted(root.glob("*.py")) if path.name != "model.py"]
     assert paths
     assert [hit for path in paths for hit in _concurrency_imports(path)] == []
+
+
+def _uses_given(path: Path) -> bool:
+    """Whether a function in `path` is decorated with hypothesis' `given(...)`."""
+    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(dec, ast.Call)
+                       and getattr(dec.func, "id", getattr(dec.func, "attr", None)) == "given"
+                       for dec in node.decorator_list)
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_fixed_seed_steps_name_every_property_test_file():
+    """Each CI step that pins the hypothesis seed names by hand the test files it runs;
+    that list must be exactly the files with a `@given` test, so a new property file is
+    not left out of the pinned-seed runs."""
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = [line for line in workflow.splitlines() if "--hypothesis-seed" in line]
+    assert len(steps) == 2
+    property_files = {f"tests/{path.name}" for path in sorted((root / "tests").glob("*.py"))
+                      if _uses_given(path)}
+    assert property_files
+    for step in steps:
+        assert set(re.findall(r"tests/\w+\.py", step)) == property_files
