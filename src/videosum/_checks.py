@@ -1,5 +1,5 @@
 """The one rule for a real setting or document number, an integer, an array, a vector, a
-matrix, a record's shape, an interval and a pair-label record."""
+matrix, a sequence of records, a record's shape, an interval and a pair-label record."""
 
 from __future__ import annotations
 
@@ -106,6 +106,16 @@ def check_finite(subject: str, arr: np.ndarray, *, by_row: bool = False) -> np.n
     where = (f"frame {at[0]}" if by_row else f"index {at[0]}" if len(at) == 1
              else f"row {at[0]}, column {at[1]}")
     raise ValueError(f"{subject} at {where}")
+
+
+def check_items(name: str, value, items: str) -> list:
+    """The items of `value` as a list; a ValueError starting with `name` unless it is
+    iterable, saying it must hold `items`."""
+    try:
+        each = iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {items}, got {value!r}") from None
+    return list(each)
 
 
 def check_interval(where: str, record) -> tuple:

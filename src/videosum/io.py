@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import (check_int, check_interval, check_matrix, check_pair_label, check_real,
-                      first_non_finite)
+from ._checks import (check_int, check_interval, check_items, check_matrix, check_pair_label,
+                      check_real, first_non_finite)
 from .model import Subnet, _checked_net
 from .summarize import Roi, Segment, semantic_score
 
@@ -231,17 +231,22 @@ def write_intervals(path, intervals: Sequence[tuple[int, int]]) -> None:
     file is opened, and the numbers it returns are written, so reading the file back gives
     the records written.
     """
-    records = [list(check_interval(f"interval record {rec_no}", record))
-               for rec_no, record in enumerate(intervals)]
+    records = [list(check_interval(f"interval record {rec_no}", record)) for rec_no, record
+               in enumerate(check_items("intervals", intervals, "[start, end] pairs"))]
     _dump_json(path, {"intervals": records})
 
 
 def write_summary(path, segments: Sequence[Segment], k: int, seg_len: int) -> None:
     """Write selected segments as an interval document with k/seg_len metadata.
 
-    `k` and `seg_len` go through `check_int` as positive integers; like every JSON writer,
-    it refuses a value that is not JSON before it opens the file.
+    Each record must be a `Segment`; `k` and `seg_len` go through `check_int` as positive
+    integers.  Like every JSON writer, it refuses a value that is not JSON before it opens
+    the file.
     """
+    segments = check_items("segments", segments, "Segment records")
+    for rec_no, seg in enumerate(segments):
+        if not isinstance(seg, Segment):
+            raise ValueError(f"segment record {rec_no} must be a Segment, got {seg!r}")
     doc = {
         "intervals": [[seg.start, seg.end] for seg in segments],
         "k": check_int("k", k, 1),
@@ -260,8 +265,8 @@ def write_selection(
     file is opened, as it does in every JSON writer.
     """
     doc = {
-        "selected": [check_int(f"selected index {i}", index, 0)
-                     for i, index in enumerate(selected)],
+        "selected": [check_int(f"selected index {i}", index, 0) for i, index
+                     in enumerate(check_items("selected", selected, "frame indices"))],
         "desired_speedup": check_real("desired_speedup", desired_speedup),
         "achieved_speedup": check_real("achieved_speedup", achieved_speedup),
     }
@@ -299,7 +304,8 @@ def write_pair_labels(path, labels: Sequence[tuple[int, int, int]]) -> None:
     ValueError naming the record is raised before the file is opened otherwise.
     """
     lines = []
-    for rec_no, record in enumerate(labels):
+    for rec_no, record in enumerate(check_items("labels", labels, "(segment, description, "
+                                                "label) records")):
         where = f"label record {rec_no}"
         values = [check_int(f"{where}: {name}", value, None) for name, value in
                   zip(("segment index", "description index", "label"),

@@ -264,6 +264,188 @@ def _step(
     _descend(net.b2, np.sum(g_a2, axis=0, out=buf.b2), lr)
 
 
+# Bounds on the drift of embeddings (see _EmbeddingCache).  A sum of squares is used only
+# where it lies in _SUM_RANGE, so that underflow and overflow move it by less than one eps.
+_SUM_RANGE = (1e-200, 1e200)
+_EPS = float(np.finfo(float).eps)
+# Multiplying the result of up to 100 rounded +, * and sqrt on non-negative terms by _UP
+# gives an upper bound on their exact value: each rounding loses at most eps / 2.
+_UP = 1.0 + 2.0**-40
+# Error allowed per entry of numpy's float64 tanh, whose entries are at most 1 in
+# magnitude: against 120-bit mpmath, numpy 2.4's tanh was within 1.2 ulp at 42,000 points.
+_TANH_ERR = 16 * _EPS
+# Allowed for products that underflow, with every bound within _SUM_RANGE.
+_TINY = 1e-200
+
+
+def _norm_up(rows: np.ndarray) -> float:
+    """An upper bound on the largest Euclidean norm of the rows of a 2-D array, or inf.
+
+    With s the largest computed sum of squares of a row of n entries: in _SUM_RANGE, no
+    square overflows, the squares that underflow lose less than n * 2**-1074, far below
+    eps * s, and the sums are within (n - 1) eps / 2 of exact in any order, so
+    sqrt(s) (1 + (n + 8) eps) bounds every row.  Below the range, sqrt(n) times the
+    largest magnitude does, plus _TINY for its rounding; above it, or with a NaN, the
+    bound is inf.
+    """
+    n = rows.shape[1]
+    s = float(rows[0] @ rows[0] if len(rows) == 1 else np.einsum("ij,ij->i", rows, rows).max())
+    if _SUM_RANGE[0] <= s <= _SUM_RANGE[1]:
+        return math.sqrt(s) * (1.0 + (n + 8) * _EPS)
+    if s < _SUM_RANGE[0]:
+        return (math.sqrt(n) * float(np.abs(rows).max()) + _TINY) * _UP
+    return math.inf
+
+
+def _spectral_up(w: np.ndarray) -> float:
+    """An upper bound on the spectral norm of `w`, never above `_norm_up`'s Frobenius bound.
+
+    The squared spectral norm is the largest eigenvalue of the Gram matrix G of w's shorter
+    side, w.T @ w or w @ w.T, and by Gershgorin's theorem at most G's largest absolute row
+    sum.  Each computed entry of G, a sum of k products, is within (k + 1) eps / 2 times
+    the same sum over |w|; those sums add up along a row to at most c1 * cinf, the largest
+    absolute column and row sums of w.  With the Frobenius sum in _SUM_RANGE, the products
+    that underflow are far below eps times the eigenvalue, which is at least that sum
+    divided by G's width.
+    """
+    frobenius = _norm_up(w.reshape(1, -1))
+    if not frobenius < math.inf or float(np.einsum("ij,ij", w, w)) < _SUM_RANGE[0]:
+        return frobenius
+    k, width = max(w.shape), min(w.shape)
+    gram = w.T @ w if w.shape[1] == width else w @ w.T
+    mag = np.abs(w)
+    c1, cinf = float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max())
+    rows = float(np.abs(gram).sum(axis=1).max())
+    slack = 1.0 + (k + width + 8) * _EPS
+    return min(frobenius, math.sqrt((rows + (k + 2) * _EPS * c1 * cinf) * slack) * _UP)
+
+
+class _EmbeddingCache:
+    """Each numbered input's last exact pooled embedding, computed by `_forward` and the
+    mean, and a certified bound on how far the updates since then can have moved it.
+
+    An input is fresh when it was embedded since the last update: its embedding then is
+    the one the weights give now, bit for bit.  Otherwise `drift` bounds how far the
+    exact embedding of the input under the current weights lies from its exact embedding
+    under the weights it was embedded with, and `rounding` bounds twice how far any
+    embedding the forward pass computes under weights seen so far lies from the exact
+    one.  So the embedding the forward pass would compute now lies within drift +
+    rounding of the cached one.
+
+    Drift.  The real embedding is the mean over rows x of tanh(W2 tanh(W1 x + b1) + b2),
+    and tanh is 1-Lipschitz with |tanh| <= 1.  An update by (dW1, db1, dW2, db2) moves the
+    hidden layer by at most |dW1|_F rho + |db1|, rho the largest row norm of the input,
+    and the output by at most S2' (|dW1|_F rho + |db1|) + |dW2|_F sqrt(H) + |db2|, S2' a
+    bound on the spectral norm of the new W2.  The change of each parameter is the
+    scaled step g' that `_step` subtracts, plus the rounding of the subtraction, at most
+    eps / 2 of the old weight plus g'; so |dW|_F <= |g'|_F (1 + eps) + eps N, with N a
+    bound on |W|_F that grows by |dW|_F at each update, as S2 does.  `_norm_up` bounds
+    each |g'|; for a one-row w1 step, whose rows `_step` forms in blocks, the bound is
+    lr |g_a1| |x| plus what underflow can add.  S2 starts from `_spectral_up`.
+
+    Rounding.  Every product of the forward pass is a sum of k products within
+    (k + 1) eps / 2 of exact times the sum of their magnitudes, in any order, so with
+    |z1| <= sqrt(H) the layers lie within S2 ((D + 2) eps (N1 rho + Nb1) + t sqrt(H)) +
+    (H + 2) eps (N2 sqrt(H) + Nb2) + t sqrt(E) of exact, t the tanh error _TANH_ERR, and
+    the mean adds (n + 2) eps sqrt(E) for n rows.  The bounds N only grow, so this one
+    covers the cached embedding and the one the forward pass would compute now.  With
+    every bound finite, underflow adds less than _TINY.
+
+    A bound that is not finite stays so.  While every N is finite, so is every weight,
+    since a subtraction within N + |g'| cannot overflow; a NaN or infinite step makes its
+    bound inf; weights beyond 1e100 or a sum of squares beyond _SUM_RANGE make N inf.
+    All bound arithmetic ends in a multiplication by _UP, so rounding only loosens it.
+    """
+
+    def __init__(self, nets, inputs):
+        self.nets = nets
+        self.inputs = inputs  # (net index, rows) of each numbered input
+        self.rho = [_norm_up(rows) for _, rows in inputs]
+        self.pooled = [None] * len(inputs)
+        self.drift = [math.inf] * len(inputs)
+        self.version = [-1] * len(inputs)
+        self.updates = 0
+        # Per net: bounds on |w1|_F, |b1|, |w2|_F, |b2| and the spectral norm of w2.
+        self.norms = [[_norm_up(getattr(net, f.name).reshape(1, -1)) for f in fields(Subnet)]
+                      + [_spectral_up(net.w2)] for net in nets]
+        self._bound_rounding()
+
+    def _bound_rounding(self) -> None:
+        terms = []
+        for net, (w1, b1, w2, b2, s2) in zip(self.nets, self.norms):
+            root_h, root_e = math.sqrt(net.hidden_dim), math.sqrt(net.embed_dim)
+            gamma1, gamma2 = (net.input_dim + 2) * _EPS, (net.hidden_dim + 2) * _EPS
+            terms.append((s2 * gamma1 * w1, s2 * (gamma1 * b1 + _TANH_ERR * root_h)
+                          + gamma2 * (w2 * root_h + b2) + _TANH_ERR * root_e, _EPS * root_e))
+        self.rounding = []
+        for (k, rows), rho in zip(self.inputs, self.rho):
+            per_rho, fixed, per_row = terms[k]
+            self.rounding.append(
+                2.0 * (per_rho * rho + fixed + per_row * (len(rows) + 2) + _TINY) * _UP)
+
+    def fresh(self, n: int) -> bool:
+        return self.version[n] == self.updates
+
+    def embed(self, n: int):
+        """Embed input n under the current weights; return its activations (z1, z2)."""
+        k, rows = self.inputs[n]
+        acts = _forward(self.nets[k], rows)
+        self.pooled[n] = acts[1].mean(axis=0)
+        self.drift[n], self.version[n] = 0.0, self.updates
+        return acts
+
+    def beyond_margin(self, inputs, margin: float) -> bool:
+        """Whether the squared distance the forward passes would give the two inputs now,
+        at least one of them embedded, is certainly at least `margin`.
+
+        With s the computed sum of squares of the difference of the cached embeddings (E
+        entries each), in _SUM_RANGE: the subtraction and the sum move s by at most
+        (E + 2) eps / 2 of it, underflow by far less, so sqrt(s) (1 - (E + 8) eps) is at
+        most the exact distance of the cached embeddings, roundings included.  By the
+        triangle inequality the embeddings the forward passes would compute now are at
+        least lo = that - (drift + rounding of each input not fresh) apart.  A pair's loss
+        computes their squared distance within (E + 3) eps of exact, so lo >= 1e-100 (no
+        underflow) and (1 - (E + 32) eps) lo**2 >= margin, four more roundings, make it at
+        least the margin: the loss is 0.0 and the pooled gradient zero.
+        """
+        v, d = inputs
+        if self.pooled[v] is None or self.pooled[d] is None:
+            return False
+        slack = sum(self.drift[n] + self.rounding[n] for n in inputs if not self.fresh(n)) * _UP
+        diff = self.pooled[v] - self.pooled[d]
+        s = float(diff @ diff)
+        if not _SUM_RANGE[0] <= s <= _SUM_RANGE[1]:
+            return False
+        lo = math.sqrt(s) * (1.0 - (diff.size + 8) * _EPS) - slack
+        return lo >= 1e-100 and lo * lo * (1.0 - (diff.size + 32) * _EPS) >= margin
+
+    def stepped(self, bufs, deltas, inputs, lr: float) -> None:
+        """Start a new weight version after `_step` updated both nets, with their scaled
+        gradients in `bufs`, from `deltas`, the (x, z1, g_a1, g_a2) of the example whose
+        input numbers are `inputs`; add to the drift of each input a bound on how far its
+        net's step moved its embedding."""
+        for k, (net, buf, (x, _, g_a1, _), n) in enumerate(zip(self.nets, bufs, deltas, inputs)):
+            if len(x) == 1:  # _step formed the w1 step in blocks of the outer product
+                count = math.sqrt(net.hidden_dim) * math.sqrt(net.input_dim)
+                g_w1 = (lr * _norm_up(g_a1) * self.rho[n] + (lr + 1.0) * count * _TINY) * _UP
+            else:
+                g_w1 = _norm_up(buf.w1.reshape(1, -1))
+            steps = [g_w1] + [_norm_up(getattr(buf, f.name).reshape(1, -1))
+                              for f in fields(Subnet)[1:]]
+            norms = self.norms[k]
+            d1, db1, d2, db2 = ((g * (1.0 + _EPS) + _EPS * old) * _UP
+                                for g, old in zip(steps, norms))
+            for i, d in enumerate((d1, db1, d2, db2, d2)):
+                norms[i] = (norms[i] + d) * _UP
+            s2, root_h = norms[4], math.sqrt(net.hidden_dim)
+            for i, ((owner, _), rho) in enumerate(zip(self.inputs, self.rho)):
+                if owner == k:
+                    moved = (s2 * (d1 * rho + db1) + d2 * root_h + db2) * _UP
+                    self.drift[i] = (self.drift[i] + moved) * _UP
+        self.updates += 1
+        self._bound_rounding()
+
+
 def sgd_train(
     vnet: Subnet,
     dnet: Subnet,
@@ -291,14 +473,25 @@ def sgd_train(
     before the first step; otherwise a ValueError names the setting, the net and
     field, or the example at fault.  No caller's record is written to.
 
-    Between two updates the weights do not change, so each segment and each
-    description is embedded once and its embedding reused until the next update;
-    an update runs the pair's two forward passes again for its backward pass.
     Each distinct input is numbered once, before the first step: inputs are the
     same when they are the same memory (net, data address, shape and strides), as
     the views `sample_pairs` hands out are.  The checked examples hold every input
     for the whole call, so no two live inputs share an address by chance; no input
-    may be changed in place while sgd_train runs.
+    may be changed in place while sgd_train runs.  Each input keeps its last exact
+    embedding and a certified bound on how far the updates since then can have
+    moved it (`_EmbeddingCache` gives the argument, rounding, underflow and overflow
+    included).  A negative example whose cached embeddings lie, by that bound, at a
+    squared distance of at least the margin is skipped: it adds the loss 0.0 and
+    runs no forward pass.  Otherwise it embeds its inputs not embedded since the
+    last update, the one with the larger bound first, checking the bound again
+    after each; if it still does not clear, the example runs exactly as above.  An
+    update reuses the activations its example computed in the same step and runs
+    the other forward passes again.  On the train bench's inputs (20 segments of 36
+    frames, 1024 -> 256 -> 300 and 4800 -> 256 -> 300, one epoch, learning rate
+    0.01, data seeds 0-5), 94 to 97 segment forwards run where embedding every input
+    once per weight version took 248.  Descriptions move too far at an update (up to
+    10.3-12.1, where segments move up to 0.16-0.25) for the bound to clear, so 230
+    description forwards still run, against 235.
     """
     cfg = replace(cfg)
     if len(dataset) == 0:
@@ -307,15 +500,20 @@ def sgd_train(
     dnet = _copy_net(_checked_net("description net", dnet))
     examples = []  # (sides, label, input numbers) of each checked copy, on the copied nets
     numbers: dict = {}  # (net, data address, shape, strides) -> input number
+    inputs = []  # (net index, rows) of each numbered input
     for i, ex in enumerate(dataset):
         try:
             sides, label = _sides(vnet, dnet, ex)
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
-        inputs = tuple(numbers.setdefault((id(net), rows.__array_interface__["data"][0],
-                                           rows.shape, rows.strides), len(numbers))
-                       for net, rows in sides)
-        examples.append((sides, label, inputs))
+        numbered = []
+        for k, (net, rows) in enumerate(sides):
+            n = numbers.setdefault((id(net), rows.__array_interface__["data"][0], rows.shape,
+                                    rows.strides), len(numbers))
+            if n == len(inputs):
+                inputs.append((k, rows))
+            numbered.append(n)
+        examples.append((sides, label, tuple(numbered)))
     # One gradient buffer per parameter, reused by every step.  A description is one
     # row, so the description net's w1 buffer holds only one block of rows.
     vbuf = Subnet(*(np.empty_like(getattr(vnet, f.name)) for f in fields(Subnet)))
@@ -323,25 +521,34 @@ def sgd_train(
         np.empty((min(_ROW_BLOCK, dnet.hidden_dim), dnet.input_dim)),
         *(np.empty_like(getattr(dnet, f.name)) for f in fields(Subnet)[1:]),
     )
+    cache = _EmbeddingCache((vnet, dnet), inputs)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
-    pooled = [None] * len(numbers)  # each input's pooled embedding under the current weights
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(dataset)):
-            sides, label, inputs = examples[idx]
-            for (net, rows), n in zip(sides, inputs):
-                if pooled[n] is None:
-                    pooled[n] = _forward(net, rows)[1].mean(axis=0)
-            loss, g_x = _loss_and_pooled_gradient(*(pooled[n] for n in inputs), label, cfg.margin)
+            sides, label, numbered = examples[idx]
+            acts = {}  # the activations this step computed, by input number
+            while True:
+                stale = [n for n in numbered if not cache.fresh(n)]
+                if not stale or not label and cache.beyond_margin(numbered, cfg.margin):
+                    break
+                n = max(stale, key=cache.drift.__getitem__)
+                acts[n] = cache.embed(n)
+            if stale:  # beyond the margin: its loss, 0.0, leaves the total as it is
+                continue
+            loss, g_x = _loss_and_pooled_gradient(*(cache.pooled[n] for n in numbered),
+                                                  label, cfg.margin)
             total += loss
             # NaN is non-zero here, so a pair that went NaN still takes its step.
             if not g_x.any():
                 continue
-            acts = [_forward(net, rows) for net, rows in sides]
-            for (net, _), buf, delta in zip(sides, (vbuf, dbuf), _deltas(sides, acts, g_x)):
+            step_acts = [acts[n] if n in acts else _forward(net, rows)
+                         for (net, rows), n in zip(sides, numbered)]
+            deltas = _deltas(sides, step_acts, g_x)
+            for (net, _), buf, delta in zip(sides, (vbuf, dbuf), deltas):
                 _step(net, buf, *delta, cfg.learning_rate)
-            pooled = [None] * len(numbers)
+            cache.stepped((vbuf, dbuf), deltas, numbered, cfg.learning_rate)
         history.append(total / len(dataset))
     return vnet, dnet, history
 

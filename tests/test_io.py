@@ -353,6 +353,33 @@ class TestIntervalDocuments:
         assert str(exc.value) == message
         assert path.read_bytes() == b"old"
 
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda path: write_summary(path, [Segment(0, 0, 4), (0, 4)], 1, 4),
+             "segment record 1 must be a Segment, got (0, 4)"),
+            (lambda path: write_summary(path, 5, 1, 4),
+             "segments must be a sequence of Segment records, got 5"),
+            (lambda path: write_selection(path, 5, 2.0, 2.0),
+             "selected must be a sequence of frame indices, got 5"),
+            (lambda path: write_pair_labels(path, 5),
+             "labels must be a sequence of (segment, description, label) records, got 5"),
+            (lambda path: write_intervals(path, 5),
+             "intervals must be a sequence of [start, end] pairs, got 5"),
+        ],
+        ids=["summary-tuple-record", "summary-number", "selection-number", "labels-number",
+             "intervals-number"],
+    )
+    def test_writer_names_records_that_are_not_a_sequence_of_its_records(self, tmp_path,
+                                                                        write, message):
+        """A ValueError names the argument or record, and the file keeps its bytes."""
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError) as exc:
+            write(path)
+        assert str(exc.value) == message
+        assert path.read_bytes() == b"old"
+
     def test_summary_numpy_integers_written_as_ints(self, tmp_path):
         want, got = tmp_path / "want.json", tmp_path / "got.json"
         write_summary(want, [Segment(0, 0, 4)], 3, 4)

@@ -156,3 +156,34 @@ def test_fixed_seed_steps_name_every_property_test_file():
     assert property_files
     for step in steps:
         assert set(re.findall(r"tests/\w+\.py", step)) == property_files
+
+
+SPECTRAL_ESTIMATES = ("svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh")
+
+
+def _spectral_estimates(path: Path) -> list[str]:
+    """Each call in `path` of an SVD or eigenvalue routine, or of `norm` with ord 2 or -2
+    (by keyword or as its second argument), as "file:line name"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        order = [kw.value for kw in node.keywords if kw.arg == "ord"] + node.args[1:2]
+        try:
+            spectral = name == "norm" and order and ast.literal_eval(order[0]) in (2, -2)
+        except ValueError:  # an ord that is not a literal
+            spectral = False
+        if name in SPECTRAL_ESTIMATES or spectral:
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_spectral_norm_estimates():
+    """Training skips an example only on certified upper bounds of norms (`train._norm_up`
+    and `train._spectral_up`).  An SVD, an eigenvalue routine or a 2-norm is a rounded
+    estimate that may lie below the exact value, so none may appear in `src/videosum`."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _spectral_estimates(path)] == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from videosum import train
 from videosum.model import Subnet, embed_frames, init_subnet
 from videosum.summarize import segment_features, uniform_segments
+from videosum.synth import SynthSpec, synth_generate
 from videosum.train import (
     PairExample,
     TrainConfig,
@@ -647,9 +648,11 @@ class TestEmbeddingReuse:
         assert_same_bits(got_d, dnet)
 
     def test_each_input_embedded_once_per_weight_version(self, monkeypatch):
-        """The calls replayed by hand: an example embeds each of its two inputs not yet
-        embedded since the last update; one that updates (here, the positive pairs)
-        runs its two forward passes again and starts a new weight version."""
+        """The calls replayed by hand.  An example that updates (here, the positive pairs)
+        embeds its inputs not embedded since the last update, then runs the forward passes
+        its update did not compute in the same step: two in all.  At margin 0 and these
+        small steps, the drift bound clears every negative pair whose inputs both have an
+        embedding, so a negative pair embeds only inputs never embedded before."""
         rng = np.random.default_rng(12)
         vnet, dnet = init_subnet(12, 6, 5, 3), init_subnet(13, 7, 5, 3)
         records = [(i, j, int(i == j == 1)) for i in range(3) for j in range(3)]
@@ -661,11 +664,9 @@ class TestEmbeddingReuse:
         for _ in range(cfg.epochs):
             for idx in order.permutation(len(dataset)):
                 seg, desc, label = records[idx]
-                want_calls += len({("video", seg), ("description", desc)} - seen)
-                seen |= {("video", seg), ("description", desc)}
-                if label:
-                    want_calls += 2
-                    seen = set()
+                mine = {("video", seg), ("description", desc)}
+                want_calls += 2 if label else len(mine - seen)
+                seen |= mine
         calls = self.spy_on_forward(monkeypatch)
         got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
         assert len(calls) == want_calls < 2 * len(dataset) * cfg.epochs
@@ -717,6 +718,191 @@ class TestEmbeddingReuse:
         assert history == want_history
         assert_same_bits(got_v, want_v)
         assert_same_bits(got_d, want_d)
+
+
+class TestMarginBound:
+    """A negative pair whose cached embeddings lie beyond the margin by more than their
+    certified drift and rounding bounds is skipped with no forward pass; every other
+    example reaches the exact loss, and training is bitwise the loop over loss_gradients."""
+
+    @staticmethod
+    def spy_on_exact_losses(monkeypatch):
+        """Record the label of every example that reaches the exact loss."""
+        labels = []
+        real = train._loss_and_pooled_gradient
+
+        def spy(x, y, label, margin):
+            labels.append(label)
+            return real(x, y, label, margin)
+
+        monkeypatch.setattr(train, "_loss_and_pooled_gradient", spy)
+        return labels
+
+    @staticmethod
+    def without_skips(monkeypatch, *args):
+        """sgd_train(*args) with a bound that never clears."""
+        with monkeypatch.context() as patch:
+            patch.setattr(train._EmbeddingCache, "beyond_margin", lambda *_: False)
+            return sgd_train(*args)
+
+    @staticmethod
+    def pool_dataset(seed, video_dim, desc_dim, rows, n_descs):
+        """Every segment with every description; only segment 0 with description 0 is a
+        positive pair, whose updates leave the other pairs' embeddings stale."""
+        rng = np.random.default_rng(seed)
+        return sample_pairs([rng.normal(size=(n, video_dim)) for n in rows],
+                            rng.normal(size=(n_descs, desc_dim)),
+                            [(i, j, int(i == j == 0)) for i in range(len(rows))
+                             for j in range(n_descs)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        rows=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+        n_descs=st.integers(1, 3),
+        pick=st.integers(0, 8),
+        side=st.sampled_from([-1, 0, 1]),
+        learning_rate=st.sampled_from([1e-9, 1e-4, 0.05]),
+        epochs=st.integers(1, 3),
+    )
+    def test_margin_on_a_negative_pairs_distance_property(
+        self, seed, dims, rows, n_descs, pick, side, learning_rate, epochs
+    ):
+        """The margin is a negative pair's squared distance under the initial weights,
+        the float below it or the float above it, so that skip decisions sit on the
+        boundary; small learning rates keep the drift bounds close to it."""
+        video_dim, desc_dim, hidden, embed = dims
+        vnet = init_subnet(seed, video_dim, hidden, embed)
+        dnet = init_subnet(seed + 1, desc_dim, hidden, embed)
+        dataset = self.pool_dataset(seed, video_dim, desc_dim, rows, n_descs)
+        negatives = [sq_dist(vnet, dnet, ex) for ex in dataset if not ex.label]
+        d = negatives[pick % len(negatives)]
+        margin = d if side == 0 else math.nextafter(d, math.inf if side > 0 else 0.0)
+        cfg = TrainConfig(margin=margin, learning_rate=learning_rate, epochs=epochs, seed=seed)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        want_v, want_d, want_history = reference_sgd(vnet, dnet, dataset, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 2),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        rows=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+        n_descs=st.integers(1, 3),
+        scale=st.sampled_from([1.0, 1e-170, 1e60]),
+        learning_rate=st.sampled_from([1e-9, 0.05, 3.0]),
+    )
+    def test_cached_embedding_lies_within_its_bounds_property(
+        self, seed, dims, rows, n_descs, scale, learning_rate
+    ):
+        """Whenever the bound is asked about a pair, each input not embedded since the
+        last update lies within drift + rounding of the embedding the forward pass gives
+        now, at weight scales where naive norms underflow or overflow."""
+        video_dim, desc_dim, hidden, embed = dims
+        vnet, dnet = (Subnet(*(scale * getattr(init_subnet(s, dim, hidden, embed), name)
+                               for name in PARAM_NAMES))
+                      for s, dim in ((seed, video_dim), (seed + 1, desc_dim)))
+        dataset = self.pool_dataset(seed, video_dim, desc_dim, rows, n_descs)
+        real = train._EmbeddingCache.beyond_margin
+
+        def spy(cache, inputs, margin):
+            for n in inputs:
+                if cache.pooled[n] is not None and not cache.fresh(n):
+                    net, rows = cache.nets[cache.inputs[n][0]], cache.inputs[n][1]
+                    gap = cache.pooled[n] - embed_frames(net, rows)
+                    assert math.sqrt(gap @ gap) <= cache.drift[n] + cache.rounding[n]
+            return real(cache, inputs, margin)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train._EmbeddingCache, "beyond_margin", spy)
+            sgd_train(vnet, dnet, dataset,
+                      TrainConfig(margin=1.0, learning_rate=learning_rate, epochs=3, seed=seed))
+
+    def test_no_skip_with_weights_near_1e150(self, monkeypatch):
+        """The video net's first layer scaled by 1e150 and its frames by 1e-150: the
+        activations are those of the unscaled twin, which skips pairs, but a norm
+        beyond the safe range stops every skip."""
+        vnet, dnet = init_subnet(1, 6, 5, 4), init_subnet(2, 5, 5, 4)
+        dataset = self.pool_dataset(3, 6, 5, (2, 3, 1), 3)
+        big = Subnet(vnet.w1 * 1e150, vnet.b1, vnet.w2, vnet.b2)
+        tiny = [PairExample(ex.segment * 1e-150, ex.desc, ex.label) for ex in dataset]
+        cfg = TrainConfig(margin=1.0, learning_rate=0.05, epochs=4, seed=2)
+        exact = self.spy_on_exact_losses(monkeypatch)
+        sgd_train(vnet, dnet, dataset, cfg)
+        assert len(exact) < len(dataset) * cfg.epochs
+        exact.clear()
+        got_v, got_d, history = sgd_train(big, dnet, tiny, cfg)
+        assert len(exact) == len(tiny) * cfg.epochs
+        want_v, want_d, want_history = reference_sgd(big, dnet, tiny, cfg)
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    @staticmethod
+    def overflowing_case():
+        """First-layer weights of 1e-300 against frames of 1e300 and a learning rate of
+        1e10: the first update overflows first-layer weights to inf, and later updates
+        turn the weights NaN."""
+        vnet, dnet = init_subnet(1, 6, 5, 4), init_subnet(2, 5, 5, 4)
+        rng = np.random.default_rng(0)
+        dataset = sample_pairs([1e300 * rng.normal(size=(n, 6)) for n in (2, 3, 1)],
+                               rng.normal(size=(3, 5)),
+                               [(i, j, int(i == j)) for i in range(3) for j in range(3)])
+        return Subnet(vnet.w1 * 1e-300, vnet.b1, vnet.w2, vnet.b2), dnet, dataset
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_skip_after_an_update_overflows_a_weight(self, monkeypatch):
+        vnet, dnet, dataset = self.overflowing_case()
+        cfg = TrainConfig(margin=1.0, learning_rate=1e10, epochs=1, seed=0)
+        stepped = []
+        real = train._step
+
+        def spy(net, *args):
+            real(net, *args)
+            stepped.append((np.isinf(net.w1).any(), np.isnan(net.w1).any()))
+
+        want_v, want_d, want_history = self.without_skips(monkeypatch, vnet, dnet, dataset, cfg)
+        monkeypatch.setattr(train, "_step", spy)
+        exact = self.spy_on_exact_losses(monkeypatch)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        assert stepped[0] == (True, False)
+        assert len(exact) == len(dataset)
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_skip_with_nan_weights(self, monkeypatch):
+        vnet, dnet, dataset = self.overflowing_case()
+        cfg = TrainConfig(margin=1.0, learning_rate=1e10, epochs=3, seed=0)
+        want_v, want_d, want_history = self.without_skips(monkeypatch, vnet, dnet, dataset, cfg)
+        exact = self.spy_on_exact_losses(monkeypatch)
+        got_v, got_d, history = sgd_train(vnet, dnet, dataset, cfg)
+        assert np.isnan(got_v.w1).all() and np.isnan(got_d.w1).all()
+        assert len(exact) == len(dataset) * cfg.epochs
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+    def test_bench_shaped_training_skips_most_segment_forwards(self, monkeypatch):
+        """The train bench's shapes: 20 events of 32 frames and 4 gap frames at 1024-d,
+        36-frame segments, descriptions through a seeded 4800-d projection, nets
+        1024 -> 256 -> 300 and 4800 -> 256 -> 300, one epoch at learning rate 0.01.
+        Embedding each input once per weight version took 248 segment forwards; the
+        bound leaves 96, on one BLAS thread as on two."""
+        data = synth_generate(SynthSpec(seed=0, n_events=20, frames_per_event=32,
+                                        gap_frames=4, dim=1024))
+        descs = data.descs @ np.random.default_rng([0, 1]).normal(size=(20, 4800))
+        segments = uniform_segments(len(data.features), 36)
+        dataset = sample_pairs([data.features[s.start : s.end] for s in segments], descs,
+                               data.labels)
+        calls = TestEmbeddingReuse.spy_on_forward(monkeypatch)
+        vnet, _, _ = sgd_train(init_subnet(0, 1024, 256, 300), init_subnet(1, 4800, 256, 300),
+                               dataset, TrainConfig(margin=1.0, learning_rate=0.01, epochs=1))
+        assert sum(net is vnet for net, _ in calls) <= 130
 
 
 class TestSgdTrainRejectsNonFinite:
