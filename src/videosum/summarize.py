@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._bounds import SUM_RANGE, gram_shrink, sum_shrink
 from ._checks import (NOT_A_RECORD, check_finite, check_int, check_matrix, check_real,
                       check_vector, first_non_finite)
 from .model import Subnet, _checked_frames, _checked_net, _forward
@@ -219,32 +220,18 @@ def _sq_dists_to(p: np.ndarray, targets: np.ndarray, out: np.ndarray | None = No
     return out
 
 
-# Every non-zero squared norm in this range keeps the Gram bound's rounding and underflow
-# inside its margin, and nothing in it or in the exact distances overflows.
-_GRAM_RANGE = (1e-150, 1e150)
-_EPS = float(np.finfo(float).eps)
-
-
 def _gram_lower_bounds(arr: np.ndarray) -> np.ndarray | None:
-    """lo[i, j] <= the exact float squared distance between points i and j, or None when a
-    point other than the origin has a squared norm outside _GRAM_RANGE, 0 included.
-
-    lo = max(0, sq_i + sq_j - 2 * (arr @ arr.T)[i, j] - e * (sq_i + sq_j)), 0 on the diagonal,
-    with sq the squared row norms and e = 8 * (D + 4) * eps.  The norms, the Gram entry and
-    the exact distance are each within about D * eps * (sq_i + sq_j) of their real values
-    (|x.y| <= (sq_i + sq_j) / 2), so e is about four times what rounding can move lo above
-    the exact distance, and within the range underflow adds less than 1e-300.  Whatever
-    the BLAS and its threads, only how tight lo is depends on them.
-    """
-    dim = arr.shape[1]
+    """lo[i, j] <= the float squared distance `_sq_dists_to` gives points i and j, or None
+    when a point other than the origin has a squared norm outside SUM_RANGE, 0 included:
+    max(0, sq_i + sq_j - 2 (arr @ arr.T)[i, j] - e (sq_i + sq_j)), 0 on the diagonal, sq the
+    squared norms, 1 - e `gram_shrink`.  Only how tight lo is depends on the BLAS."""
     sq = np.einsum("ij,ij->i", arr, arr)
-    low, high = _GRAM_RANGE
     zero = sq == 0
-    if not (zero | ((sq >= low) & (sq <= high))).all() or arr[zero].any():
+    if not (zero | (sq >= SUM_RANGE[0]) & (sq <= SUM_RANGE[1])).all() or arr[zero].any():
         return None
     lo = arr @ arr.T
     lo *= -2.0
-    sq *= 1.0 - 8 * (dim + 4) * _EPS
+    sq *= gram_shrink(arr.shape[1])
     lo += sq[:, None]
     lo += sq
     np.maximum(lo, 0.0, out=lo)
@@ -300,9 +287,8 @@ def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
     Every choice reads exact sums over exact rows of the squared-distance matrix d2, each
     row computed by `_sq_dists_to` when first needed and kept; row c equals column c,
     since (a-b)**2 == (b-a)**2.  The Gram bound `lo <= d2` only decides which sums are
-    needed.  A bound adds non-negative terms, each at most the exact sum's term; in any
-    order, it and the exact sum are together within (n + 2) * eps of their real values, so
-    a bound times `shrink` is at most the exact sum it bounds.
+    needed: a bound adds non-negative terms, each at most the exact sum's term and through
+    at most n + 1 roundings, so times `sum_shrink(n)` it is at most the exact sum.
     """
     n = arr.shape[0]
     exact: list[np.ndarray | None] = [None] * n
@@ -317,7 +303,7 @@ def _pam(arr: np.ndarray, k: int) -> Iterator[tuple[list[int], float]]:
         lo = np.empty((n, n))
         for c in range(n):
             row(c, lo[c])
-    shrink = 1.0 - 4 * (n + 8) * _EPS
+    shrink = sum_shrink(n)
     nn = np.empty((n, n))
     bound = np.empty(n)
 

@@ -19,8 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._bounds import (EPS, TANH_ERR, TINY, UP, clears, dot_err, norm_up, outer_up, spectral_up,
+                      step_up)
 from ._checks import (as_floats, check_finite, check_int, check_matrix, check_pair_label,
-                      check_real)
+                      check_real, check_vector)
 from .model import Subnet, _checked_net, _forward
 
 __all__ = [
@@ -77,15 +79,18 @@ class TrainConfig:
 
 
 def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1.0) -> float:
-    """label * d(x, y) + (1 - label) * max(0, margin - d), d = squared distance; NaN if d is."""
-    x = as_floats("x", x)
-    y = as_floats("y", y)
+    """label * d(x, y) + (1 - label) * max(0, margin - d), d = squared distance; NaN if d is.
+    x and y must be 1-D vectors of one shape; a d that overflows float64 raises."""
+    x, y = check_vector("x", x), check_vector("y", y)
     if x.shape != y.shape:
         raise ValueError(f"embedding shapes differ: {x.shape} vs {y.shape}")
     margin = check_real("margin", margin, 0)
     label = _check_label(label)
-    diff = x - y
-    d = float(diff @ diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x - y
+        d = float(diff @ diff)
+    if d == math.inf:
+        raise ValueError("the squared distance of x and y overflows float64")
     if label:
         return d
     return 0.0 if d >= margin else margin - d  # a NaN d fails the test and stays NaN
@@ -204,7 +209,6 @@ def finite_diff_check(
     dnet = _copy_net(_checked_net("description net", dnet))
     sides, label = _sides(vnet, dnet, ex)
     _, grad_v, grad_d = _gradients(sides, label, margin)
-    eps = np.finfo(float).eps
     worst = 0.0
     for (net, _), grads in zip(sides, (grad_v, grad_d)):
         for f in fields(Subnet):
@@ -218,7 +222,7 @@ def finite_diff_check(
                 down = _forward_loss(sides, label, margin)[1]
                 theta[idx] = orig
                 numeric = (up - down) / (2.0 * h)
-                rounding = eps * max(abs(up), abs(down)) / h
+                rounding = EPS * max(abs(up), abs(down)) / h
                 a = analytic[idx]
                 err = (abs(a - numeric) - rounding) / max(abs(a), abs(numeric), 1e-8)
                 if math.isnan(err):
@@ -264,124 +268,44 @@ def _step(
     _descend(net.b2, np.sum(g_a2, axis=0, out=buf.b2), lr)
 
 
-# Bounds on the drift of embeddings (see _EmbeddingCache).  A sum of squares is used only
-# where it lies in _SUM_RANGE, so that underflow and overflow move it by less than one eps.
-_SUM_RANGE = (1e-200, 1e200)
-_EPS = float(np.finfo(float).eps)
-# Multiplying the result of up to 100 rounded +, * and sqrt on non-negative terms by _UP
-# gives an upper bound on their exact value: each rounding loses at most eps / 2.
-_UP = 1.0 + 2.0**-40
-# Error allowed per entry of numpy's float64 tanh, whose entries are at most 1 in
-# magnitude: against 120-bit mpmath, numpy 2.4's tanh was within 1.2 ulp at 42,000 points.
-_TANH_ERR = 16 * _EPS
-# Allowed for products that underflow, with every bound within _SUM_RANGE.
-_TINY = 1e-200
-
-
-def _norm_up(rows: np.ndarray) -> float:
-    """An upper bound on the largest Euclidean norm of the rows of a 2-D array, or inf.
-
-    With s the largest computed sum of squares of a row of n entries: in _SUM_RANGE, no
-    square overflows, the squares that underflow lose less than n * 2**-1074, far below
-    eps * s, and the sums are within (n - 1) eps / 2 of exact in any order, so
-    sqrt(s) (1 + (n + 8) eps) bounds every row.  Below the range, sqrt(n) times the
-    largest magnitude does, plus _TINY for its rounding; above it, or with a NaN, the
-    bound is inf.
-    """
-    n = rows.shape[1]
-    s = float(rows[0] @ rows[0] if len(rows) == 1 else np.einsum("ij,ij->i", rows, rows).max())
-    if _SUM_RANGE[0] <= s <= _SUM_RANGE[1]:
-        return math.sqrt(s) * (1.0 + (n + 8) * _EPS)
-    if s < _SUM_RANGE[0]:
-        return (math.sqrt(n) * float(np.abs(rows).max()) + _TINY) * _UP
-    return math.inf
-
-
-def _spectral_up(w: np.ndarray) -> float:
-    """An upper bound on the spectral norm of `w`, never above `_norm_up`'s Frobenius bound.
-
-    The squared spectral norm is the largest eigenvalue of the Gram matrix G of w's shorter
-    side, w.T @ w or w @ w.T, and by Gershgorin's theorem at most G's largest absolute row
-    sum.  Each computed entry of G, a sum of k products, is within (k + 1) eps / 2 times
-    the same sum over |w|; those sums add up along a row to at most c1 * cinf, the largest
-    absolute column and row sums of w.  With the Frobenius sum in _SUM_RANGE, the products
-    that underflow are far below eps times the eigenvalue, which is at least that sum
-    divided by G's width.
-    """
-    frobenius = _norm_up(w.reshape(1, -1))
-    if not frobenius < math.inf or float(np.einsum("ij,ij", w, w)) < _SUM_RANGE[0]:
-        return frobenius
-    k, width = max(w.shape), min(w.shape)
-    gram = w.T @ w if w.shape[1] == width else w @ w.T
-    mag = np.abs(w)
-    c1, cinf = float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max())
-    rows = float(np.abs(gram).sum(axis=1).max())
-    slack = 1.0 + (k + width + 8) * _EPS
-    return min(frobenius, math.sqrt((rows + (k + 2) * _EPS * c1 * cinf) * slack) * _UP)
-
-
 class _EmbeddingCache:
-    """Each numbered input's last exact pooled embedding, computed by `_forward` and the
-    mean, and a certified bound on how far the updates since then can have moved it.
-
-    An input is fresh when it was embedded since the last update: its embedding then is
-    the one the weights give now, bit for bit.  Otherwise `drift` bounds how far the
-    exact embedding of the input under the current weights lies from its exact embedding
-    under the weights it was embedded with, and `rounding` bounds twice how far any
-    embedding the forward pass computes under weights seen so far lies from the exact
-    one.  So the embedding the forward pass would compute now lies within drift +
-    rounding of the cached one.
-
-    Drift.  The real embedding is the mean over rows x of tanh(W2 tanh(W1 x + b1) + b2),
-    and tanh is 1-Lipschitz with |tanh| <= 1.  An update by (dW1, db1, dW2, db2) moves the
-    hidden layer by at most |dW1|_F rho + |db1|, rho the largest row norm of the input,
-    and the output by at most S2' (|dW1|_F rho + |db1|) + |dW2|_F sqrt(H) + |db2|, S2' a
-    bound on the spectral norm of the new W2.  The change of each parameter is the
-    scaled step g' that `_step` subtracts, plus the rounding of the subtraction, at most
-    eps / 2 of the old weight plus g'; so |dW|_F <= |g'|_F (1 + eps) + eps N, with N a
-    bound on |W|_F that grows by |dW|_F at each update, as S2 does.  `_norm_up` bounds
-    each |g'|; for a one-row w1 step, whose rows `_step` forms in blocks, the bound is
-    lr |g_a1| |x| plus what underflow can add.  S2 starts from `_spectral_up`.
-
-    Rounding.  Every product of the forward pass is a sum of k products within
-    (k + 1) eps / 2 of exact times the sum of their magnitudes, in any order, so with
-    |z1| <= sqrt(H) the layers lie within S2 ((D + 2) eps (N1 rho + Nb1) + t sqrt(H)) +
-    (H + 2) eps (N2 sqrt(H) + Nb2) + t sqrt(E) of exact, t the tanh error _TANH_ERR, and
-    the mean adds (n + 2) eps sqrt(E) for n rows.  The bounds N only grow, so this one
-    covers the cached embedding and the one the forward pass would compute now.  With
-    every bound finite, underflow adds less than _TINY.
-
-    A bound that is not finite stays so.  While every N is finite, so is every weight,
-    since a subtraction within N + |g'| cannot overflow; a NaN or infinite step makes its
-    bound inf; weights beyond 1e100 or a sum of squares beyond _SUM_RANGE make N inf.
-    All bound arithmetic ends in a multiplication by _UP, so rounding only loosens it.
-    """
+    """Each numbered input's last exact pooled embedding (`_forward`, then the mean) and a
+    certified bound, in `_bounds`' model, on how far the updates since have moved it.  A
+    fresh input, embedded since the last update, has the embedding the weights give now
+    bit for bit; any other lies within drift + rounding of the one computed now.  `drift`:
+    tanh is 1-Lipschitz and bounded by 1, so an update by (dW1, db1, dW2, db2) moves the
+    exact embedding by at most S2' (|dW1|_F rho + |db1|) + |dW2|_F sqrt(H) + |db2|, rho
+    the input's largest row norm, S2' a bound on the new |W2|_2 (`spectral_up` at first)
+    and each bound N on a |W|_F growing by |dW|_F (`step_up`).  `rounding`: twice the
+    error of a forward pass, each layer's products within `dot_err` of their magnitudes
+    (|z1| <= sqrt(H)), tanh's TANH_ERR and the mean's; bounds only grow, so it covers the
+    cached embedding and the one computed now.  A NaN or infinite step or weight, or a sum
+    of squares beyond SUM_RANGE, makes a bound inf."""
 
     def __init__(self, nets, inputs):
         self.nets = nets
         self.inputs = inputs  # (net index, rows) of each numbered input
-        self.rho = [_norm_up(rows) for _, rows in inputs]
+        self.rho = [norm_up(rows) for _, rows in inputs]
+        self.mean_err = [(TANH_ERR + dot_err(len(rows))) * math.sqrt(nets[k].embed_dim)
+                         for k, rows in inputs]  # tanh's and the mean's rounding
         self.pooled = [None] * len(inputs)
         self.drift = [math.inf] * len(inputs)
         self.version = [-1] * len(inputs)
         self.updates = 0
         # Per net: bounds on |w1|_F, |b1|, |w2|_F, |b2| and the spectral norm of w2.
-        self.norms = [[_norm_up(getattr(net, f.name).reshape(1, -1)) for f in fields(Subnet)]
-                      + [_spectral_up(net.w2)] for net in nets]
+        self.norms = [[norm_up(getattr(net, f.name).reshape(1, -1)) for f in fields(Subnet)]
+                      + [spectral_up(net.w2)] for net in nets]
         self._bound_rounding()
 
     def _bound_rounding(self) -> None:
-        terms = []
+        per_net = []  # the rounding of both layers: a multiple of rho, and the rest
         for net, (w1, b1, w2, b2, s2) in zip(self.nets, self.norms):
-            root_h, root_e = math.sqrt(net.hidden_dim), math.sqrt(net.embed_dim)
-            gamma1, gamma2 = (net.input_dim + 2) * _EPS, (net.hidden_dim + 2) * _EPS
-            terms.append((s2 * gamma1 * w1, s2 * (gamma1 * b1 + _TANH_ERR * root_h)
-                          + gamma2 * (w2 * root_h + b2) + _TANH_ERR * root_e, _EPS * root_e))
-        self.rounding = []
-        for (k, rows), rho in zip(self.inputs, self.rho):
-            per_rho, fixed, per_row = terms[k]
-            self.rounding.append(
-                2.0 * (per_rho * rho + fixed + per_row * (len(rows) + 2) + _TINY) * _UP)
+            root_h, err1, err2 = (math.sqrt(net.hidden_dim), dot_err(net.input_dim + 1),
+                                  dot_err(net.hidden_dim + 1))
+            per_net.append((s2 * err1 * w1, s2 * (err1 * b1 + TANH_ERR * root_h)
+                            + err2 * (w2 * root_h + b2) + TINY))
+        self.rounding = [2.0 * (per_net[k][0] * rho + per_net[k][1] + mean) * UP
+                         for (k, _), rho, mean in zip(self.inputs, self.rho, self.mean_err)]
 
     def fresh(self, n: int) -> bool:
         return self.version[n] == self.updates
@@ -395,53 +319,36 @@ class _EmbeddingCache:
         return acts
 
     def beyond_margin(self, inputs, margin: float) -> bool:
-        """Whether the squared distance the forward passes would give the two inputs now,
-        at least one of them embedded, is certainly at least `margin`.
-
-        With s the computed sum of squares of the difference of the cached embeddings (E
-        entries each), in _SUM_RANGE: the subtraction and the sum move s by at most
-        (E + 2) eps / 2 of it, underflow by far less, so sqrt(s) (1 - (E + 8) eps) is at
-        most the exact distance of the cached embeddings, roundings included.  By the
-        triangle inequality the embeddings the forward passes would compute now are at
-        least lo = that - (drift + rounding of each input not fresh) apart.  A pair's loss
-        computes their squared distance within (E + 3) eps of exact, so lo >= 1e-100 (no
-        underflow) and (1 - (E + 32) eps) lo**2 >= margin, four more roundings, make it at
-        least the margin: the loss is 0.0 and the pooled gradient zero.
-        """
+        """Whether the loss would compute a squared distance of at least `margin` for the
+        two inputs now, so that it is 0.0: whether `clears` holds for the cached embeddings
+        with the drift and rounding of each input not fresh as the slack."""
         v, d = inputs
         if self.pooled[v] is None or self.pooled[d] is None:
             return False
-        slack = sum(self.drift[n] + self.rounding[n] for n in inputs if not self.fresh(n)) * _UP
+        slack = sum(self.drift[n] + self.rounding[n] for n in inputs if not self.fresh(n)) * UP
         diff = self.pooled[v] - self.pooled[d]
-        s = float(diff @ diff)
-        if not _SUM_RANGE[0] <= s <= _SUM_RANGE[1]:
-            return False
-        lo = math.sqrt(s) * (1.0 - (diff.size + 8) * _EPS) - slack
-        return lo >= 1e-100 and lo * lo * (1.0 - (diff.size + 32) * _EPS) >= margin
+        return clears(float(diff @ diff), diff.size, slack, margin)
 
     def stepped(self, bufs, deltas, inputs, lr: float) -> None:
-        """Start a new weight version after `_step` updated both nets, with their scaled
-        gradients in `bufs`, from `deltas`, the (x, z1, g_a1, g_a2) of the example whose
-        input numbers are `inputs`; add to the drift of each input a bound on how far its
-        net's step moved its embedding."""
+        """Start a new weight version after `_step` updated both nets by the scaled steps in
+        `bufs`, from the `deltas` (x, z1, g_a1, g_a2) of the example of input numbers
+        `inputs`; add to each input's drift how far its net's step can have moved it."""
         for k, (net, buf, (x, _, g_a1, _), n) in enumerate(zip(self.nets, bufs, deltas, inputs)):
             if len(x) == 1:  # _step formed the w1 step in blocks of the outer product
-                count = math.sqrt(net.hidden_dim) * math.sqrt(net.input_dim)
-                g_w1 = (lr * _norm_up(g_a1) * self.rho[n] + (lr + 1.0) * count * _TINY) * _UP
+                g_w1 = outer_up(lr, norm_up(g_a1), self.rho[n], net.hidden_dim * net.input_dim)
             else:
-                g_w1 = _norm_up(buf.w1.reshape(1, -1))
-            steps = [g_w1] + [_norm_up(getattr(buf, f.name).reshape(1, -1))
+                g_w1 = norm_up(buf.w1.reshape(1, -1))
+            steps = [g_w1] + [norm_up(getattr(buf, f.name).reshape(1, -1))
                               for f in fields(Subnet)[1:]]
             norms = self.norms[k]
-            d1, db1, d2, db2 = ((g * (1.0 + _EPS) + _EPS * old) * _UP
-                                for g, old in zip(steps, norms))
+            d1, db1, d2, db2 = (step_up(g, old) for g, old in zip(steps, norms))
             for i, d in enumerate((d1, db1, d2, db2, d2)):
-                norms[i] = (norms[i] + d) * _UP
+                norms[i] = (norms[i] + d) * UP
             s2, root_h = norms[4], math.sqrt(net.hidden_dim)
             for i, ((owner, _), rho) in enumerate(zip(self.inputs, self.rho)):
                 if owner == k:
-                    moved = (s2 * (d1 * rho + db1) + d2 * root_h + db2) * _UP
-                    self.drift[i] = (self.drift[i] + moved) * _UP
+                    moved = (s2 * (d1 * rho + db1) + d2 * root_h + db2) * UP
+                    self.drift[i] = (self.drift[i] + moved) * UP
         self.updates += 1
         self._bound_rounding()
 
@@ -473,25 +380,15 @@ def sgd_train(
     before the first step; otherwise a ValueError names the setting, the net and
     field, or the example at fault.  No caller's record is written to.
 
-    Each distinct input is numbered once, before the first step: inputs are the
-    same when they are the same memory (net, data address, shape and strides), as
-    the views `sample_pairs` hands out are.  The checked examples hold every input
-    for the whole call, so no two live inputs share an address by chance; no input
-    may be changed in place while sgd_train runs.  Each input keeps its last exact
-    embedding and a certified bound on how far the updates since then can have
-    moved it (`_EmbeddingCache` gives the argument, rounding, underflow and overflow
-    included).  A negative example whose cached embeddings lie, by that bound, at a
-    squared distance of at least the margin is skipped: it adds the loss 0.0 and
-    runs no forward pass.  Otherwise it embeds its inputs not embedded since the
-    last update, the one with the larger bound first, checking the bound again
-    after each; if it still does not clear, the example runs exactly as above.  An
-    update reuses the activations its example computed in the same step and runs
-    the other forward passes again.  On the train bench's inputs (20 segments of 36
-    frames, 1024 -> 256 -> 300 and 4800 -> 256 -> 300, one epoch, learning rate
-    0.01, data seeds 0-5), 94 to 97 segment forwards run where embedding every input
-    once per weight version took 248.  Descriptions move too far at an update (up to
-    10.3-12.1, where segments move up to 0.16-0.25) for the bound to clear, so 230
-    description forwards still run, against 235.
+    Each distinct input is numbered once: inputs are the same when they are the same
+    memory (net, data address, shape and strides), as the views `sample_pairs` hands out
+    are.  The checked examples hold every input for the whole call, so no two live inputs
+    share an address by chance; no input may be changed in place.  Each keeps its last
+    exact embedding and a certified bound on how far the updates since have moved it
+    (`_EmbeddingCache`).  A negative example that bound clears adds the loss 0.0 and runs
+    no forward pass.  Otherwise it embeds its inputs not embedded since the last update,
+    the one with the larger bound first, checking the bound again after each, and if it
+    still does not clear, runs as above; an update reuses the activations of its step.
     """
     cfg = replace(cfg)
     if len(dataset) == 0:

@@ -180,10 +180,46 @@ def _spectral_estimates(path: Path) -> list[str]:
 
 
 def test_no_spectral_norm_estimates():
-    """Training skips an example only on certified upper bounds of norms (`train._norm_up`
-    and `train._spectral_up`).  An SVD, an eigenvalue routine or a 2-norm is a rounded
+    """Training skips an example only on certified upper bounds of norms (`_bounds.norm_up`
+    and `_bounds.spectral_up`).  An SVD, an eigenvalue routine or a 2-norm is a rounded
     estimate that may lie below the exact value, so none may appear in `src/videosum`."""
     root = Path(__file__).resolve().parents[1] / "src" / "videosum"
     paths = sorted(root.glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in _spectral_estimates(path)] == []
+
+
+ROUNDING_CONSTANTS = re.compile(r"_?(EPS|UP|TINY|SUM_RANGE|GRAM_RANGE)")
+
+
+def _rounding_models(path: Path) -> list[str]:
+    """Each place in `path` that defines machine epsilon or a rounding constant of its own:
+    a `finfo(...).eps` or `float_info.epsilon`, an assignment to a name such as `_EPS`,
+    `_UP`, `_TINY` or a safe range, or a power of two with a negative exponent, as
+    "file:line what".  `finfo(...).max` is not one."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ("eps", "epsilon") and (
+                isinstance(node.value, ast.Call) and getattr(node.value.func, "attr", None) == "finfo"
+                or getattr(node.value, "attr", None) == "float_info"):
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        found += [f"{path.name}:{node.lineno} {t.id}" for t in targets
+                  if isinstance(t, ast.Name) and ROUNDING_CONSTANTS.fullmatch(t.id)]
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2
+                and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)):
+            found.append(f"{path.name}:{node.lineno} 2**-")
+    return found
+
+
+def test_one_rounding_model():
+    """Machine epsilon, the unit roundoff, the safe range for sums of squares and the
+    rounding constants of the certified skips are defined once, in `_bounds.py`; no other
+    module of the package writes a rounding model of its own."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    paths = [path for path in sorted(root.glob("*.py")) if path.name != "_bounds.py"]
+    assert paths
+    assert [hit for path in paths for hit in _rounding_models(path)] == []
+    assert _rounding_models(root / "_bounds.py")

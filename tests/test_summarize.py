@@ -481,8 +481,8 @@ class TestGramBound:
     @given(pts=st.one_of(float_points, grid_points, wide_points()),
            e=st.integers(-140, 140))
     def test_at_most_the_exact_distance(self, pts, e):
-        """Squared norms scaled by 10**e, e in -140..140; outside _GRAM_RANGE there is no
-        bound (every row is exact)."""
+        """Squared norms scaled by 10**e, e in -140..140; outside _bounds.SUM_RANGE there is
+        no bound (every row is exact)."""
         pts = pts * 10.0 ** (e / 2)
         lo = _gram_lower_bounds(pts)
         if lo is not None:

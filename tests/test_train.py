@@ -90,6 +90,27 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="margin must be finite and non-negative"):
             contrastive_loss(np.zeros(3), np.ones(3), 0, margin=margin)
 
+    @pytest.mark.parametrize("x, y, needle", [
+        (np.ones((2, 2)), np.zeros((2, 2)), r"^x must be a 1-D vector, got shape \(2, 2\)$"),
+        (np.array(1.0), np.array(2.0), r"^x must be a 1-D vector, got shape \(\)$"),
+        (np.zeros(2), np.zeros((1, 2)), r"^y must be a 1-D vector, got shape \(1, 2\)$"),
+        (np.zeros(2), 3.0, r"^y must be a 1-D vector"),
+        (["a", "b"], np.zeros(2), r"^x must be an array of real numbers"),
+    ])
+    def test_embeddings_that_are_not_vectors_named(self, x, y, needle):
+        for label in (0, 1):
+            with pytest.raises(ValueError, match=needle):
+                contrastive_loss(x, y, label)
+
+    @pytest.mark.parametrize("x, y", [(np.full(3, 1e308), np.full(3, -1e308)),
+                                      (np.full(3, 1e200), np.zeros(3))])
+    def test_overflowing_squared_distance_rejected(self, x, y):
+        """Warnings are errors in this suite, so no RuntimeWarning comes first either."""
+        for label in (0, 1):
+            with pytest.raises(ValueError, match="^the squared distance of x and y overflows "
+                                                 "float64$"):
+                contrastive_loss(x, y, label)
+
 
 class TestLossGradients:
     def test_inactive_hinge_gives_zero_gradients(self):
