@@ -53,11 +53,11 @@ def dist_range(s: float, n: int) -> tuple[float, float]:
     return lo, math.sqrt(max(s, SUM_RANGE[0]) / (1.0 - g))
 
 
-def clears(s: float, n: int, slack: float, margin: float) -> bool:
-    """Whether two n-vectors, together within `slack` of two whose computed squared distance
-    is s, compute one of at least `margin`: by the triangle inequality, when dist_range(s)'s
-    lo is at least slack plus dist_range(margin)'s hi, 1 + 4 u making up for the rounding."""
-    return dist_range(s, n)[0] >= (dist_range(margin, n)[1] + slack) * (1.0 + 4 * U)
+def clears(s: float, n: int, slack: float, reach: float) -> bool:
+    """Whether two n-vectors, together within `slack` of two of computed squared distance s,
+    compute one of at least a margin whose dist_range hi is `reach`: by the triangle inequality,
+    when dist_range(s)'s lo is at least slack plus reach, 1 + 4 u making up for the rounding."""
+    return dist_range(s, n)[0] >= (reach + slack) * (1.0 + 4 * U)
 
 
 def norm_up(rows: np.ndarray) -> float:

@@ -13,14 +13,15 @@ the independent reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._bounds import (EPS, TANH_ERR, TINY, UP, clears, dot_err, norm_up, outer_up, spectral_up,
-                      step_up)
+from ._bounds import (EPS, TANH_ERR, TINY, UP, clears, dist_range, dot_err, norm_up, outer_up,
+                      spectral_up, step_up)
 from ._checks import (as_floats, check_finite, check_int, check_matrix, check_pair_label,
                       check_real, check_vector)
 from .model import Subnet, _checked_net, _forward
@@ -46,22 +47,30 @@ def _check_label(label) -> int:
     raise ValueError(f"label must be 0 or 1, got {label!r}")
 
 
+def _check_field(k: int, value, net: Subnet | None = None) -> np.ndarray:
+    """The field rule: a segment (k = 0) is a matrix of >= 1 row finite by frame, a description
+    (k = 1) a non-empty 1-D vector finite by index; with a net, the rows it embeds, of its width."""
+    what, side = (("segment", "video net"), ("description", "description net"))[k]
+    field = check_matrix(what, value, rows=1) if k == 0 else as_floats("desc", value)
+    if k and (field.ndim != 1 or field.size == 0):
+        raise ValueError(f"desc must be a non-empty 1-D vector, got shape {field.shape}")
+    check_finite(f"{what} has a non-finite value", field, by_row=k == 0)
+    rows = field[None, :] if k else field
+    return field if net is None else check_matrix(what, rows, cols=net.input_dim, of=side)
+
+
 @dataclass
 class PairExample:
-    """One training pair: raw segment frames, description vector, 0/1 label."""
+    """One training pair: raw segment frames, description vector, 0/1 label, checked in that
+    order; `sample_pairs` reads each `segments[i]` once and its examples share checked arrays."""
 
     segment: np.ndarray
     desc: np.ndarray
     label: int
 
     def __post_init__(self):
-        segment, desc = as_floats("segment", self.segment), as_floats("desc", self.desc)
-        if desc.ndim != 1 or desc.size == 0:
-            raise ValueError(f"desc must be a non-empty 1-D vector, got shape {desc.shape}")
-        self.segment, self.desc = check_matrix("segment", segment, rows=1), desc
-        check_finite("description has a non-finite value", self.desc)
+        self.segment, self.desc = _check_field(0, self.segment), _check_field(1, self.desc)
         self.label = _check_label(self.label)
-        check_finite("segment has a non-finite value", self.segment, by_row=True)
 
 
 @dataclass
@@ -109,19 +118,13 @@ def _backward(
 
 
 def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
-    """((net, input rows) for the video net, then the description net; label) of
-    `dataclasses.replace(ex)`, a copy that `PairExample` checks again, so `ex` is never
-    written to; a ValueError unless its segment and description are as wide as the inputs
-    of the video and the description net.
+    """((net, input rows) for the video net, then the description net; label) of `ex`, read
+    only: its fields, reassigned or not, by `_check_field` with their nets, then its label.
 
     Both nets embed the mean of their rows' outputs; the description is one row.
     """
-    ex = replace(ex)
-    sides = (vnet, ex.segment), (dnet, ex.desc[None, :])
-    for (net, rows), what, side in zip(sides, ("segment", "description"),
-                                       ("video net", "description net")):
-        check_matrix(what, rows, cols=net.input_dim, of=side)
-    return sides, ex.label
+    sides = (vnet, _check_field(0, ex.segment, vnet)), (dnet, _check_field(1, ex.desc, dnet))
+    return sides, _check_label(ex.label)
 
 
 def _loss_and_pooled_gradient(
@@ -178,8 +181,8 @@ def loss_gradients(
     embeddings, then two Subnet containers holding the gradients of the
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
-    Both nets go through `_checked_net`, and the example is checked again as
-    `dataclasses.replace(ex)`, since its fields may have been reassigned after
+    Both nets go through `_checked_net`, and each field of the example is
+    checked again by the field rule, since it may have been reassigned after
     construction; its segment and description must also be as wide as their
     net's input.  A ValueError says what is wrong; the caller's example is
     not written to.
@@ -198,8 +201,8 @@ def finite_diff_check(
     error of the central difference (up - down) / (2h): each loss is rounded to
     about eps times its size, so a smaller gap is not resolved.  The largest
     error is returned, and never less than 0.  A NaN error is returned at once,
-    so it fails every tolerance.  The nets and a copy of the example are checked
-    as `loss_gradients` checks them, and the analytic gradient taken once; each
+    so it fails every tolerance.  The nets and the example are checked as
+    `loss_gradients` checks them, and the analytic gradient taken once; each
     perturbed loss is a forward pass alone.  The weights are perturbed in one
     copy of each net, made once per call, so the caller's nets are never
     written to, not even for a moment.
@@ -282,7 +285,7 @@ class _EmbeddingCache:
     cached embedding and the one computed now.  A NaN or infinite step or weight, or a sum
     of squares beyond SUM_RANGE, makes a bound inf."""
 
-    def __init__(self, nets, inputs):
+    def __init__(self, nets, inputs, margin: float):
         self.nets = nets
         self.inputs = inputs  # (net index, rows) of each numbered input
         self.rho = [norm_up(rows) for _, rows in inputs]
@@ -290,8 +293,7 @@ class _EmbeddingCache:
                          for k, rows in inputs]  # tanh's and the mean's rounding
         self.pooled = [None] * len(inputs)
         self.drift = [math.inf] * len(inputs)
-        self.version = [-1] * len(inputs)
-        self.updates = 0
+        self.margin, self.reach = margin, dist_range(margin, nets[0].embed_dim)[1]
         # Per net: bounds on |w1|_F, |b1|, |w2|_F, |b2| and the spectral norm of w2.
         self.norms = [[norm_up(getattr(net, f.name).reshape(1, -1)) for f in fields(Subnet)]
                       + [spectral_up(net.w2)] for net in nets]
@@ -308,14 +310,17 @@ class _EmbeddingCache:
                          for (k, _), rho, mean in zip(self.inputs, self.rho, self.mean_err)]
 
     def fresh(self, n: int) -> bool:
-        return self.version[n] == self.updates
+        """Whether input n was embedded since the last update (drift 0.0): every update adds
+        to every drift at least d2 sqrt(H) > 0, as `step_up` >= U norm UP and each norm >=
+        TINY UP, and no NaN arises from terms >= 0 with rho and S2' > 0."""
+        return self.drift[n] == 0.0
 
     def embed(self, n: int):
         """Embed input n under the current weights; return its activations (z1, z2)."""
         k, rows = self.inputs[n]
         acts = _forward(self.nets[k], rows)
         self.pooled[n] = acts[1].mean(axis=0)
-        self.drift[n], self.version[n] = 0.0, self.updates
+        self.drift[n] = 0.0
         return acts
 
     def beyond_margin(self, inputs, margin: float) -> bool:
@@ -327,7 +332,8 @@ class _EmbeddingCache:
             return False
         slack = sum(self.drift[n] + self.rounding[n] for n in inputs if not self.fresh(n)) * UP
         diff = self.pooled[v] - self.pooled[d]
-        return clears(float(diff @ diff), diff.size, slack, margin)
+        reach = self.reach if margin == self.margin else dist_range(margin, diff.size)[1]
+        return clears(float(diff @ diff), diff.size, slack, reach)
 
     def stepped(self, bufs, deltas, inputs, lr: float) -> None:
         """Start a new weight version after `_step` updated both nets by the scaled steps in
@@ -349,7 +355,6 @@ class _EmbeddingCache:
                 if owner == k:
                     moved = (s2 * (d1 * rho + db1) + d2 * root_h + db2) * UP
                     self.drift[i] = (self.drift[i] + moved) * UP
-        self.updates += 1
         self._bound_rounding()
 
 
@@ -373,17 +378,16 @@ def sgd_train(
     and skips the backward pass and the update: its gradients are all +0 or -0,
     and subtracting them leaves every finite weight as it is.  The one exception
     is a -0.0 weight, which the full update could make +0.0 and a skipped step
-    leaves -0.0; init_subnet never draws one.  So that this holds, `cfg` and
-    every example are checked again as `dataclasses.replace` copies, since their
-    fields may have been reassigned after construction, both nets must pass
-    `_checked_net`, and every example must be as wide as both nets' inputs,
-    before the first step; otherwise a ValueError names the setting, the net and
-    field, or the example at fault.  No caller's record is written to.
+    leaves -0.0; init_subnet never draws one.  So that this holds, `cfg` as a
+    `dataclasses.replace` copy, both nets by `_checked_net` and every example's fields by
+    the field rule and both nets' widths are checked before the first step, since a field
+    may have been reassigned after construction; a ValueError names the setting, the net
+    and field, or the example at fault.  No caller's record is written to.
 
-    Each distinct input is numbered once: inputs are the same when they are the same
-    memory (net, data address, shape and strides), as the views `sample_pairs` hands out
-    are.  The checked examples hold every input for the whole call, so no two live inputs
-    share an address by chance; no input may be changed in place.  Each keeps its last
+    Each field is converted (`as_floats`) and numbered, and each input checked once: inputs
+    are the same memory (side, data address, shape, strides), as the examples of `sample_pairs`
+    share each `segments[i]`, read once.  Inputs are held for the whole call, so no two live
+    ones share an address by chance; no input may be changed in place.  Each keeps its last
     exact embedding and a certified bound on how far the updates since have moved it
     (`_EmbeddingCache`).  A negative example that bound clears adds the loss 0.0 and runs
     no forward pass.  Otherwise it embeds its inputs not embedded since the last update,
@@ -395,21 +399,23 @@ def sgd_train(
         raise ValueError("dataset must be non-empty")
     vnet = _copy_net(_checked_net("video net", vnet))
     dnet = _copy_net(_checked_net("description net", dnet))
-    examples = []  # (sides, label, input numbers) of each checked copy, on the copied nets
-    numbers: dict = {}  # (net, data address, shape, strides) -> input number
-    inputs = []  # (net index, rows) of each numbered input
+    examples = []  # (sides, label, input numbers) of each example, on the copied nets
+    numbers: dict = {}  # (side, data address, shape, strides) -> input number
+    inputs = []  # (side, checked rows) of each numbered input
     for i, ex in enumerate(dataset):
+        numbered, sides = [], []
         try:
-            sides, label = _sides(vnet, dnet, ex)
+            for k, (net, value) in enumerate(((vnet, ex.segment), (dnet, ex.desc))):
+                field = as_floats(("segment", "desc")[k], value)
+                n = numbers.setdefault((k, field.__array_interface__["data"][0], field.shape,
+                                        field.strides), len(numbers))
+                if n == len(inputs):
+                    inputs.append((k, _check_field(k, field, net)))
+                numbered.append(n)
+                sides.append((net, inputs[n][1]))
+            label = _check_label(ex.label)
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
-        numbered = []
-        for k, (net, rows) in enumerate(sides):
-            n = numbers.setdefault((id(net), rows.__array_interface__["data"][0], rows.shape,
-                                    rows.strides), len(numbers))
-            if n == len(inputs):
-                inputs.append((k, rows))
-            numbered.append(n)
         examples.append((sides, label, tuple(numbered)))
     # One gradient buffer per parameter, reused by every step.  A description is one
     # row, so the description net's w1 buffer holds only one block of rows.
@@ -418,7 +424,7 @@ def sgd_train(
         np.empty((min(_ROW_BLOCK, dnet.hidden_dim), dnet.input_dim)),
         *(np.empty_like(getattr(dnet, f.name)) for f in fields(Subnet)[1:]),
     )
-    cache = _EmbeddingCache((vnet, dnet), inputs)
+    cache = _EmbeddingCache((vnet, dnet), inputs, cfg.margin)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
@@ -460,9 +466,11 @@ def sample_pairs(
     `segments` holds one frame matrix per video segment, `descs` one
     description vector per row.  Records are consumed in order; no synthetic
     negatives are invented.  Both indices must be non-negative integers in
-    range; a bad index, label or example raises with its record named.
+    range; a bad index, label or example raises with its record named.  Each
+    `segments[i]` and row i of `descs` is read and checked once, and shared by its examples.
     """
     descs = check_matrix("descs", descs)
+    checked = functools.cache(lambda k, index: _check_field(k, (segments, descs)[k][index]))
     out: list[PairExample] = []
     for rec_no, record in enumerate(labels):
         where = f"label record {rec_no}"
@@ -473,8 +481,10 @@ def sample_pairs(
                 raise ValueError(
                     f"{where}: {what} index {index} out of range (have {have} {what}s)"
                 )
+        out.append(ex := PairExample.__new__(PairExample))  # its fields checked once per index
         try:
-            out.append(PairExample(segment=segments[seg_idx], desc=descs[desc_idx], label=label))
+            ex.segment, ex.desc = checked(0, seg_idx), checked(1, desc_idx)
+            ex.label = _check_label(label)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return out

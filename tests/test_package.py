@@ -99,11 +99,41 @@ def _post_init_calls(path: Path) -> list[str]:
 
 def test_records_are_rechecked_only_as_copies():
     """An entry point checks a record that may have changed since construction as
-    `dataclasses.replace(record)`, never by running `__post_init__` on the caller's."""
+    `dataclasses.replace(record)`, or a `PairExample` field by field by its field rule, never
+    by running `__post_init__` on the caller's."""
     root = Path(__file__).resolve().parents[1] / "src" / "videosum"
     paths = sorted(root.glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in _post_init_calls(path)] == []
+
+
+def _new_calls(path: Path) -> list[str]:
+    """Each call of a `__new__` method in `path`, as "file:line enclosing function"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"):
+                found.append(f"{path.name}:{child.lineno} {scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_sample_pairs_builds_records_without_their_constructor():
+    """`sample_pairs` builds its examples with `PairExample.__new__` from arrays it has
+    checked by the field rule, once per index.  Nothing else in the package may skip a
+    record's constructor, so every other record is checked when it is built."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    found = [hit for path in sorted(root.glob("*.py")) for hit in _new_calls(path)]
+    assert [hit for hit in found if not hit.startswith("train.py:")
+            or not hit.endswith(" sample_pairs")] == []
+    assert found
 
 
 CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing", "subprocess", "_thread")

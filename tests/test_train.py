@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from videosum import train
+from videosum import _checks, train
 from videosum.model import Subnet, embed_frames, init_subnet
 from videosum.summarize import segment_features, uniform_segments
 from videosum.synth import SynthSpec, synth_generate
@@ -328,6 +328,44 @@ class TestReassignedExample:
                              (sgd_train, [ex, ex], TrainConfig(epochs=2))):
             entry(vnet, dnet, *args)
             assert ex.segment is segment and ex.desc is desc
+
+
+def filled(shape, at=None, value=math.nan):
+    """Zeros of `shape`, with `value` at index `at` if given."""
+    arr = np.zeros(shape)
+    if at is not None:
+        arr[at] = value
+    return arr
+
+
+class TestFirstFaultNamed:
+    """An example with faults in several fields is named by the first in the order segment,
+    description, label, the same at all five entry points; a segment's field rule comes
+    before its width."""
+
+    @pytest.mark.parametrize("segment, desc, label, message", [
+        (filled((3, 8), (1, 2)), filled(5, 3), 2, "segment has a non-finite value at frame 1"),
+        (filled((3, 7), (2, 0), math.inf), filled(5, 0), 1,
+         "segment has a non-finite value at frame 2"),
+        (filled((3, 8), (0, 4)), filled(5), True, "segment has a non-finite value at frame 0"),
+        (filled((0, 8)), filled(5, 1, -math.inf), 1.0, "segment must have at least 1 row, got 0"),
+        (filled((3, 8)), filled(5, 4, math.inf), 2, "description has a non-finite value at index 4"),
+    ], ids=["segment-description-label", "segment-width-description", "segment-label",
+            "empty-segment-description-label", "description-label"])
+    def test_named_by_every_entry_point(self, segment, desc, label, message):
+        vnet, dnet, good = random_case(3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PairExample(segment, desc, label)
+        bad = PairExample(good.segment, good.desc, good.label)
+        bad.segment, bad.desc, bad.label = segment, desc, label
+        for entry in (loss_gradients, finite_diff_check):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(vnet, dnet, bad)
+        with pytest.raises(ValueError, match=f"^example 1: {message}$"):
+            sgd_train(vnet, dnet, [good, bad], TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=f"^label record 1: {message}$"):
+            sample_pairs([good.segment, segment], np.stack([good.desc, desc]),
+                         [(0, 0, 1), (1, 1, label)])
 
 
 def two_cluster_dataset(seed):
@@ -713,6 +751,16 @@ class TestEmbeddingReuse:
         assert_same_bits(got_v, want_v)
         assert_same_bits(got_d, want_d)
 
+    def test_an_input_checked_as_a_description_is_checked_again_as_a_segment(self):
+        """Inputs are numbered by their side too: one example's description array, reassigned
+        as the next example's segment, meets the segment's rule there."""
+        vnet, dnet, ex = random_case(3)
+        bad = PairExample(ex.segment, ex.desc, 0)
+        bad.segment = ex.desc
+        with pytest.raises(ValueError,
+                           match=r"^example 1: segment must be a 2-D matrix, got shape \(5,\)$"):
+            sgd_train(vnet, dnet, [ex, bad], TrainConfig(epochs=1))
+
     def test_dataset_building_fresh_arrays_trains_like_the_list(self):
         """A Sequence whose every __getitem__ builds new arrays: a freed array's address
         may be taken by the next one, which must not reuse its embedding."""
@@ -739,6 +787,23 @@ class TestEmbeddingReuse:
         assert history == want_history
         assert_same_bits(got_v, want_v)
         assert_same_bits(got_d, want_d)
+        # Float32 arrays and nested lists, each object shared by the examples of its segment
+        # or description: each example converts its own float64 copy, which must train like
+        # float64 arrays of the same values.
+        for convert in (lambda a: a.astype(np.float32), np.ndarray.tolist):
+            converted = {}  # (address, shape) of each array of the dataset -> its one copy
+            examples = [PairExample(ex.segment, ex.desc, ex.label) for ex in dataset]
+            for ex in examples:
+                ex.segment, ex.desc = (converted.setdefault((a.ctypes.data, a.shape), convert(a))
+                                       for a in (ex.segment, ex.desc))
+            assert len(converted) == 8 < 2 * len(examples)
+            as_float64 = [PairExample(np.array(ex.segment, dtype=float),
+                                      np.array(ex.desc, dtype=float), ex.label) for ex in examples]
+            got_v, got_d, history = sgd_train(vnet, dnet, examples, cfg)
+            want_v, want_d, want_history = sgd_train(vnet, dnet, as_float64, cfg)
+            assert history == want_history
+            assert_same_bits(got_v, want_v)
+            assert_same_bits(got_d, want_d)
 
 
 class TestMarginBound:
@@ -913,17 +978,31 @@ class TestMarginBound:
         36-frame segments, descriptions through a seeded 4800-d projection, nets
         1024 -> 256 -> 300 and 4800 -> 256 -> 300, one epoch at learning rate 0.01.
         Embedding each input once per weight version took 248 segment forwards; the
-        bound leaves 96, on one BLAS thread as on two."""
+        bound leaves 96, on one BLAS thread as on two.  The 400 examples hold 40 distinct
+        arrays, 20 segments and 20 description rows: checking every example's arrays took
+        800 finiteness scans in sample_pairs and 808 in sgd_train (8 for the nets' fields);
+        checking each distinct array once takes 40 and 48."""
+        scans = []
+        real = _checks.first_non_finite
+
+        def counted(arr):
+            scans.append(arr.shape)
+            return real(arr)
+
+        monkeypatch.setattr(_checks, "first_non_finite", counted)
         data = synth_generate(SynthSpec(seed=0, n_events=20, frames_per_event=32,
                                         gap_frames=4, dim=1024))
         descs = data.descs @ np.random.default_rng([0, 1]).normal(size=(20, 4800))
         segments = uniform_segments(len(data.features), 36)
         dataset = sample_pairs([data.features[s.start : s.end] for s in segments], descs,
                                data.labels)
+        assert len(dataset) == 400 and len(scans) <= 40
+        scans.clear()
         calls = TestEmbeddingReuse.spy_on_forward(monkeypatch)
         vnet, _, _ = sgd_train(init_subnet(0, 1024, 256, 300), init_subnet(1, 4800, 256, 300),
                                dataset, TrainConfig(margin=1.0, learning_rate=0.01, epochs=1))
         assert sum(net is vnet for net, _ in calls) <= 130
+        assert len(scans) <= 80
 
 
 class TestSgdTrainRejectsNonFinite:
