@@ -25,7 +25,7 @@ import numpy as np
 
 from ._checks import (check_int, check_interval, check_items, check_matrix, check_pair_label,
                       check_real, first_non_finite)
-from .model import Subnet, _checked_net
+from .model import Subnet, _checked_nets
 from .summarize import Roi, Segment, semantic_score
 
 __all__ = [
@@ -274,7 +274,8 @@ def write_selection(
 
 
 def read_pair_labels(path) -> list[tuple[int, int, int]]:
-    """Read pair labels: one 'segment_index desc_index tn' record per line."""
+    """Read pair labels: one 'segment_index desc_index tn' record per line, each field an
+    optional minus sign and ASCII digits, as `write_pair_labels` writes it."""
     out = []
     # A byte that is not UTF-8 becomes a lone surrogate, which no integer field accepts,
     # so it is reported with its line like any other bad field.
@@ -290,8 +291,8 @@ def read_pair_labels(path) -> list[tuple[int, int, int]]:
                     f"got {line!r}"
                 )
             try:
-                seg_idx, desc_idx, tn = (int(p) for p in parts)
-            except ValueError:
+                seg_idx, desc_idx, tn = (int(re.fullmatch(r"-?[0-9]+", p)[0]) for p in parts)
+            except (TypeError, ValueError):  # no match, or more digits than int() converts
                 raise ValueError(f"{path}:{line_no}: non-integer field in {line!r}") from None
             out.append((seg_idx, desc_idx, tn))
     return out
@@ -322,13 +323,6 @@ _NPY_HEADER = re.compile(
 )
 
 
-def _check_nets_agree(vnet: Subnet, dnet: Subnet) -> None:
-    for what in ("embed", "hidden"):
-        video, description = getattr(vnet, f"{what}_dim"), getattr(dnet, f"{what}_dim")
-        if video != description:
-            raise ValueError(f"{what} dims differ: video {video} vs description {description}")
-
-
 def _member_array(where: str, fh, size: int) -> np.ndarray:
     """The float64 array in one open .npy member of `size` bytes, as an owned, writeable
     array.  The data bytes are read straight into the array, _BLOCK_BYTES at a time, so a
@@ -356,7 +350,7 @@ def _member_array(where: str, fh, size: int) -> np.ndarray:
 
 
 def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
-    """One net, each field read from its .npy member, as `_checked_net` checks it."""
+    """One net, each field read from its .npy member; `load_checkpoint` checks both nets."""
     arrays = []
     for f in fields(Subnet):
         where = f"{which} net field {f.name!r}"
@@ -370,19 +364,18 @@ def _read_net(zf: zipfile.ZipFile, which: str, archive_bytes: int) -> Subnet:
                              f"{archive_bytes}-byte archive")
         with zf.open(info) as member:
             arrays.append(_member_array(where, member, info.file_size))
-    return _checked_net(f"{which} net", Subnet(*arrays))
+    return Subnet(*arrays)
 
 
 def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
     """Write both nets as an uncompressed .npz: float64 members "video.w1" ... "description.b2".
 
-    Each net is converted and checked as `load_checkpoint` checks it, with the same message
-    but for the path, before the file is opened, so no checkpoint is written that
+    Both nets are checked by `_checked_nets`, as `load_checkpoint` checks them, with the same
+    message but for the path, before the file is opened, so no checkpoint is written that
     `load_checkpoint` refuses.  numpy stamps every zip entry with one fixed date, so the
     bytes depend only on the parameters.
     """
-    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
-    _check_nets_agree(vnet, dnet)
+    vnet, dnet = _checked_nets(vnet, dnet)
     arrays = {
         f"{which}.{f.name}": getattr(net, f.name)
         for which, net in (("video", vnet), ("description", dnet))
@@ -396,9 +389,9 @@ def save_checkpoint(path, vnet: Subnet, dnet: Subnet) -> None:
 def load_checkpoint(path) -> tuple[Subnet, Subnet]:
     """Load a checkpoint written by save_checkpoint.
 
-    Every member must be an uncompressed float64 .npy array, each net must pass
-    `_checked_net` and the two nets must agree on their hidden and embedding dims; a
-    ValueError starting with the path names the member or field at fault otherwise.
+    Every member must be an uncompressed float64 .npy array, read before any net is checked,
+    and the two nets must pass `_checked_nets`; a ValueError starting with the path names
+    the member, field or widths at fault otherwise.
     """
     expected = [f"{net}.{f.name}.npy" for net in ("video", "description") for f in fields(Subnet)]
     with open(path, "rb") as fh:
@@ -412,7 +405,7 @@ def load_checkpoint(path) -> tuple[Subnet, Subnet]:
                         raise ValueError(f"missing member {name!r}")
                 size = os.fstat(fh.fileno()).st_size
                 vnet, dnet = _read_net(zf, "video", size), _read_net(zf, "description", size)
-            _check_nets_agree(vnet, dnet)
+            vnet, dnet = _checked_nets(vnet, dnet)
         except (zipfile.BadZipFile, EOFError, OSError, NotImplementedError) as exc:
             raise ValueError(f"{path}: not a checkpoint archive: {exc}") from None
         except ValueError as exc:

@@ -125,6 +125,18 @@ def _checked_net(name: str, net: Subnet) -> Subnet:
     return net
 
 
+def _checked_nets(vnet: Subnet, dnet: Subnet) -> tuple[Subnet, Subnet]:
+    """The one rule for a pair of nets: (vnet, dnet) under `_checked_net` as the "video net"
+    and the "description net", then a ValueError unless both have one embed width and one
+    hidden width, named in that order."""
+    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
+    for what in ("embed", "hidden"):
+        video, description = getattr(vnet, f"{what}_dim"), getattr(dnet, f"{what}_dim")
+        if video != description:
+            raise ValueError(f"{what} dims differ: video {video} vs description {description}")
+    return vnet, dnet
+
+
 @dataclass
 class ImportanceScorer:
     """Bidirectional LSTM frame scorer.

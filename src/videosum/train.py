@@ -24,7 +24,7 @@ from ._bounds import (EPS, TANH_ERR, TINY, UP, clears, dist_range, dot_err, norm
                       spectral_up, step_up)
 from ._checks import (as_floats, check_finite, check_int, check_matrix, check_pair_label,
                       check_real, check_vector)
-from .model import Subnet, _checked_net, _forward
+from .model import Subnet, _checked_nets, _forward
 
 __all__ = [
     "PairExample",
@@ -94,15 +94,7 @@ def contrastive_loss(x: np.ndarray, y: np.ndarray, label: int, margin: float = 1
     if x.shape != y.shape:
         raise ValueError(f"embedding shapes differ: {x.shape} vs {y.shape}")
     margin = check_real("margin", margin, 0)
-    label = _check_label(label)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = x - y
-        d = float(diff @ diff)
-    if d == math.inf:
-        raise ValueError("the squared distance of x and y overflows float64")
-    if label:
-        return d
-    return 0.0 if d >= margin else margin - d  # a NaN d fails the test and stays NaN
+    return _loss_and_pooled_gradient(x, y, _check_label(label), margin)[0]
 
 
 def _backward(
@@ -117,29 +109,38 @@ def _backward(
     return (g_a2 @ net.w2) * (1.0 - z1**2), g_a2
 
 
-def _sides(vnet: Subnet, dnet: Subnet, ex: PairExample):
-    """((net, input rows) for the video net, then the description net; label) of `ex`, read
-    only: its fields, reassigned or not, by `_check_field` with their nets, then its label.
+def _numbered(nets, ex: PairExample, numbers: dict, inputs: list):
+    """(sides, label, input numbers) of `ex`, read only.  `sides` holds (net, input rows)
+    for the video net, then the description net; each embeds the mean of its rows' outputs.
 
-    Both nets embed the mean of their rows' outputs; the description is one row.
-    """
-    sides = (vnet, _check_field(0, ex.segment, vnet)), (dnet, _check_field(1, ex.desc, dnet))
-    return sides, _check_label(ex.label)
+    Each field is numbered by its side and the object it is, before any conversion:
+    `numbers` maps (side, id) to (number, field), holding the field so that no id is reused.
+    A new field is checked by `_check_field` with its net and appended to `inputs` as
+    (side, rows); then the label is checked."""
+    numbered = []
+    for k, field in enumerate((ex.segment, ex.desc)):
+        n, _ = numbers.setdefault((k, id(field)), (len(inputs), field))
+        if n == len(inputs):
+            inputs.append((k, _check_field(k, field, nets[k])))
+        numbered.append(n)
+    sides = [(nets[k], inputs[n][1]) for k, n in enumerate(numbered)]
+    return sides, _check_label(ex.label), tuple(numbered)
 
 
 def _loss_and_pooled_gradient(
     x: np.ndarray, y: np.ndarray, label: int, margin: float
 ) -> tuple[float, np.ndarray]:
-    """The pair's loss and dL/dx for embeddings x and y; dL/dy is its negation."""
-    loss = contrastive_loss(x, y, label, margin)
+    """The pair's loss and dL/dx for embeddings x and y, 1-D vectors of one width, a checked
+    label and margin; dL/dy is its negation.  A squared distance that overflows raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x - y
+        d = float(diff @ diff)
+    if d == math.inf:
+        raise ValueError("the squared distance of x and y overflows float64")
+    loss = d if label else 0.0 if d >= margin else margin - d  # a NaN d fails >= and stays NaN
     # dL/dd: 1 for positive pairs, -1 inside the hinge, 0 outside (and at d == margin).
-    if label:
-        g_d = 1.0
-    elif loss > 0.0:
-        g_d = -1.0
-    else:
-        g_d = 0.0
-    return loss, 2.0 * g_d * (x - y)
+    g_d = 1.0 if label else -1.0 if loss > 0.0 else 0.0
+    return loss, 2.0 * g_d * diff
 
 
 def _deltas(sides, acts, g_x: np.ndarray):
@@ -181,14 +182,15 @@ def loss_gradients(
     embeddings, then two Subnet containers holding the gradients of the
     video and description nets (same shapes as the parameters).  At the
     hinge point d == margin with label 0 the subgradient 0 is returned.
-    Both nets go through `_checked_net`, and each field of the example is
-    checked again by the field rule, since it may have been reassigned after
-    construction; its segment and description must also be as wide as their
-    net's input.  A ValueError says what is wrong; the caller's example is
-    not written to.
+    Both nets go through `_checked_nets`, so they must share their hidden and
+    embed widths; each field of the example is checked again by the field
+    rule, since it may have been reassigned after construction, and its
+    segment and description must also be as wide as their net's input; then
+    the label and the margin.  A ValueError says what is wrong before any
+    forward pass runs; the caller's example is not written to.
     """
-    vnet, dnet = _checked_net("video net", vnet), _checked_net("description net", dnet)
-    return _gradients(*_sides(vnet, dnet, ex), margin)
+    sides, label, _ = _numbered(_checked_nets(vnet, dnet), ex, {}, [])
+    return _gradients(sides, label, check_real("margin", margin, 0))
 
 
 def finite_diff_check(
@@ -208,9 +210,9 @@ def finite_diff_check(
     written to, not even for a moment.
     """
     h = check_real("step h", h, positive=True)
-    vnet = _copy_net(_checked_net("video net", vnet))
-    dnet = _copy_net(_checked_net("description net", dnet))
-    sides, label = _sides(vnet, dnet, ex)
+    nets = [_copy_net(net) for net in _checked_nets(vnet, dnet)]
+    sides, label, _ = _numbered(nets, ex, {}, [])
+    margin = check_real("margin", margin, 0)
     _, grad_v, grad_d = _gradients(sides, label, margin)
     worst = 0.0
     for (net, _), grads in zip(sides, (grad_v, grad_d)):
@@ -283,7 +285,8 @@ class _EmbeddingCache:
     error of a forward pass, each layer's products within `dot_err` of their magnitudes
     (|z1| <= sqrt(H)), tanh's TANH_ERR and the mean's; bounds only grow, so it covers the
     cached embedding and the one computed now.  A NaN or infinite step or weight, or a sum
-    of squares beyond SUM_RANGE, makes a bound inf."""
+    of squares beyond SUM_RANGE, makes a bound inf.  The margin's reach is taken from the
+    one embed width both nets share, which `_checked_nets` ensures."""
 
     def __init__(self, nets, inputs, margin: float):
         self.nets = nets
@@ -379,44 +382,34 @@ def sgd_train(
     and subtracting them leaves every finite weight as it is.  The one exception
     is a -0.0 weight, which the full update could make +0.0 and a skipped step
     leaves -0.0; init_subnet never draws one.  So that this holds, `cfg` as a
-    `dataclasses.replace` copy, both nets by `_checked_net` and every example's fields by
-    the field rule and both nets' widths are checked before the first step, since a field
-    may have been reassigned after construction; a ValueError names the setting, the net
-    and field, or the example at fault.  No caller's record is written to.
+    `dataclasses.replace` copy, both nets by `_checked_nets` (one hidden and one embed
+    width) and every example's fields by the field rule and both nets' widths are checked
+    before the first step, even at 0 epochs, since a field may have been reassigned after
+    construction; a ValueError names the setting, the net and field, the widths, or the
+    example at fault.  No caller's record is written to.
 
-    Each field is converted (`as_floats`) and numbered, and each input checked once: inputs
-    are the same memory (side, data address, shape, strides), as the examples of `sample_pairs`
-    share each `segments[i]`, read once.  Inputs are held for the whole call, so no two live
-    ones share an address by chance; no input may be changed in place.  Each keeps its last
-    exact embedding and a certified bound on how far the updates since have moved it
-    (`_EmbeddingCache`).  A negative example that bound clears adds the loss 0.0 and runs
-    no forward pass.  Otherwise it embeds its inputs not embedded since the last update,
-    the one with the larger bound first, checking the bound again after each, and if it
-    still does not clear, runs as above; an update reuses the activations of its step.
+    Each field is numbered by its side and the object it is, before any conversion, and each
+    input converted and checked once (`_numbered`), as the examples of `sample_pairs` share
+    each `segments[i]` and row of `descs`; two views of one memory are two inputs, and no
+    input may be changed in place.  Each keeps its last exact embedding and a certified
+    bound on how far the updates since have moved it (`_EmbeddingCache`).  A negative
+    example that bound clears adds the loss 0.0 and runs no forward pass.  Otherwise it
+    embeds its inputs not embedded since the last update, the one with the larger bound
+    first, checking the bound again after each, and if it still does not clear, runs as
+    above; an update reuses the activations of its step.
     """
     cfg = replace(cfg)
     if len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    vnet = _copy_net(_checked_net("video net", vnet))
-    dnet = _copy_net(_checked_net("description net", dnet))
+    vnet, dnet = (_copy_net(net) for net in _checked_nets(vnet, dnet))
     examples = []  # (sides, label, input numbers) of each example, on the copied nets
-    numbers: dict = {}  # (side, data address, shape, strides) -> input number
+    numbers: dict = {}  # (side, id of the field) -> (input number, field)
     inputs = []  # (side, checked rows) of each numbered input
     for i, ex in enumerate(dataset):
-        numbered, sides = [], []
         try:
-            for k, (net, value) in enumerate(((vnet, ex.segment), (dnet, ex.desc))):
-                field = as_floats(("segment", "desc")[k], value)
-                n = numbers.setdefault((k, field.__array_interface__["data"][0], field.shape,
-                                        field.strides), len(numbers))
-                if n == len(inputs):
-                    inputs.append((k, _check_field(k, field, net)))
-                numbered.append(n)
-                sides.append((net, inputs[n][1]))
-            label = _check_label(ex.label)
+            examples.append(_numbered((vnet, dnet), ex, numbers, inputs))
         except ValueError as exc:
             raise ValueError(f"example {i}: {exc}") from None
-        examples.append((sides, label, tuple(numbered)))
     # One gradient buffer per parameter, reused by every step.  A description is one
     # row, so the description net's w1 buffer holds only one block of rows.
     vbuf = Subnet(*(np.empty_like(getattr(vnet, f.name)) for f in fields(Subnet)))

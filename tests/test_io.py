@@ -572,6 +572,21 @@ class TestPairLabelFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             read_pair_labels(path)
 
+    @pytest.mark.parametrize("line", ["1_0 0 1", "0 \u0663 1", "0 0 +1"],
+                             ids=["underscore", "arabic-indic-digit", "plus-sign"])
+    def test_only_what_the_writer_writes_is_an_integer_field(self, tmp_path, line):
+        """A field is an optional minus sign and ASCII digits, as `%d` writes it: int() would
+        also read an underscore, a digit of another script and a plus sign.  A field of
+        more digits than int() converts is refused with the same message."""
+        path = tmp_path / "pairs.txt"
+        for bad in (line, "0 0 1" + "0" * 5000):
+            path.write_text(f"0 0 1\n{bad}\n", encoding="utf-8")
+            with pytest.raises(ValueError) as exc:
+                read_pair_labels(path)
+            assert str(exc.value) == f"{path}:2: non-integer field in {bad!r}"
+        path.write_text("-1 0 1\n", encoding="utf-8")
+        assert read_pair_labels(path) == [(-1, 0, 1)]
+
 
 def seeded_nets():
     return init_subnet(0, 6, 5, 4), init_subnet(1, 9, 5, 4)

@@ -253,3 +253,35 @@ def test_one_rounding_model():
     assert paths
     assert [hit for path in paths for hit in _rounding_models(path)] == []
     assert _rounding_models(root / "_bounds.py")
+
+
+def _pair_net_checks(path: Path) -> list[str]:
+    """Each `_checked_net` call in `path` that names a net of the video/description pair (any
+    name but the literal "net"), outside `model._checked_nets`, as "file:line function"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_checked_net"
+                    and not (child.args and isinstance(child.args[0], ast.Constant)
+                             and child.args[0].value == "net")
+                    and (path.name, scope) != ("model.py", "_checked_nets")):
+                found.append(f"{path.name}:{child.lineno} {scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_a_pair_of_nets_is_checked_only_together():
+    """`model._checked_nets` is the one rule for a video net and a description net: each
+    under the net rule, then one hidden and one embed width.  No other function checks the
+    "video net" or the "description net" alone, so no entry point can skip the agreement."""
+    root = Path(__file__).resolve().parents[1] / "src" / "videosum"
+    paths = sorted(root.glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _pair_net_checks(path)] == []
+    assert "_checked_net(\"video net\"" in (root / "model.py").read_text(encoding="utf-8")

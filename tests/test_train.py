@@ -1004,6 +1004,64 @@ class TestMarginBound:
         assert sum(net is vnet for net, _ in calls) <= 130
         assert len(scans) <= 80
 
+    @pytest.mark.parametrize("convert", [lambda a: a.astype(np.float32), np.ndarray.tolist],
+                             ids=["float32", "list"])
+    def test_bench_shaped_fields_that_are_not_float64_numbered_by_object(self, monkeypatch,
+                                                                         convert):
+        """The train bench's inputs with each segment and description converted once, to a
+        float32 array or a nested list shared by its 20 examples: each object is numbered
+        by what it is, before its conversion, so training runs the forwards of float64
+        arrays of the same values, bit for bit, and checks each distinct input once.
+        Numbering each example's converted copy instead took 400 + 400 forwards and 808
+        finiteness scans with both fields float32."""
+        data = synth_generate(SynthSpec(seed=0, n_events=20, frames_per_event=32,
+                                        gap_frames=4, dim=1024))
+        descs = data.descs @ np.random.default_rng([0, 1]).normal(size=(20, 4800))
+        segments = [data.features[s.start : s.end]
+                    for s in uniform_segments(len(data.features), 36)]
+        segments, descs = [convert(a) for a in segments], [convert(row) for row in descs]
+        want_dataset = sample_pairs([np.array(a, dtype=float) for a in segments],
+                                    np.array(descs, dtype=float), data.labels)
+        dataset = [PairExample(ex.segment, ex.desc, ex.label) for ex in want_dataset]
+        for ex, (i, j, _) in zip(dataset, data.labels):
+            ex.segment, ex.desc = segments[i], descs[j]
+        nets = init_subnet(0, 1024, 256, 300), init_subnet(1, 4800, 256, 300)
+        cfg = TrainConfig(margin=1.0, learning_rate=0.01, epochs=1)
+        calls = TestEmbeddingReuse.spy_on_forward(monkeypatch)
+        want_v, want_d, want_history = sgd_train(*nets, want_dataset, cfg)
+        want_calls = [(net is want_v, len(rows)) for net, rows in calls]
+        calls.clear()
+        scans = []
+        real = _checks.first_non_finite
+        monkeypatch.setattr(_checks, "first_non_finite", lambda arr: scans.append(1) or real(arr))
+        got_v, got_d, history = sgd_train(*nets, dataset, cfg)
+        assert [(net is got_v, len(rows)) for net, rows in calls] == want_calls
+        assert len(scans) <= 80
+        assert history == want_history
+        assert_same_bits(got_v, want_v)
+        assert_same_bits(got_d, want_d)
+
+
+class TestNetsAgree:
+    """Both nets are checked together before any forward pass: training needs one hidden
+    and one embed width, as a checkpoint does."""
+
+    @pytest.mark.parametrize("dnet, message", [
+        (init_subnet(1, 2, 4, 3), "embed dims differ: video 4 vs description 3"),
+        (init_subnet(1, 2, 5, 4), "hidden dims differ: video 4 vs description 5"),
+    ], ids=["embed", "hidden"])
+    def test_named_by_every_entry_point_before_a_forward_pass(self, monkeypatch, dnet,
+                                                              message):
+        vnet = init_subnet(0, 3, 4, 4)
+        ex = PairExample(np.ones((2, 3)), np.ones(2), 0)
+        monkeypatch.setattr(train, "_forward", lambda *args: pytest.fail("a forward pass ran"))
+        for epochs in (0, 1):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sgd_train(vnet, dnet, [ex], TrainConfig(epochs=epochs))
+        for entry in (loss_gradients, finite_diff_check):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(vnet, dnet, ex)
+
 
 class TestSgdTrainRejectsNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
